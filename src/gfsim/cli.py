@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -69,21 +68,12 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GFSIM_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_gf(args) -> int:
     t_start = time.time()
     cfg = _load_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = gf_series(
-        cfg.model, cfg.init, cfg.t_grid, cfg.trotter_policy, shots=cfg.shots, seed=cfg.seed, threads=_threads(args)
-    )
+    series = gf_series(cfg.model, cfg.init, cfg.t_grid, cfg.trotter_policy, shots=cfg.shots, seed=cfg.seed)
     if cfg.overlay_exact:
         dense = build_dense(to_qubits(cfg.model))
         exact = gf_exact(dense, cfg.init, cfg.t_grid, model=cfg.model.fingerprint())
@@ -206,6 +196,8 @@ def cmd_noise(args) -> int:
         cfg = _load_config(args)
     if cfg.noise is None:
         raise ConfigError("noise command needs a noise block in the config")
+    if not isinstance(cfg.trotter_policy, int):
+        raise ConfigError('noise command needs a fixed Trotter step count: {"policy": "fixed", "n_steps": N}')
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -214,7 +206,7 @@ def cmd_noise(args) -> int:
     dense = build_dense(to_qubits(model))
     exact = gf_exact(dense, cfg.init, cfg.t_grid, model=model.fingerprint())
 
-    n_steps = cfg.trotter_policy if isinstance(cfg.trotter_policy, int) else 1
+    n_steps = cfg.trotter_policy
     shots = cfg.shots or 10**6
     members = len(cfg.init)
     per_member = shots // members
@@ -271,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration (a run manifest is also accepted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=None, help="worker threads (default: GFSIM_THREADS or 1)"
-        )
 
     p_gf = sub.add_parser("gf", help="generating-function trace")
     common(p_gf)

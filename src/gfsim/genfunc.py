@@ -19,7 +19,6 @@ digits.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -218,23 +217,16 @@ def gf_series(
     n_steps_policy="reference",
     shots: int = 0,
     seed: int = 0,
-    threads: int = 1,
 ) -> GfSeries:
     """Per-point Hadamard-test estimates over a monotone grid starting at 0."""
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) < 0):
         raise SimulationError("t_grid must be monotone and start at 0")
 
-    def point(k: int) -> HadamardEstimate:
-        n_steps = steps_for(model, t[k], n_steps_policy)
-        return gf_hadamard(model, init, float(t[k]), n_steps, shots, derive_seed(seed, k))
-
-    indices = range(t.size)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(point, indices))
-    else:
-        results = [point(k) for k in indices]
+    results = [
+        gf_hadamard(model, init, float(tk), steps_for(model, tk, n_steps_policy), shots, derive_seed(seed, k))
+        for k, tk in enumerate(t)
+    ]
 
     route = "statevector" if shots == 0 else "sampled"
     actual = results[0].shots if shots else 0

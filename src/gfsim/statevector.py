@@ -55,10 +55,6 @@ class GateMatrix:
         if err > UNITARITY_TOL:
             raise SimulationError(f"non-unitary gate {self.name or mat!r}: |U^H U - I| = {err:.3e}")
 
-    @property
-    def arity(self) -> int:
-        return len(self.targets)
-
 
 class StateVector:
     """2^n complex amplitudes for n qubits (qubit 0 = least-significant bit)."""
@@ -121,18 +117,21 @@ class ShotCounts:
 
 
 def _apply_matrix(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the given target qubits of a dense state.
+    """Apply a 2^k x 2^k matrix to the given target qubits of dense states.
 
-    targets[0] is the most significant bit of the matrix index.
+    amps is one state of 2^n amplitudes, or a (batch, 2^n) stack of states
+    that all receive the gate.  targets[0] is the most significant bit of the
+    matrix index.
     """
     k = len(targets)
-    axes = [n_qubits - 1 - q for q in targets]
-    psi = amps.reshape([2] * n_qubits)
+    lead = amps.ndim - 1
+    axes = [lead + n_qubits - 1 - q for q in targets]
+    psi = amps.reshape(amps.shape[:lead] + (2,) * n_qubits)
     psi = np.moveaxis(psi, axes, range(k))
     shape = psi.shape
     psi = matrix @ psi.reshape(1 << k, -1)
     psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(psi).reshape(-1)
+    return np.ascontiguousarray(psi).reshape(amps.shape)
 
 
 def _check_targets(state: StateVector, targets: tuple[int, ...]):
@@ -203,8 +202,6 @@ def derive_seed(*path: int) -> int:
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def hadamard(q: int) -> GateMatrix:
@@ -213,14 +210,6 @@ def hadamard(q: int) -> GateMatrix:
 
 def pauli_x(q: int) -> GateMatrix:
     return GateMatrix(_PAULI_X, (q,), name="X")
-
-
-def pauli_y(q: int) -> GateMatrix:
-    return GateMatrix(_PAULI_Y, (q,), name="Y")
-
-
-def pauli_z(q: int) -> GateMatrix:
-    return GateMatrix(_PAULI_Z, (q,), name="Z")
 
 
 def phase_gate(phi: float, q: int) -> GateMatrix:

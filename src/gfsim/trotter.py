@@ -9,9 +9,19 @@ explicit 1- and 2-qubit blocks:
   p > q the block with cos(g_pq dt) / +i sin(g_pq dt) entries.
 
 Within each part gates are applied in ascending qubit order; the order is
-frozen here because any fixed order is valid at first order.  Controlled
-evolution promotes every gate of the same sequence to its ancilla-controlled
-version (explicit 3-qubit matrices; no decomposition into hardware gates).
+frozen here because any fixed order is valid at first order.
+
+`evolve` and `controlled_evolve` multiply the whole step out once per call,
+into a step matrix on the particle-number sectors the input occupies, and then
+apply it n_steps times.  Every gate of both factorizations is diagonal or acts
+only inside {|01>, |10>}, so it conserves the Hamming weight of the system
+register: the amplitudes outside those sectors are zero and stay exactly zero.
+Controlled evolution evolves only the ancilla-|1> half, which is exact for the
+block-diagonal [[I, 0], [0, U]].
+
+The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
+ancilla-controlled 3-qubit matrix) is kept for the noise replays, which insert
+errors between gates, and as the oracle the fused evolution is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HubbardModel, PairingModel
-from .statevector import GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
+from .statevector import GateMatrix, SimulationError, StateVector, _apply_matrix, apply_controlled, apply_gate
 
 REFERENCE_DT_PAIRING = 0.002  # dt * (level spacing)
 REFERENCE_DT_HUBBARD = 0.02  # dt * J
@@ -165,27 +175,66 @@ def steps_for(model, t: float, policy="reference") -> int:
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
+def _hamming_weights(n_qubits: int) -> np.ndarray:
+    index = np.arange(1 << n_qubits)
+    return sum((index >> q) & 1 for q in range(n_qubits))
+
+
+def _sector_step(step: Circuit, basis: np.ndarray) -> np.ndarray:
+    """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this."""
+    states = np.zeros((basis.size, 1 << step.n_qubits), dtype=complex)
+    states[np.arange(basis.size), basis] = 1.0
+    for item in step.gates:
+        states = _apply_matrix(states, step.n_qubits, item.gate.matrix, item.gate.targets)
+    return states[:, basis]
+
+
+def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
+    """Evolve each row of system amplitudes by n_steps steps, within its occupied sectors."""
+    step = trotter_step(model, t / n_steps)  # validates dt even when nothing moves
+    if not rows.any():
+        return rows.copy()
+    weights = _hamming_weights(model.n_qubits)
+    occupied = np.unique(weights[rows.any(axis=0)])
+    basis = np.flatnonzero(np.isin(weights, occupied))
+    u = _sector_step(step, basis)
+    block = rows[:, basis]
+    for _ in range(n_steps):
+        block = block @ u
+    out = np.zeros_like(rows)
+    out[:, basis] = block
+    return out
+
+
+def _system_rows(state: StateVector, model) -> np.ndarray:
+    """Amplitudes as rows over the system register (low qubits), one row per setting of the rest."""
+    if state.n_qubits < model.n_qubits:
+        raise SimulationError(f"{state.n_qubits}-qubit state is smaller than the {model.n_qubits}-qubit model")
+    return state.amplitudes.reshape(-1, 1 << model.n_qubits)
+
+
 def evolve(state: StateVector, model, t: float, n_steps: int) -> StateVector:
     """Apply n_steps first-order Trotter steps of size t/n_steps."""
     if n_steps < 1:
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
     if t == 0:
         return state.copy()
-    step = trotter_step(model, t / n_steps)
-    for _ in range(n_steps):
-        state = step.apply(state)
-    return state
+    out = _evolve_rows(_system_rows(state, model), model, t, n_steps)
+    return StateVector(state.n_qubits, out, copy=False)
 
 
 def controlled_evolve(state: StateVector, model, t: float, n_steps: int, ancilla: int) -> StateVector:
-    """Ancilla-controlled version of evolve; identical gate order."""
+    """Ancilla-controlled version of evolve: only the ancilla-|1> half is evolved."""
     if n_steps < 1:
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
     if ancilla < model.n_qubits:
         raise SimulationError(f"ancilla {ancilla} lies inside the system register")
+    if ancilla >= state.n_qubits:
+        raise SimulationError(f"qubit index {ancilla} out of range for {state.n_qubits} qubits")
     if t == 0:
         return state.copy()
-    step = trotter_step(model, t / n_steps).controlled(ancilla)
-    for _ in range(n_steps):
-        state = step.apply(state)
-    return state
+    rows = _system_rows(state, model)
+    on = (np.arange(rows.shape[0]) >> (ancilla - model.n_qubits)) & 1 == 1
+    out = rows.copy()
+    out[on] = _evolve_rows(rows[on], model, t, n_steps)
+    return StateVector(state.n_qubits, out, copy=False)

@@ -217,6 +217,22 @@ def test_cmd_noise_builtin_preset_smoke(tmp_path):
     assert mit.route == "mitigated"
 
 
+@pytest.mark.parametrize("trotter", [{"policy": "reference"}, None])
+def test_cmd_noise_rejects_reference_step_policy(tmp_path, capsys, trotter):
+    # the noise study replays fixed-length circuits; "reference" (also the
+    # default when the trotter block is missing) is refused, not rewritten
+    cfg = json.loads(json.dumps(NOISE_PRESET))
+    cfg["time_grid"] = {"t_max": 0.1, "dt": 0.05}
+    if trotter is None:
+        del cfg["trotter"]
+    else:
+        cfg["trotter"] = trotter
+    rc = main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "fixed" in capsys.readouterr().err
+    assert not (tmp_path / "noise_manifest.json").exists()
+
+
 def test_cmd_noise_off_equals_sampled(tmp_path):
     cfg = json.loads(json.dumps(NOISE_PRESET))
     cfg["shots"] = 5000
@@ -240,18 +256,3 @@ def test_seed_flag_overrides_config(tmp_path):
     s2 = GfSeries.from_csv(out2 / "gf.csv")
     assert s1.seed == 99 and s2.seed == 4
     assert not np.array_equal(s1.re, s2.re)
-
-
-def test_threads_flag_keeps_output_identical(tmp_path):
-    cfg_path = write_config(tmp_path, base_config())
-    out1 = tmp_path / "t1"
-    out2 = tmp_path / "t2"
-    assert main(["gf", "--config", cfg_path, "--out-dir", str(out1), "--threads", "1"]) == 0
-    assert main(["gf", "--config", cfg_path, "--out-dir", str(out2), "--threads", "4"]) == 0
-    assert (out1 / "gf.csv").read_bytes() == (out2 / "gf.csv").read_bytes()
-
-
-def test_threads_env_var_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("GFSIM_THREADS", "3")
-    cfg_path = write_config(tmp_path, base_config())
-    assert main(["gf", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0

@@ -163,15 +163,6 @@ def test_gf_series_routes_and_determinism():
     assert not np.array_equal(s1.re, s3.re)
 
 
-def test_gf_series_threads_match_serial():
-    model, _, init = two_level()
-    t = np.linspace(0, 1, 6)
-    serial = gf_series(model, init, t, n_steps_policy=32, shots=400, seed=9, threads=1)
-    threaded = gf_series(model, init, t, n_steps_policy=32, shots=400, seed=9, threads=4)
-    assert np.array_equal(serial.re, threaded.re)
-    assert np.array_equal(serial.im, threaded.im)
-
-
 def test_gf_series_requires_grid_from_zero():
     model, _, init = two_level()
     with pytest.raises(SimulationError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits, pauli_terms_matrix, to_qubits
@@ -183,3 +185,92 @@ def test_controlled_evolve_rejects_ancilla_inside_register():
     state = initial_state(model).members[0].tensor_with_ancilla()
     with pytest.raises(SimulationError):
         controlled_evolve(state, model, 0.1, 1, ancilla=1)
+    with pytest.raises(SimulationError):  # ancilla above the state's top qubit
+        controlled_evolve(state, model, 0.1, 1, ancilla=3)
+
+
+def test_evolve_rejects_state_smaller_than_model():
+    with pytest.raises(SimulationError):
+        evolve(StateVector(2), PairingModel.uniform(3, 1), 0.1, 1)
+
+
+# Property tests: the fused sector evolution against the gate-level circuit ----
+
+coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def pairing_models(draw):
+    m = draw(st.integers(1, 4))
+    eps = draw(st.lists(coefficients, min_size=m, max_size=m))
+    g = np.array(draw(st.lists(coefficients, min_size=m * m, max_size=m * m))).reshape(m, m)
+    return PairingModel(eps=np.array(eps), g=(g + g.T) / 2.0, n_pairs=draw(st.integers(0, m)))
+
+
+small_models = st.one_of(
+    pairing_models(),
+    st.builds(HubbardModel, sites=st.integers(2, 3), hopping=coefficients, onsite=coefficients),
+)
+
+
+def sector_superposition(n_qubits, n_system, seed):
+    """Random amplitudes; each setting of the non-system qubits occupies its own random weight sectors."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(1 << n_qubits)
+    weight = sum((index >> q) & 1 for q in range(n_system))
+    rows = index >> n_system
+    occupied = rng.random((1 << (n_qubits - n_system), n_system + 1)) < 0.5
+    amps = (rng.normal(size=index.size) + 1j * rng.normal(size=index.size)) * occupied[rows, weight]
+    norm = np.linalg.norm(amps)
+    return StateVector(n_qubits, amps / norm if norm else amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models)
+def test_every_step_gate_conserves_hamming_weight(model):
+    # the sector restriction of evolve/controlled_evolve is exact only because of this
+    for item in trotter_step(model, 0.37).gates:
+        local = np.arange(item.gate.matrix.shape[0])
+        weight = sum((local >> b) & 1 for b in range(len(item.gate.targets)))
+        moves = (item.gate.matrix != 0) & (weight[:, None] != weight[None, :])
+        assert not moves.any(), item.gate.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models, st.floats(0.01, 3.0), st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_evolve_matches_gate_level_steps(model, t, n_steps, spectators, seed):
+    state = sector_superposition(model.n_qubits + spectators, model.n_qubits, seed)
+    step = trotter_step(model, t / n_steps)
+    expected = state
+    for _ in range(n_steps):
+        expected = step.apply(expected)
+    out = evolve(state, model, t, n_steps)
+    assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_models,
+    st.floats(0.01, 3.0),
+    st.integers(1, 5),
+    st.integers(1, 2),
+    st.data(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_controlled_evolve_matches_gate_level_steps(model, t, n_steps, extra, data, control_off, seed):
+    # the ancilla is the top qubit, or sits below one spectator qubit
+    n_system = model.n_qubits
+    ancilla = n_system + data.draw(st.integers(0, extra - 1))
+    state = sector_superposition(n_system + extra, n_system, seed)
+    if control_off:
+        index = np.arange(state.amplitudes.size)
+        state.amplitudes[(index >> ancilla) & 1 == 1] = 0.0
+    step = trotter_step(model, t / n_steps).controlled(ancilla)
+    expected = state
+    for _ in range(n_steps):
+        expected = step.apply(expected)
+    out = controlled_evolve(state, model, t, n_steps, ancilla)
+    assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
+    if control_off:
+        assert np.array_equal(out.amplitudes, state.amplitudes)
