@@ -1,8 +1,8 @@
 """Readout + depolarizing noise study on the 2-qubit pairing case.
 
 A single pair on two levels fits in 2 qubits plus the test ancilla.  Each
-point runs single-step Hadamard-test circuits through trajectory-sampled
-depolarizing noise and a confused readout, then applies the two corrections:
+point runs single-step Hadamard-test circuits through a depolarizing channel
+after every gate and a confused readout, then applies the two corrections:
 inversion of the known confusion matrix, and the reference map calibrated at
 t = 0 where F = 1 is known exactly.  Equivalent to `gfsim noise` with the
 builtin preset (fewer shots here to keep the demo quick).

@@ -156,7 +156,7 @@ class RunConfig:
         self.overlay_exact = bool(self.raw.get("overlay_exact", False))
 
         mom = self.raw.get("moments", {})
-        _require_keys(mom, {"route", "order", "accuracy", "gap_target"}, "moments")
+        _require_keys(mom, {"route", "order", "accuracy"}, "moments")
         self.moment_route = mom.get("route", "exact")
         if self.moment_route not in ("exact", "fdm", "fourier"):
             raise ConfigError(f"moments.route must be exact|fdm|fourier, got {self.moment_route!r}")

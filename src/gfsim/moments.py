@@ -55,12 +55,6 @@ class MomentSet:
     def order(self) -> int:
         return self.values.size - 1
 
-    def hankel_overlap(self, m: int) -> np.ndarray:
-        """(m+1)x(m+1) Hankel matrix O_LK = <H^{K+L}>; needs order >= 2m."""
-        if self.order < 2 * m:
-            raise SimulationError(f"need moments through {2 * m}, have {self.order}")
-        return np.array([[self.values[k + l] for k in range(m + 1)] for l in range(m + 1)])
-
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# source={self.source}\n")
@@ -154,11 +148,6 @@ class FdmStencil:
 
     def coefficients(self, deriv: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         return central_difference_coefficients(deriv, self.accuracy)
-
-    def weight_sum(self, deriv: int) -> float:
-        """sum_j |c_j|, the noise amplification factor (before the 1/h^K)."""
-        _, coeffs = self.coefficients(deriv)
-        return float(np.abs(coeffs).sum())
 
 
 def _series_samples(series: GfSeries) -> tuple[np.ndarray, float]:

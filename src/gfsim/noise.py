@@ -1,9 +1,12 @@
 """Synthetic readout + depolarizing noise and the two mitigation techniques.
 
 Noise model: after every applied gate, each touched qubit independently
-suffers a uniform Pauli error (X, Y, Z each with probability p_dep/3) via
-trajectory sampling, and the measured qubit's outcome passes through a
-column-stochastic 2x2 confusion matrix before counting.
+suffers a uniform Pauli error (X, Y, Z each with probability p_dep/3), and
+the measured qubit's outcome passes through a column-stochastic 2x2
+confusion matrix before counting.  `noisy_sample` samples this exactly: the
+density matrix through the equivalent depolarizing channel, then one binomial
+draw.  `_run_with_errors` (one fixed error pattern on a pure state) is the
+reference the channel is tested against.
 
 Mitigation: (1) readout inversion applies the inverse confusion matrix to
 outcome probabilities; (2) reference correction builds one 2x2 matrix from
@@ -25,9 +28,10 @@ from .statevector import (
     ShotCounts,
     SimulationError,
     StateVector,
-    ancilla_probability,
+    _apply_matrix,
     apply_controlled,
     apply_gate,
+    controlled_matrix,
 )
 from .trotter import Circuit
 
@@ -104,11 +108,34 @@ def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[i
     return state
 
 
-def _readout_counts(rng: np.random.Generator, n_true0: int, n_true1: int, confusion: np.ndarray) -> tuple[int, int]:
-    """Push exact true-outcome counts through the confusion matrix."""
-    rep0 = int(rng.binomial(n_true0, confusion[0, 0])) if n_true0 else 0
-    rep0 += int(rng.binomial(n_true1, confusion[0, 1])) if n_true1 else 0
-    return rep0, n_true0 + n_true1 - rep0
+def _conjugate(rho: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """G rho G^H as two batched applies: G on the rows of rho^T, then G* on the rows of G rho."""
+    g_rho = _apply_matrix(rho.T, n_qubits, matrix, targets).T
+    return _apply_matrix(g_rho, n_qubits, matrix.conj(), targets)
+
+
+def _channel_p0(init: StateVector, circuit: Circuit, ancilla: int, p_dep: float) -> float:
+    """Exact ancilla-0 probability after the circuit under the depolarizing channel.
+
+    After every gate each touched qubit passes through
+    rho -> (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z), the average over
+    the independent per-slot Pauli errors that `_run_with_errors` inserts.
+    """
+    n = init.n_qubits
+    if circuit.n_qubits > n or not 0 <= ancilla < n:
+        raise SimulationError(f"circuit on {circuit.n_qubits} qubits, ancilla {ancilla}, state of {n} qubits")
+    rho = np.outer(init.amplitudes, init.amplitudes.conj())
+    for item in circuit.gates:
+        if item.control is None:
+            rho = _conjugate(rho, n, item.gate.matrix, item.gate.targets)
+        else:
+            rho = _conjugate(rho, n, controlled_matrix(item.gate), item.touched)
+        for qubit in item.touched:
+            flipped = sum(_conjugate(rho, n, pauli, (qubit,)) for pauli in _PAULIS)
+            rho = (1.0 - p_dep) * rho + (p_dep / 3.0) * flipped
+    diag = rho.diagonal().real
+    bit = (np.arange(diag.size) >> ancilla) & 1
+    return float(diag[bit == 0].sum() / diag.sum())
 
 
 def noisy_sample(
@@ -119,48 +146,20 @@ def noisy_sample(
     cfg: NoiseConfig,
     seed: int,
 ) -> ShotCounts:
-    """Trajectory-sampled noisy execution of a circuit, then confused readout.
+    """Noisy execution of a circuit with confused readout: one binomial draw.
 
-    With p_dep = 0 and an identity confusion matrix this reduces to exactly
-    the same RNG call path as sample_ancilla on the clean final state.
+    Shots are iid, so each reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
+    where p0 is the depolarized circuit's exact ancilla-0 probability and C the
+    ancilla's confusion matrix.  With p_dep = 0 and an identity confusion
+    matrix this is the same single draw as sample_ancilla on the clean state.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
     confusion = cfg.readout.confusion(ancilla)
-
-    clean_final = circuit.apply(init)
-    p0_clean = min(1.0, max(0.0, ancilla_probability(clean_final, ancilla)))
-
-    n_slots = sum(len(item.touched) for item in circuit.gates)
-    if cfg.p_dep == 0.0 or n_slots == 0:
-        n_true0 = int(rng.binomial(shots, p0_clean))
-        n_true1 = shots - n_true0
-    else:
-        errors_per_shot = rng.binomial(n_slots, cfg.p_dep, size=shots)
-        n_clean = int((errors_per_shot == 0).sum())
-        n_true0 = int(rng.binomial(n_clean, p0_clean)) if n_clean else 0
-        n_true1 = n_clean - n_true0
-        cache: dict[tuple[tuple[int, int], ...], float] = {}
-        for n_err in errors_per_shot[errors_per_shot > 0]:
-            slots = rng.choice(n_slots, size=int(n_err), replace=False)
-            paulis = rng.integers(0, 3, size=int(n_err))
-            pattern = tuple(sorted(zip(slots.tolist(), paulis.tolist())))
-            p0 = cache.get(pattern)
-            if p0 is None:
-                final = _run_with_errors(init, circuit, pattern)
-                p0 = min(1.0, max(0.0, ancilla_probability(final, ancilla)))
-                cache[pattern] = p0
-            if rng.random() < p0:
-                n_true0 += 1
-            else:
-                n_true1 += 1
-
-    if cfg.readout.is_identity(ancilla):
-        n0, n1 = n_true0, n_true1
-    else:
-        n0, n1 = _readout_counts(rng, n_true0, n_true1, confusion)
-    return ShotCounts(n0=n0, n1=n1, seed=int(seed))
+    p0 = _channel_p0(init, circuit, ancilla, cfg.p_dep)
+    q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
+    n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, q))))
+    return ShotCounts(n0=n0, n1=shots - n0, seed=int(seed))
 
 
 # Mitigation -------------------------------------------------------------------
@@ -212,11 +211,6 @@ class ReferenceCorrection:
 
     def correct(self, probs) -> np.ndarray:
         return self.inverse @ _to_probs(probs)
-
-    def bias_scale(self) -> float:
-        """|d corrected_bias / d observed_bias| for error-bar propagation."""
-        a = self.inverse
-        return abs(a[0, 0] - a[1, 0] - a[0, 1] + a[1, 1]) / 2.0
 
 
 def calibrate_reference(f0_re: float, f0_im: float, exact_f0: tuple[float, float] = (1.0, 0.0)) -> ReferenceCorrection:

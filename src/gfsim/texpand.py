@@ -244,6 +244,10 @@ class EnergyCurve:
 
     dE/dtau must be nonpositive up to the same relative wiggle tolerance the
     approximant selector allows on a decaying rational tail.
+
+    uncertainty is |tail integral| + the quadrature error estimates only: it
+    does not cover the error of the extrapolation itself (9.9e-4 on pairing-8
+    at g/de = 1, where the asymptote is 0.237 from the ground energy).
     """
 
     tau: np.ndarray

@@ -39,6 +39,14 @@ def test_nested_unknown_keys_rejected():
         RunConfig(cfg)
 
 
+def test_moments_gap_target_rejected(tmp_path):
+    # nothing reads moments.gap_target; the Fourier grid's gap target lives in time_grid
+    cfg = base_config(moments={"route": "fourier", "gap_target": 0.05})
+    with pytest.raises(ConfigError):
+        RunConfig(cfg)
+    assert main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+
+
 def test_numeric_ranges_checked():
     cfg = base_config(shots=-5)
     with pytest.raises(ConfigError):

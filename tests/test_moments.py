@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gfsim.genfunc import GfSeries, gf_exact
+from gfsim.krylov import build_krylov_matrices
 from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
     FdmStencil,
@@ -70,8 +71,8 @@ def test_moments_exact_eigenstate_powers():
 
 def test_hankel_matrix_psd():
     _, dense, init = two_level()
-    mom = moments_exact(dense, init, 8)
-    hank = mom.hankel_overlap(4)
+    mom = moments_exact(dense, init, 9)
+    hank = build_krylov_matrices(mom, 4).overlap
     evals = np.linalg.eigvalsh(hank)
     assert evals.min() > -1e-8 * np.abs(hank).max()
 

@@ -1,3 +1,6 @@
+from itertools import combinations, product
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,14 @@ from gfsim.noise import (
     NoiseConfig,
     ReadoutModel,
     ReferenceCorrection,
+    _channel_p0,
+    _run_with_errors,
     calibrate_reference,
     mitigate_readout,
     mitigate_series,
     noisy_sample,
 )
-from gfsim.statevector import SimulationError, sample_ancilla
+from gfsim.statevector import SimulationError, ancilla_probability, sample_ancilla
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
 
@@ -69,6 +74,84 @@ def test_mild_depolarization_damps_towards_zero():
     cfg = NoiseConfig(ReadoutModel.identity(3), p_dep=0.05)
     counts = noisy_sample(init, circuit, 2, 10**5, cfg, seed=7)
     assert 0.7 < counts.bias < 0.999
+
+
+def _n_slots(circuit):
+    return sum(len(item.touched) for item in circuit.gates)
+
+
+@pytest.mark.parametrize("quad", ["re", "im"])
+def test_channel_matches_error_pattern_sum(quad):
+    # oracle: average the pure-state replay of every error pattern of weight
+    # <= 2 with its probability (p/3)^k (1-p)^(n-k); the patterns left out
+    # carry the remaining probability, which bounds the difference
+    model, init = preset_model()
+    circuit = hadamard_test_circuit(model, 0.4, 1, quad)
+    p, n = 0.002, _n_slots(circuit)
+    expected = 0.0
+    for k in range(3):
+        weight = (p / 3) ** k * (1 - p) ** (n - k)
+        for slots in combinations(range(n), k):
+            for paulis in product(range(3), repeat=k):
+                final = _run_with_errors(init, circuit, tuple(zip(slots, paulis)))
+                expected += weight * ancilla_probability(final, 2)
+    dropped = 1.0 - sum(comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(3))
+    assert abs(_channel_p0(init, circuit, 2, p) - expected) <= dropped
+
+
+def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
+    """Reference sampler: per shot, an independent Pauli error on each slot
+    with probability p_dep, a replay, a measurement and a confused readout."""
+    rng = np.random.default_rng(seed)
+    confusion = cfg.readout.confusion(ancilla)
+    n_slots = _n_slots(circuit)
+    cache = {}
+    n0 = 0
+    for _ in range(shots):
+        slots = np.flatnonzero(rng.random(n_slots) < cfg.p_dep)
+        pattern = tuple((int(s), int(rng.integers(3))) for s in slots)
+        if pattern not in cache:
+            cache[pattern] = ancilla_probability(_run_with_errors(init, circuit, pattern), ancilla)
+        true_outcome = 0 if rng.random() < cache[pattern] else 1
+        n0 += rng.random() < confusion[0, true_outcome]
+    return n0
+
+
+@pytest.mark.parametrize(
+    "t, n_steps, quad, p_dep",
+    [(0.4, 1, "re", 0.1), (0.4, 1, "im", 0.05), (0.2, 2, "re", 0.02), (0.3, 2, "im", 0.02)],
+)
+def test_channel_binomial_matches_trajectory_sampling(t, n_steps, quad, p_dep):
+    # the trajectory count must look like one Binomial(shots, q) draw, with
+    # q the probability noisy_sample draws from
+    model, init = preset_model()
+    circuit = hadamard_test_circuit(model, t, n_steps, quad)
+    cfg = NoiseConfig(ReadoutModel((np.eye(2), np.eye(2), CONFUSION)), p_dep=p_dep)
+    shots = 20000
+    p0 = _channel_p0(init, circuit, 2, p_dep)
+    q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
+    n0 = _trajectory_count(init, circuit, 2, shots, cfg, seed=17)
+    z = (n0 - shots * q) / np.sqrt(shots * q * (1 - q))
+    assert abs(z) < 4.0
+
+
+def test_noisy_sample_rejects_state_smaller_than_circuit():
+    model, _ = preset_model()
+    circuit = hadamard_test_circuit(model, 0.4, 1, "re")
+    system_only = initial_state(model).members[0]
+    with pytest.raises(SimulationError):
+        noisy_sample(system_only, circuit, 1, 100, NoiseConfig(ReadoutModel.identity(3)), seed=1)
+
+
+def test_noisy_sample_is_one_binomial_draw():
+    model, init = preset_model()
+    circuit = hadamard_test_circuit(model, 0.4, 1, "im")
+    cfg = NoiseConfig(ReadoutModel((np.eye(2), np.eye(2), CONFUSION)), p_dep=0.002)
+    p0 = _channel_p0(init, circuit, 2, cfg.p_dep)
+    q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
+    counts = noisy_sample(init, circuit, 2, 10**6, cfg, seed=9)
+    assert counts.n0 == np.random.default_rng(9).binomial(10**6, q)
+    assert counts.shots == 10**6 and counts.seed == 9
 
 
 def test_mitigate_readout_identity():
