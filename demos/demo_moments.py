@@ -2,8 +2,9 @@
 
 Both routes start from the same noiseless F(t) data on the pairing benchmark.
 Central differences at t = 0 are excellent for the first handful of moments
-and then fall off a cliff; the spectral decomposition (FFT peaks polished by a
-least-squares tone fit) stays at ~1e-7 relative error through K = 21.
+and then fall off a cliff; the spectral decomposition (ESPRIT: the rank and
+shift invariance of a Hankel matrix of the trace give the tone energies, one
+least-squares solve their weights) stays at ~3e-8 relative error through K = 21.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ grid = fourier_grid(h.energy_bound)
 spec = spectral_peaks(gf_exact(dense, init, grid))
 fourier = moments_fourier(spec, 21)
 
-print(f"spectral decomposition: {spec.energies.size} peaks, "
+print(f"spectral decomposition: Hankel rank {spec.diagnostics['rank']}, "
       f"weight sum {spec.weights.sum():.10f}, residual power {spec.residual_power:.2e}")
 print(f"grid rule: dt = {grid[1]:.4f} (energy bound {h.energy_bound:g}), t_max = {grid[-1]:.1f}")
 print()

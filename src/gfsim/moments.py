@@ -7,12 +7,13 @@ derivative order by minimizing the modeled error (truncation + noise
 amplification); accuracy is intrinsically limited at large K, which is the
 documented behavior this module also has to reproduce.
 
-Fourier route: the trace is a finite sum of pure tones p_a e^{-i E_a t}.  An
-FFT of the conjugate-extended series locates peaks; each peak is refined by
-parabolic interpolation and then polished by a variable-projection
-Gauss-Newton fit (weights solved linearly at every iteration), with
-matching-pursuit rounds on the residual until it is below tolerance.  Moments
-to any order then follow from <H^K> = sum_a p_a E_a^K.
+Fourier route: the trace is a finite sum of pure tones p_a e^{-i E_a t}, so a
+Hankel matrix of its samples has the number of tones as its rank (ESPRIT,
+Hua & Sarkar 1990; Roy & Kailath 1989).  The right singular vectors of that
+matrix are shift-invariant: one small eigenproblem gives the energies, and one
+linear least-squares solve gives the weights.  Shot noise sets the rank
+through the singular values it can reach.  Moments to any order then follow
+from <H^K> = sum_a p_a E_a^K.
 """
 
 from __future__ import annotations
@@ -23,12 +24,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .genfunc import GfSeries, _fmt
 from .models import DenseHamiltonian, InitialState
 from .statevector import SimulationError
 
 ROUTES = ("exact", "fdm", "fourier")
+
+HANKEL_COLS = 600  # Hankel columns in spectral_peaks: the most tones one solve can hold
+RANK_TOL = 1e-13  # singular values below RANK_TOL * s_0 are roundoff on a noiseless trace
+RENORMALIZE_WINDOW = (0.98, 1.02)  # weight sums rescaled to 1 by spectral_peaks
 
 
 @dataclass
@@ -250,183 +256,72 @@ class SpectralDecomposition:
             raise SimulationError(f"weights sum to {self.weights.sum():.8f} > 1")
 
 
-def fourier_grid(energy_bound: float, gap_target: float = 0.02, dt_safety: float = 2.0) -> np.ndarray:
+def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
     """Uniform grid satisfying the sampling rule for spectral extraction.
 
-    dt = pi / (dt_safety * energy_bound) resolves the largest eigenvalue;
-    t_max = pi / gap_target makes the FFT bin width <= gap_target.
+    dt = pi / (2 energy_bound) samples energies up to twice the bound without
+    aliasing; t_max = pi / gap_target sets the trace length, and with it the
+    energy separation below which two tones stop being distinguishable.
     """
     if energy_bound <= 0:
         raise SimulationError("energy bound must be positive")
-    dt = np.pi / (dt_safety * energy_bound)
+    dt = np.pi / (2.0 * energy_bound)
     t_max = np.pi / gap_target
     n = int(np.ceil(t_max / dt)) + 1
     return dt * np.arange(n)
 
 
-def _symmetric_samples(series: GfSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate-extend F to negative times: t_k = k dt, k = -(N-1)..N-1."""
-    values = series.values
+def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> SpectralDecomposition:
+    """Tone energies and weights of F(t) by ESPRIT on a Hankel matrix of the trace.
+
+    The rank is the number of singular values above the larger of
+    RANK_TOL * s_0 and the spectral norm 2 sigma (sqrt(rows) + sqrt(cols))
+    that the trace's own shot noise would reach; a rank at the column
+    ceiling raises.  Passing the Hamiltonian's energy bound enables the
+    anti-aliasing check dt < pi / bound.
+    """
     dt = series.dt()
-    if series.t[0] != 0.0:
-        raise SimulationError("spectral extraction needs a grid starting at t = 0")
-    n = values.size
-    k = np.arange(-(n - 1), n)
-    data = np.concatenate([np.conj(values[:0:-1]), values])
-    return k * dt, data
-
-
-def _fft_amplitudes(data: np.ndarray, t_sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized spectrum G(w_m) = (1/Ns) sum_k F_k e^{+i w_m t_k}; unit tone -> 1."""
-    ns = data.size
-    dt = t_sym[1] - t_sym[0]
-    n_neg = (ns - 1) // 2
-    layout = np.roll(data, -n_neg)  # index j holds sample k = j (mod Ns)
-    spectrum = np.fft.ifft(layout)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(ns, d=dt)
-    return omegas, spectrum
-
-
-def _parabolic_refine(power: np.ndarray, idx: int, omegas: np.ndarray) -> float:
-    """Sub-bin peak position from a 3-point parabola on log power."""
-    ns = power.size
-    left, right = power[(idx - 1) % ns], power[(idx + 1) % ns]
-    center = power[idx]
-    if left <= 0 or right <= 0 or center <= 0:
-        return float(omegas[idx])
-    l0, l1, l2 = np.log(left), np.log(center), np.log(right)
-    denom = l0 - 2.0 * l1 + l2
-    if denom >= -1e-300:
-        return float(omegas[idx])
-    delta = 0.5 * (l0 - l2) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    bin_width = abs(omegas[1] - omegas[0])
-    step = omegas[(idx + 1) % ns] - omegas[idx]
-    if abs(step) > 1.5 * bin_width:  # wrap-around at the Nyquist edge
-        step = bin_width if step < 0 else -bin_width
-    return float(omegas[idx] + delta * step)
-
-
-def _tone_matrix(energies: np.ndarray, t_sym: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * np.outer(t_sym, energies))
-
-
-def _solve_weights_from_tones(tones: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real least-squares weights via the (small) normal equations."""
-    gram = (tones.conj().T @ tones).real
-    rhs = (tones.conj().T @ data).real
-    try:
-        weights = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        weights, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    resid = data - tones @ weights
-    return weights, resid
-
-
-def _gauss_newton_polish(
-    energies: np.ndarray, t_sym: np.ndarray, data: np.ndarray, iterations: int = 40
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variable-projection refinement of tone energies; weights re-solved each step.
-
-    The Gauss-Newton normal matrix for real energy shifts factorizes as
-    (p p^T) * Re[T^H (t^2 T)], so each iteration costs one small solve plus two
-    tall matmuls; no stacked tall least-squares problem is formed.
-    """
-    energies = energies.copy()
-    tones = _tone_matrix(energies, t_sym)
-    weights, resid = _solve_weights_from_tones(tones, data)
-    best = (energies.copy(), weights, resid)
-    best_cost = float(np.vdot(resid, resid).real)
-    bin_limit = np.pi / (t_sym[-1] if t_sym[-1] > 0 else 1.0)
-    for _ in range(iterations):
-        t_tones = t_sym[:, None] * tones
-        normal = (t_tones.conj().T @ t_tones).real * np.outer(weights, weights)
-        grad = (weights * (1j * t_tones.conj().T @ resid)).real
-        try:
-            step = np.linalg.solve(normal + 1e-30 * np.eye(normal.shape[0]), grad)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(normal, grad, rcond=None)
-        step = np.clip(step, -0.5 * bin_limit, 0.5 * bin_limit)
-        if not np.all(np.isfinite(step)):
-            break
-        energies = energies + step
-        tones = _tone_matrix(energies, t_sym)
-        weights, resid = _solve_weights_from_tones(tones, data)
-        cost = float(np.vdot(resid, resid).real)
-        if cost < best_cost:
-            best = (energies.copy(), weights, resid)
-            best_cost = cost
-        if np.abs(step).max() < 1e-14 * max(1.0, np.abs(energies).max()):
-            break
-    return best
-
-
-def spectral_peaks(
-    series: GfSeries,
-    threshold: float = 1e-7,
-    residual_tol: float = 1e-9,
-    max_peaks: int = 128,
-    renormalize_window: tuple[float, float] = (0.98, 1.02),
-    energy_bound: float | None = None,
-) -> SpectralDecomposition:
-    """Locate tone energies and weights in F(t) by FFT pursuit plus refinement.
-
-    threshold is the smallest detectable peak amplitude relative to the
-    strongest; pursuit stops once the residual spectrum drops below
-    max(threshold * initial peak, residual_tol).  Passing the Hamiltonian's
-    energy bound enables the anti-aliasing check dt < pi / bound.
-    """
-    if energy_bound is not None and series.dt() >= np.pi / energy_bound:
+    if energy_bound is not None and dt >= np.pi / energy_bound:
         raise SimulationError(
-            f"grid step {series.dt():g} aliases energies up to {energy_bound:g} (need dt < {np.pi / energy_bound:g})"
+            f"grid step {dt:g} aliases energies up to {energy_bound:g} (need dt < {np.pi / energy_bound:g})"
         )
-    t_sym, data = _symmetric_samples(series)
-    scale = float(np.abs(data).max())
-    if scale == 0:
-        raise SimulationError("empty trace")
+    data = series.values
+    cols = min(HANKEL_COLS, (data.size + 1) // 2)
+    hankel = sliding_window_view(data, cols)  # H[i, j] = F(t_{i+j}), a view
+    rows = hankel.shape[0]
+    r = np.zeros((0, cols), dtype=complex)
+    for start in range(0, rows, cols):  # never hold more than 2 cols rows
+        r = np.linalg.qr(np.vstack([r, hankel[start : start + cols]]), mode="r")
+    _, sing, vh = np.linalg.svd(r)
+    sigma = float(np.sqrt(np.mean(series.re_err**2 + series.im_err**2)))
+    floor = max(RANK_TOL * sing[0], 2.0 * sigma * (np.sqrt(rows) + np.sqrt(cols)))
+    rank = int(np.count_nonzero(sing > floor))
+    if rank == 0:
+        raise SimulationError("no spectral peaks above the noise floor")
+    if rank >= cols - 1:
+        raise SimulationError(f"Hankel rank {rank} reaches the ceiling of {cols} columns")
 
-    energies = np.zeros(0)
-    weights = np.zeros(0)
-    resid = data.copy()
-    initial_peak = None
-    for _ in range(max_peaks):
-        omegas, spectrum = _fft_amplitudes(resid, t_sym)
-        power = np.abs(spectrum) ** 2
-        idx = int(np.argmax(power))
-        amp = float(np.sqrt(power[idx]))
-        if initial_peak is None:
-            initial_peak = amp
-        if amp < max(threshold * initial_peak, residual_tol):
-            break
-        guess = _parabolic_refine(power, idx, omegas)
-        energies = np.append(energies, guess)
-        # short polish per pursuit round; full convergence pass afterwards
-        energies, weights, resid = _gauss_newton_polish(energies, t_sym, data, iterations=2)
-
-    if energies.size == 0:
-        raise SimulationError("no spectral peaks found above threshold")
-    energies, weights, resid = _gauss_newton_polish(energies, t_sym, data)
-
-    # prune numerically spurious tones and re-fit
-    keep = weights > 1e-12
-    if not np.all(keep) and keep.any():
-        energies = energies[keep]
-        energies, weights, resid = _gauss_newton_polish(energies, t_sym, data)
-    order = np.argsort(energies)
-    energies, weights = energies[order], weights[order]
+    # rows of vh span the tone vectors z_a^j, z_a = exp(-i E_a dt)
+    basis = vh[:rank].T
+    phi = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
+    energies = np.sort(-np.angle(np.linalg.eigvals(phi)) / dt)
+    tones = np.exp(-1j * np.outer(series.t, energies))
+    weights = np.linalg.lstsq(
+        np.vstack([tones.real, tones.imag]), np.concatenate([data.real, data.imag]), rcond=None
+    )[0]
+    resid = data - tones @ weights
     weights = np.maximum(weights, 0.0)
 
     residual_power = float(np.vdot(resid, resid).real / np.vdot(data, data).real)
     total = float(weights.sum())
-    renormalized = False
-    if renormalize_window[0] <= total <= renormalize_window[1]:
+    renormalized = RENORMALIZE_WINDOW[0] <= total <= RENORMALIZE_WINDOW[1]
+    if renormalized:
         weights = weights / total
-        renormalized = True
     return SpectralDecomposition(
         energies,
         weights,
         residual_power,
-        diagnostics={"weight_sum": total, "renormalized": renormalized, "n_peaks": int(energies.size)},
+        diagnostics={"rank": rank, "n_peaks": rank, "weight_sum": total, "renormalized": renormalized},
     )
 
 
@@ -442,5 +337,5 @@ def moments_fourier(spec: SpectralDecomposition, order: int) -> MomentSet:
         values,
         errors,
         route="fourier",
-        diagnostics={"n_peaks": int(spec.energies.size), "residual_power": spec.residual_power},
+        diagnostics={"residual_power": spec.residual_power, **spec.diagnostics},
     )

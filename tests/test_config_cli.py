@@ -160,6 +160,24 @@ def test_cmd_moments_fourier_from_series_file(tmp_path):
     assert mom.values[2] == pytest.approx(5.0, rel=1e-6)
 
 
+def test_cmd_moments_fourier_from_sampled_series(tmp_path):
+    # shot noise on the trace must not be fitted as tones (weights summing above 1 exit 1);
+    # K<=4 error measured 8.5e-4, gate 5e-3.  gap_target 0.1 keeps `gf` near 1.5 s
+    # (the default 0.02 grid takes about 33 s with reference Trotter steps)
+    cfg = base_config(time_grid={"auto": True, "gap_target": 0.1}, shots=10000, seed=3)
+    cfg["moments"] = {"route": "fourier", "order": 4}
+    del cfg["trotter"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["gf", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
+    series = str(tmp_path / "gf.csv")
+    assert main(["moments", "--config", cfg_path, "--series", series, "--out-dir", str(tmp_path)]) == 0
+    mom = MomentSet.from_csv(tmp_path / "moments.csv")
+    exact = np.array([1.0, 2.0, 5.0, 16.0, 61.0])  # <H^K> of the 2x2 sector matrix [[2, -1], [-1, 4]]
+    assert np.abs(mom.values / exact - 1.0).max() < 5e-3
+    header = (tmp_path / "moments.csv").read_text()
+    assert "# rank=2\n" in header and "# renormalized=True\n" in header and "# weight_sum=" in header
+
+
 def test_cmd_moments_fdm_route(tmp_path):
     cfg = base_config(
         time_grid={"t_max": 1.0, "dt": 0.00025},

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsim.genfunc import GfSeries, gf_exact
 from gfsim.krylov import build_krylov_matrices
@@ -173,6 +175,65 @@ def test_spectral_peaks_benchmark_weight_capture():
     spec = spectral_peaks(series)
     assert spec.weights.sum() >= 0.999
     assert spec.residual_power < 1e-10
+
+
+def tone_series(t, energies, weights):
+    values = np.exp(-1j * np.outer(t, energies)) @ weights
+    return GfSeries(t, values.real, values.imag, 0 * t, 0 * t, route="exact")
+
+
+@st.composite
+def tone_sets(draw):
+    """1-8 tones, adjacent energies >= 0.2 apart, weights >= 1e-3 summing to 1."""
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
+    energies = draw(st.floats(-10.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) + 1e-9
+    weights = 1e-3 + (1.0 - n * 1e-3) * raw / raw.sum()
+    bound = max(np.abs(energies).max(), 1.0) * draw(st.floats(1.0, 3.0))
+    return energies, weights, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(tone_sets())
+def test_spectral_peaks_recovers_drawn_tones(tones):
+    # the drawn tones are the oracle: no Hamiltonian or moments_exact involved
+    energies, weights, bound = tones
+    spec = spectral_peaks(tone_series(fourier_grid(bound, gap_target=0.1), energies, weights), energy_bound=bound)
+    assert spec.diagnostics["rank"] == energies.size
+    assert np.allclose(spec.energies, energies, rtol=0, atol=1e-8)
+    assert np.allclose(spec.weights, weights, rtol=0, atol=1e-8)
+
+
+def test_spectral_peaks_rank_ceiling_raises():
+    # 21 points give an 11x11 Hankel: 9 tones fit under the ceiling, 10 reach it
+    t = 0.1 * np.arange(21)
+    energies = np.linspace(-9.0, 9.0, 10)
+    spec = spectral_peaks(tone_series(t, energies[:9], np.full(9, 1 / 9)))
+    assert spec.diagnostics["rank"] == 9
+    with pytest.raises(SimulationError, match="ceiling"):
+        spectral_peaks(tone_series(t, energies, np.full(10, 0.1)))
+
+
+def test_spectral_peaks_shot_noise_sets_rank():
+    # criterion-3 trace with Gaussian noise of the binomial sigma at 10^4 shots: measured
+    # rank 9-10 and K<=4 error 3.0e-2 to 3.7e-2 over noise seeds 0-7; gates rank <= 15
+    # (a fit of the noise takes dozens of tones) and error < 0.1
+    model, dense, init = benchmark()
+    exact = gf_exact(dense, init, fourier_grid(pairing_to_qubits(model).energy_bound))
+    shots = 10**4
+    re_err = np.sqrt((1.0 - exact.re**2) / shots)
+    im_err = np.sqrt((1.0 - exact.im**2) / shots)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((2, exact.t.size))
+    series = GfSeries(
+        exact.t, exact.re + re_err * noise[0], exact.im + im_err * noise[1], re_err, im_err, shots=shots, route="sampled"
+    )
+    spec = spectral_peaks(series)
+    oracle = moments_exact(dense, init, 4)
+    rel = np.abs(moments_fourier(spec, 4).values - oracle.values) / np.abs(oracle.values)
+    assert spec.diagnostics["rank"] <= 15
+    assert rel.max() < 0.1
 
 
 def test_spectral_peaks_rejects_nonuniform_grid():
