@@ -231,10 +231,12 @@ def cmd_noise(args) -> int:
         # nothing left to calibrate once the (identity) readout is inverted;
         # a measured calibration would only inject shot noise
         ref = calibrate_reference(1.0, 0.0)
+        clipped = False
     else:
-        re0, _ = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout, ancilla)
-        im0, _ = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout, ancilla)
+        re0, clipped_re = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout, ancilla)
+        im0, clipped_im = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout, ancilla)
         ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
+        clipped = clipped_re or clipped_im
     mitigated = mitigate_series(raw, readout, ref, ancilla)
 
     paths = []
@@ -244,9 +246,8 @@ def cmd_noise(args) -> int:
         paths.append(path)
     rms_raw = _noise_rms(raw, exact)
     rms_mit = _noise_rms(mitigated, exact)
-    _write_manifest(
-        out_dir, "noise", cfg, paths, t_start, extra={"rms_raw": rms_raw, "rms_mitigated": rms_mit}
-    )
+    extra = {"rms_raw": rms_raw, "rms_mitigated": rms_mit, "calibration_clipped": clipped}
+    _write_manifest(out_dir, "noise", cfg, paths, t_start, extra=extra)
     print(f"rms raw={rms_raw:.6f} mitigated={rms_mit:.6f} ratio={rms_mit / rms_raw:.3f}")
     return 0
 

@@ -28,7 +28,6 @@ import numpy as np
 from .models import DenseHamiltonian, InitialState
 from .statevector import (
     SimulationError,
-    StateVector,
     ancilla_expectation,
     apply_gate,
     derive_seed,
@@ -159,22 +158,6 @@ class HadamardEstimate(NamedTuple):
     shots: int  # actual total shots per quadrature (after mixture rounding)
 
 
-def _evolved_branches(member: StateVector, model, t: float, n_steps: int) -> StateVector:
-    """State after [H on ancilla, controlled evolution]; ancilla = highest qubit."""
-    ancilla = model.n_qubits
-    state = member.tensor_with_ancilla()
-    state = apply_gate(state, hadamard(ancilla))
-    if t != 0:
-        state = controlled_evolve(state, model, t, n_steps, ancilla)
-    return state
-
-
-def _quadrature_state(mid: StateVector, ancilla: int, quadrature: int) -> StateVector:
-    if quadrature == _QUAD_IM:
-        mid = apply_gate(mid, phase_gate(-math.pi / 2.0, ancilla))
-    return apply_gate(mid, hadamard(ancilla))
-
-
 def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, seed: int) -> HadamardEstimate:
     """One time point of F(t) via the two Hadamard-test circuits.
 
@@ -190,11 +173,16 @@ def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, s
     if shots and per_member == 0:
         raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
+    h_gate = hadamard(ancilla)
+    s_gate = phase_gate(-math.pi / 2.0, ancilla)
     estimates = np.zeros(2)
     for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
-        mid = _evolved_branches(member, model, t, n_steps)
+        mid = apply_gate(member.tensor_with_ancilla(), h_gate)
+        if t != 0:
+            mid = controlled_evolve(mid, model, t, n_steps, ancilla)
         for quad in (_QUAD_RE, _QUAD_IM):
-            state = _quadrature_state(mid, ancilla, quad)
+            state = apply_gate(mid, s_gate) if quad == _QUAD_IM else mid
+            state = apply_gate(state, h_gate)
             if shots == 0:
                 estimates[quad] += weight * ancilla_expectation(state, ancilla)
             else:

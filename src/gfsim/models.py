@@ -128,10 +128,13 @@ class PairingModel:
     n_pairs: int
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "g", g)
+        # read-only copies: a model object then always means the same numbers,
+        # which lets the Trotter kernel reuse a step matrix by model identity
+        eps = np.array(self.eps, dtype=float)
+        g = np.array(self.g, dtype=float)
+        for name, value in (("eps", eps), ("g", g)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         m = eps.size
         if g.shape != (m, m):
             raise SimulationError(f"g must be {m}x{m}, got {g.shape}")

@@ -11,13 +11,20 @@ explicit 1- and 2-qubit blocks:
 Within each part gates are applied in ascending qubit order; the order is
 frozen here because any fixed order is valid at first order.
 
-`evolve` and `controlled_evolve` multiply the whole step out once per call,
-into a step matrix on the particle-number sectors the input occupies, and then
-apply it n_steps times.  Every gate of both factorizations is diagonal or acts
-only inside {|01>, |10>}, so it conserves the Hamming weight of the system
+`evolve` and `controlled_evolve` multiply the whole step out into a step
+matrix on the particle-number sectors the input occupies, and then apply it
+n_steps times.  Every gate of both factorizations is diagonal or acts only
+inside {|01>, |10>}, so it conserves the Hamming weight of the system
 register: the amplitudes outside those sectors are zero and stay exactly zero.
-Controlled evolution evolves only the ancilla-|1> half, which is exact for the
-block-diagonal [[I, 0], [0, U]].
+The step matrix is built on the sector alone, starting from its identity: a
+gate scales each sector state by its diagonal entry and mixes in the one
+partner state that differs on the two targets.  A gate that couples local
+states of different weight raises `SimulationError` instead of leaking
+amplitude out of the sector.  The last step matrix is kept, keyed by the model
+object, the step size and the occupied weights, so the members of a mixture
+evaluated at one time point share one build.  Controlled evolution evolves
+only the ancilla-|1> half, which is exact for the block-diagonal
+[[I, 0], [0, U]].
 
 The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
 ancilla-controlled 3-qubit matrix) is kept for the noise study, which applies a
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HubbardModel, PairingModel
-from .statevector import GateMatrix, SimulationError, StateVector, _apply_matrix, apply_controlled, apply_gate
+from .statevector import UNITARITY_TOL, GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
 
 REFERENCE_DT_PAIRING = 0.002  # dt * (level spacing)
 REFERENCE_DT_HUBBARD = 0.02  # dt * J
@@ -160,8 +167,7 @@ def reference_dt(model) -> float:
 def steps_for(model, t: float, policy="reference") -> int:
     """Number of Trotter steps for evolving to time t under a step policy.
 
-    "reference" gives ceil(t / reference_dt); an int is a fixed step count;
-    a callable is invoked with t.
+    "reference" gives ceil(t / reference_dt); an int is a fixed step count.
     """
     if policy == "reference":
         if t == 0:
@@ -171,8 +177,6 @@ def steps_for(model, t: float, policy="reference") -> int:
         if policy < 1:
             raise SimulationError(f"n_steps must be >= 1, got {policy}")
         return policy
-    if callable(policy):
-        return int(policy(t))
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
@@ -181,24 +185,71 @@ def _hamming_weights(n_qubits: int) -> np.ndarray:
     return sum((index >> q) & 1 for q in range(n_qubits))
 
 
+# Entries of a 4x4 gate matrix that couple local states of different Hamming
+# weight.  A 1-qubit gate on q is embedded as a gate on (q, q), whose local
+# values are 0 and 3 only, so its coupling lands on these entries too.
+_LOCAL_WEIGHT = np.array([0, 1, 1, 2])
+_WEIGHT_CHANGING = np.not_equal.outer(_LOCAL_WEIGHT, _LOCAL_WEIGHT)
+
+
 def _sector_step(step: Circuit, basis: np.ndarray) -> np.ndarray:
-    """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this."""
-    states = np.zeros((basis.size, 1 << step.n_qubits), dtype=complex)
-    states[np.arange(basis.size), basis] = 1.0
-    for item in step.gates:
-        states = _apply_matrix(states, step.n_qubits, item.gate.matrix, item.gate.targets)
-    return states[:, basis]
+    """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
+
+    basis is a sorted union of whole Hamming-weight sectors.  A gate on targets
+    (a, b) acts on a sector state s through its local value v = 2 s_a + s_b:
+    s keeps G[v, v] of itself and, for v in {01, 10}, takes G[v, v ^ 3] of its
+    partner s ^ mask, the state with both targets flipped.
+    """
+    gates = [item.gate for item in step.gates]
+    matrices = np.zeros((len(gates), 4, 4), dtype=complex)
+    pairs = np.empty((len(gates), 2), dtype=np.int64)
+    for g, gate in enumerate(gates):
+        if len(gate.targets) == 1:
+            matrices[g][np.ix_([0, 3], [0, 3])] = gate.matrix
+            pairs[g] = gate.targets * 2
+        else:
+            matrices[g] = gate.matrix
+            pairs[g] = gate.targets
+    leak = np.abs(matrices[:, _WEIGHT_CHANGING]).max(axis=1, initial=0.0)
+    if np.any(leak > UNITARITY_TOL):
+        g = int(np.argmax(leak))
+        raise SimulationError(
+            f"gate {gates[g].name or gates[g].targets} does not conserve the Hamming weight: coupling {leak[g]:.3e}"
+        )
+    high = (basis >> pairs[:, :1]) & 1
+    low = (basis >> pairs[:, 1:]) & 1
+    local = 2 * high + low
+    swap = high != low
+    flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
+    partner = np.where(swap, np.searchsorted(basis, flipped), np.arange(basis.size))
+    rows = np.arange(len(gates))[:, None]
+    diag = matrices[rows, local, local]
+    off = np.where(swap, matrices[rows, local, local ^ 3], 0.0)
+    states = np.eye(basis.size, dtype=complex)
+    for d, p, o in zip(diag, partner, off):
+        states = states * d + states[:, p] * o
+    return states
+
+
+# (model, dt, occupied weights, basis, step matrix) of the last build; the
+# model is matched by identity, which is safe because its fields are immutable
+_last_step: tuple | None = None
 
 
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
     """Evolve each row of system amplitudes by n_steps steps, within its occupied sectors."""
-    step = trotter_step(model, t / n_steps)  # validates dt even when nothing moves
-    if not rows.any():
-        return rows.copy()
+    global _last_step
+    dt = t / n_steps
     weights = _hamming_weights(model.n_qubits)
     occupied = np.unique(weights[rows.any(axis=0)])
-    basis = np.flatnonzero(np.isin(weights, occupied))
-    u = _sector_step(step, basis)
+    last = _last_step
+    if last is not None and last[0] is model and last[1] == dt and np.array_equal(last[2], occupied):
+        basis, u = last[3], last[4]
+    else:
+        step = trotter_step(model, dt)
+        basis = np.flatnonzero(np.isin(weights, occupied))
+        u = _sector_step(step, basis)
+        _last_step = (model, dt, occupied, basis, u)
     block = rows[:, basis]
     for _ in range(n_steps):
         block = block @ u

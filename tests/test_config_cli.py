@@ -243,6 +243,20 @@ def test_cmd_noise_builtin_preset_smoke(tmp_path):
     assert mit.route == "mitigated"
 
 
+def test_cmd_noise_records_calibration_clipping(tmp_path):
+    # the builtin preset calibrates inside the simplex; without depolarizing
+    # noise the t = 0 readout inversion of Re F sits at p0 = 1, and shot noise
+    # pushes it past 1 at this seed, so the inversion clips
+    assert main(["noise", "--out-dir", str(tmp_path / "preset")]) == 0
+    manifest = json.loads((tmp_path / "preset" / "noise_manifest.json").read_text())
+    assert manifest["calibration_clipped"] is False
+    cfg = json.loads(json.dumps(NOISE_PRESET))
+    cfg.update(shots=20000, seed=3, time_grid={"t_max": 0.1, "dt": 0.05})
+    cfg["noise"]["p_dep"] = 0.0
+    assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "noise_manifest.json").read_text())["calibration_clipped"] is True
+
+
 @pytest.mark.parametrize("trotter", [{"policy": "reference"}, None])
 def test_cmd_noise_rejects_reference_step_policy(tmp_path, capsys, trotter):
     # the noise study replays fixed-length circuits; "reference" (also the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfsim import genfunc
 from gfsim.genfunc import GfSeries, gf_exact, gf_hadamard, gf_series
 from gfsim.models import (
     HubbardModel,
@@ -11,6 +12,7 @@ from gfsim.models import (
     pairing_to_qubits,
 )
 from gfsim.statevector import SimulationError, StateVector
+from gfsim.trotter import trotter_step
 
 SQRT2 = np.sqrt(2.0)
 
@@ -104,6 +106,30 @@ def test_hadamard_trotter_error_decreases_with_steps():
     assert all(b < a for a, b in zip(errs, errs[1:]))
     slope = np.polyfit(np.log([16, 32, 64, 128]), np.log(errs), 1)[0]
     assert slope < -0.9
+
+
+@pytest.mark.parametrize(
+    "model, gates",
+    [(PairingModel.uniform(8, 4, 1.0, 1.0), 594_432), (HubbardModel(sites=4, hopping=1.0, onsite=1.0), 99_840)],
+)
+def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gates):
+    # the benchmark wraps genfunc.controlled_evolve and counts its calls and
+    # Trotter gates; these are the counts it checks its trace workload against
+    grid = np.arange(0, 2.0001, 0.0625)
+    init = initial_state(model)
+    calls = []
+    real = genfunc.controlled_evolve
+
+    def counted(state, model_, t, n_steps, ancilla):
+        calls.append((state.n_qubits, t, n_steps))
+        return real(state, model_, t, n_steps, ancilla)
+
+    monkeypatch.setattr(genfunc, "controlled_evolve", counted)
+    gf_series(model, init, grid)
+    assert len(calls) == len(init) * (grid.size - 1)
+    assert {n for n, _, _ in calls} == {model.n_qubits + 1}
+    assert sorted({t for _, t, _ in calls}) == list(grid[1:])
+    assert sum(n * len(trotter_step(model, t / n).gates) for _, t, n in calls) == gates
 
 
 def test_hadamard_sampled_within_error_bars():

@@ -4,9 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits, pauli_terms_matrix, to_qubits
-from gfsim.statevector import SimulationError, StateVector
+from gfsim import trotter
+from gfsim.genfunc import gf_series
+from gfsim.models import (
+    HubbardModel,
+    InitialState,
+    PairingModel,
+    build_dense,
+    initial_state,
+    pairing_to_qubits,
+    pauli_terms_matrix,
+    to_qubits,
+)
+from gfsim.statevector import GateMatrix, SimulationError, StateVector, pauli_x
 from gfsim.trotter import (
+    AppliedGate,
+    Circuit,
+    _sector_step,
     controlled_evolve,
     evolve,
     reference_dt,
@@ -98,6 +112,11 @@ def test_reference_steps():
     assert steps_for(pairing, 1.0) == 500
     assert steps_for(pairing, 0.0) == 1
     assert steps_for(pairing, 1.0, policy=7) == 7
+
+
+def test_steps_for_rejects_callable_policy():
+    with pytest.raises(SimulationError):
+        steps_for(PairingModel.uniform(2, 1), 1.0, policy=lambda t: 3)
 
 
 def test_evolve_zero_time_is_identity():
@@ -274,3 +293,85 @@ def test_controlled_evolve_matches_gate_level_steps(model, t, n_steps, extra, da
     assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
     if control_off:
         assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
+# The shared step matrix and the weight-conservation check ---------------------
+
+
+def gate_level(state, model, t, n_steps):
+    step = trotter_step(model, t / n_steps)
+    for _ in range(n_steps):
+        state = step.apply(state)
+    return state
+
+
+def test_step_reuse_never_crosses_models():
+    # equal shape and fingerprint, different couplings, one dt: a memo keyed on
+    # anything weaker than the model object would hand one the other's step
+    rng = np.random.default_rng(5)
+    models = []
+    for _ in range(2):
+        g = rng.normal(size=(4, 4))
+        models.append(PairingModel(eps=np.arange(1.0, 5.0), g=(g + g.T) / 2.0, n_pairs=2))
+    assert models[0].fingerprint() == models[1].fingerprint()
+    state = StateVector.from_bitstring("1100")
+    for model in models + models:
+        out = evolve(state, model, 0.9, 3)
+        assert np.abs(out.amplitudes - gate_level(state, model, 0.9, 3).amplitudes).max() < 1e-12
+
+
+def test_mixture_members_share_one_step_build(monkeypatch):
+    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
+    init = initial_state(model)
+    grid = np.arange(0.0, 2.0001, 0.0625)
+    builds = []
+    monkeypatch.setattr(trotter, "_sector_step", lambda *args: builds.append(1) or _sector_step(*args))
+    mixture = gf_series(model, init, grid)
+    assert len(builds) == grid.size - 1  # one per non-zero point, not one per member
+    members = [gf_series(model, InitialState([m]), grid) for m in init.members]
+    expected = sum(w * s.values for w, s in zip(init.weights, members))
+    assert np.abs(mixture.values - expected).max() < 1e-13
+
+
+def test_pairing_model_arrays_are_read_only():
+    eps = np.arange(1.0, 4.0)
+    model = PairingModel(eps=eps, g=np.ones((3, 3)), n_pairs=1)
+    eps[0] = 7.0  # the model holds a copy
+    assert model.eps[0] == 1.0
+    with pytest.raises(ValueError):
+        model.eps[0] = 2.0
+    with pytest.raises(ValueError):
+        model.g[0, 1] = 2.0
+
+
+def test_sector_step_rejects_weight_changing_gate():
+    leaky = Circuit((AppliedGate(pauli_x(0)),), 2)
+    with pytest.raises(SimulationError, match="Hamming weight"):
+        _sector_step(leaky, np.array([1, 2]))  # the one-particle sector of two qubits
+
+
+def test_sector_step_matches_gate_level_on_general_conserving_gates():
+    # the Trotter blocks are symmetric; these are not, so a transposed
+    # coupling or a swapped target order shows up
+    rng = np.random.default_rng(8)
+    gates = []
+    for targets in ((0, 2), (2, 1), (1,)):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        if len(targets) == 1:
+            matrix = np.diag(np.exp(1j * rng.normal(size=2)))
+        else:
+            matrix = np.diag(np.exp(1j * rng.normal(size=4)))
+            matrix[1:3, 1:3] = q
+        gates.append(AppliedGate(GateMatrix(matrix, targets)))
+    circuit = Circuit(tuple(gates), 3)
+    basis = np.arange(8)
+    assert np.abs(_sector_step(circuit, basis) - circuit_matrix(circuit).T).max() < 1e-14
+
+
+def test_step_reuse_follows_the_occupied_sectors():
+    # one model and one dt, inputs in different weight sectors in turn
+    model = PairingModel.uniform(4, 2, 1.0, 0.7)
+    for bits in ("1000", "1100", "1000", "1110"):
+        state = StateVector.from_bitstring(bits)
+        out = evolve(state, model, 0.5, 2)
+        assert np.abs(out.amplitudes - gate_level(state, model, 0.5, 2).amplitudes).max() < 1e-12
