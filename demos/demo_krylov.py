@@ -49,8 +49,8 @@ for order in (2, 3, 4, 5, 6):
     print(f"  M = {order}: t_max = {t_max:.2f}")
 
 print()
-print("route check: integrating the coupled equations in the non-orthogonal")
-print("basis reproduces the spectral-route survival probability")
+print("route check: the exact solution of the coupled equations in the")
+print("non-orthogonal basis reproduces the spectral-route survival probability")
 k5 = build_krylov_matrices(moments, 5)
 short_t = np.linspace(0.0, 3.0, 61)
 td = tdce_integrate(k5, short_t)

@@ -33,7 +33,6 @@ from .models import (  # noqa: F401
     build_dense,
     hubbard_to_qubits,
     initial_state,
-    jordan_wigner,
     pairing_to_qubits,
     to_qubits,
 )
@@ -49,7 +48,6 @@ from .trotter import (  # noqa: F401
 )
 from .genfunc import GfSeries, gf_exact, gf_hadamard, gf_series  # noqa: F401
 from .moments import (  # noqa: F401
-    FdmStencil,
     MomentSet,
     SpectralDecomposition,
     fourier_grid,
@@ -74,7 +72,6 @@ from .krylov import (  # noqa: F401
     KrylovSolution,
     TdceCoefficients,
     build_krylov_matrices,
-    error_order_check,
     solve_generalized,
     survival_probability,
     tdce_integrate,

@@ -227,17 +227,17 @@ def cmd_noise(args) -> int:
     )
 
     readout = cfg.noise.readout
-    if cfg.noise.p_dep == 0.0 and readout.is_identity(ancilla):
+    if cfg.noise.p_dep == 0.0 and readout.is_identity():
         # nothing left to calibrate once the (identity) readout is inverted;
         # a measured calibration would only inject shot noise
         ref = calibrate_reference(1.0, 0.0)
         clipped = False
     else:
-        re0, clipped_re = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout, ancilla)
-        im0, clipped_im = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout, ancilla)
+        re0, clipped_re = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout)
+        im0, clipped_im = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout)
         ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
         clipped = clipped_re or clipped_im
-    mitigated = mitigate_series(raw, readout, ref, ancilla)
+    mitigated = mitigate_series(raw, readout, ref)
 
     paths = []
     for name, series in (("gf_exact", exact), ("gf_raw", raw), ("gf_mitigated", mitigated)):

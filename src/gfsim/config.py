@@ -47,10 +47,12 @@ def _number(block: dict, key: str, context: str, default=None, minimum=None, max
 
 
 def build_model(block: dict):
-    _require_keys(block, {"kind", "levels", "pairs", "delta_e", "g", "eps", "sites", "hopping", "onsite"}, "model")
     kind = block.get("kind")
     if kind == "pairing":
+        _require_keys(block, {"kind", "levels", "pairs", "delta_e", "g", "eps"}, "pairing model")
         if "eps" in block:
+            if "levels" in block or "delta_e" in block:
+                raise ConfigError("model.eps fixes the levels; levels and delta_e cannot go with it")
             eps = np.asarray(block["eps"], dtype=float)
             levels = eps.size
         else:
@@ -61,6 +63,7 @@ def build_model(block: dict):
         g = _number(block, "g", "model", default=1.0)
         return PairingModel(eps=eps, g=np.full((levels, levels), g), n_pairs=pairs)
     if kind == "hubbard":
+        _require_keys(block, {"kind", "sites", "hopping", "onsite"}, "hubbard model")
         sites = _number(block, "sites", "model", minimum=2, integer=True)
         hopping = _number(block, "hopping", "model", default=1.0)
         onsite = _number(block, "onsite", "model", default=1.0)
@@ -80,10 +83,11 @@ def build_time_grid(block: dict | None, model) -> np.ndarray:
     """Explicit {t_max, dt} grid, or {auto: true} for the spectral grid rule."""
     if block is None:
         block = {"auto": True}
-    _require_keys(block, {"t_max", "dt", "auto", "gap_target"}, "time_grid")
     if block.get("auto"):
+        _require_keys(block, {"auto", "gap_target"}, "time_grid with auto")
         gap_target = _number(block, "gap_target", "time_grid", default=0.02, minimum=1e-6)
         return fourier_grid(to_qubits(model).energy_bound, gap_target=gap_target)
+    _require_keys(block, {"auto", "t_max", "dt"}, "time_grid without auto")
     t_max = _number(block, "t_max", "time_grid", minimum=0.0)
     dt = _number(block, "dt", "time_grid", minimum=1e-12)
     n = int(round(t_max / dt))
@@ -93,29 +97,32 @@ def build_time_grid(block: dict | None, model) -> np.ndarray:
 def build_trotter_policy(block: dict | None):
     if block is None:
         return "reference"
-    _require_keys(block, {"policy", "n_steps"}, "trotter")
     policy = block.get("policy", "reference")
     if policy == "reference":
+        _require_keys(block, {"policy"}, "trotter with the reference policy")
         return "reference"
     if policy == "fixed":
+        _require_keys(block, {"policy", "n_steps"}, "trotter")
         return _number(block, "n_steps", "trotter", minimum=1, integer=True)
     raise ConfigError(f"trotter.policy must be reference|fixed, got {policy!r}")
 
 
-def build_noise(block: dict, n_qubits: int) -> NoiseConfig:
+def build_noise(block: dict) -> NoiseConfig:
+    """Readout as {p01, p10} flip probabilities or one 2x2 confusion matrix, plus p_dep."""
     _require_keys(block, {"readout", "p_dep"}, "noise")
     readout = block.get("readout")
     if readout is None:
-        model = ReadoutModel.identity(n_qubits)
+        model = ReadoutModel.identity()
     elif isinstance(readout, dict):
         _require_keys(readout, {"p01", "p10"}, "noise.readout")
         p01 = _number(readout, "p01", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
         p10 = _number(readout, "p10", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
-        model = ReadoutModel.uniform(p01, p10, n_qubits)
+        model = ReadoutModel.from_flips(p01, p10)
     else:
-        model = ReadoutModel(tuple(np.asarray(mat, dtype=float) for mat in readout))
-        if len(model.matrices) != n_qubits:
-            raise ConfigError(f"noise.readout needs {n_qubits} matrices, got {len(model.matrices)}")
+        try:
+            model = ReadoutModel(np.asarray(readout, dtype=float))
+        except (SimulationError, TypeError, ValueError) as exc:
+            raise ConfigError(f"noise.readout must be {{p01, p10}} or one 2x2 matrix: {exc}") from exc
     p_dep = _number(block, "p_dep", "noise", default=0.0, minimum=0.0, maximum=1.0)
     return NoiseConfig(readout=model, p_dep=p_dep)
 
@@ -182,7 +189,7 @@ class RunConfig:
 
         self.noise = None
         if "noise" in self.raw:
-            self.noise = build_noise(self.raw["noise"], self.model.n_qubits + 1)
+            self.noise = build_noise(self.raw["noise"])
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -9,10 +9,8 @@ matrices go numerically singular quickly), and the Hamiltonian is diagonalized
 in the surviving orthonormal basis.
 
 Also here: the survival probability |<phi|phi(t)>|^2 reconstructed from the
-subspace eigenpairs, direct numerical integration of the coupled equations
-i O dc/dt = Hm c in the non-orthogonal basis (fixed-step RK4), and the
-subspace-projector error-order check that the short-time defect of the
-projected evolution scales as t^{M+1}.
+subspace eigenpairs, and the exact solution of the coupled equations
+i O dc/dt = Hm c for the expansion coefficients in the non-orthogonal basis.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .genfunc import _fmt
-from .models import DenseHamiltonian, InitialState
 from .moments import MomentSet
 from .statevector import SimulationError
 
@@ -153,7 +150,7 @@ def survival_probability(sol: KrylovSolution, t_grid) -> np.ndarray:
 
 @dataclass
 class TdceCoefficients:
-    """Expansion coefficients c_K(t) from integrating the coupled equations.
+    """Expansion coefficients c_K(t) of the coupled equations' solution.
 
     Coefficients refer to the energy-rescaled basis (H/scale)^K |phi_0>; the
     survival amplitude (O c)_0 is invariant under that rescaling.
@@ -162,7 +159,6 @@ class TdceCoefficients:
     t: np.ndarray
     c: np.ndarray  # shape (len(t), M+1), complex
     norm_drift: float
-    scale: float = 1.0
 
     def survival(self, k: KrylovMatrices) -> np.ndarray:
         """P_0(t) = |<phi_0 | phi(t)>|^2 = |(O c(t))_0|^2."""
@@ -171,108 +167,28 @@ class TdceCoefficients:
         return np.abs(amp) ** 2
 
 
-def tdce_integrate(
-    k: KrylovMatrices,
-    t_grid,
-    cutoff: float = DEFAULT_CUTOFF,
-    max_step: float | None = None,
-    norm_drift_limit: float = 1e-6,
-    max_retries: int = 3,
-) -> TdceCoefficients:
-    """Fixed-step RK4 integration of i O dc/dt = Hm c with c_K(0) = delta_K0.
+def tdce_integrate(k: KrylovMatrices, t_grid) -> TdceCoefficients:
+    """Exact solution of i O dc/dt = Hm c with c_K(0) = delta_K0, at any t.
 
-    The singular overlap is handled through its pseudo-inverse on the retained
-    subspace.  If the conserved norm c^H O c drifts by more than the limit the
-    step is halved and the integration retried (up to max_retries times).
+    With the singular overlap inverted on the retained subspace (O^+ = X X^T)
+    the equations read dc/dt = -i X X^T Hm c.  Every power of that generator
+    past the first is X R^n X^T Hm with R = X^T Hm X = V diag(E) V^T, so
+    c(t) = e_0 + X V diag(g_t(E)) V^T X^T Hm e_0 with g_t(E) = expm1(-i t E)/E
+    (-i t at E = 0).  norm_drift is max_t |c^H O c - <phi_0|phi_0>|.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-        raise SimulationError("t grid must be strictly increasing from 0")
-    overlap, hamiltonian, scale = _scaled_matrices(k)
-    x, _ = _canonical_basis(overlap, cutoff)
+    overlap, hamiltonian, _ = _scaled_matrices(k)
+    x, _ = _canonical_basis(overlap, DEFAULT_CUTOFF)
     reduced = x.T @ hamiltonian @ x
-    reduced = 0.5 * (reduced + reduced.T)
-    e_bound = float(np.abs(np.linalg.eigvalsh(reduced)).max()) or 1.0
-    if max_step is None:
-        max_step = 0.01 / e_bound
-
-    pseudo = x @ x.T  # O^+ on the retained subspace
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        return -1j * (pseudo @ (hamiltonian @ c))
-
-    c0 = np.zeros(k.order + 1, dtype=complex)
-    c0[0] = 1.0
-    norm0 = float(np.real(np.conj(c0) @ overlap @ c0))
-
-    step = float(max_step)
-    for attempt in range(max_retries + 1):
-        coeffs = np.empty((t.size, k.order + 1), dtype=complex)
-        coeffs[0] = c0
-        c = c0.copy()
-        drift = 0.0
-        for idx in range(1, t.size):
-            span = t[idx] - t[idx - 1]
-            n_sub = max(1, int(np.ceil(span / step - 1e-12)))
-            h = span / n_sub
-            for _ in range(n_sub):
-                k1 = rhs(c)
-                k2 = rhs(c + 0.5 * h * k1)
-                k3 = rhs(c + 0.5 * h * k2)
-                k4 = rhs(c + h * k3)
-                c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            coeffs[idx] = c
-            norm = float(np.real(np.conj(c) @ overlap @ c))
-            drift = max(drift, abs(norm - norm0) / max(norm0, 1e-300))
-        if drift <= norm_drift_limit:
-            return TdceCoefficients(t, coeffs, norm_drift=drift, scale=scale)
-        step *= 0.5
-    raise SimulationError(f"norm drift {drift:.3e} above {norm_drift_limit:g} after {max_retries} step halvings")
-
-
-def error_order_check(
-    dense: DenseHamiltonian,
-    init: InitialState,
-    order: int,
-    t_set,
-    fit_window: tuple[float, float] = (1e-10, 1e-3),
-) -> tuple[float, np.ndarray]:
-    """Fitted log-log slope of || (e^{-itH} - e^{-itH_M}) |phi_0> || vs t.
-
-    H_M = P H P with P the orthogonal projector onto the exact Krylov subspace
-    built from dense matrix-vector products; the defect's leading power of t
-    is the subspace order plus one.
-    """
-    if len(init) != 1:
-        raise SimulationError("error-order check needs a pure initial state")
-    t = np.asarray(t_set, dtype=float)
-    phi = init.members[0].amplitudes
-    vectors = [phi]
-    for _ in range(order):
-        nxt = dense.matrix @ vectors[-1]
-        vectors.append(nxt / np.linalg.norm(nxt))
-    basis = np.stack(vectors, axis=1)
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    rank = int((s > 1e-12 * s.max()).sum())
-    q = u[:, :rank]
-    h_m = q @ (q.conj().T @ dense.matrix @ q) @ q.conj().T
-    h_m = 0.5 * (h_m + h_m.conj().T)
-    evals, evecs = np.linalg.eigh(h_m)
-
-    deltas = np.empty(t.size)
-    for idx, tk in enumerate(t):
-        exact = dense.propagator(tk) @ phi
-        approx = (evecs * np.exp(-1j * tk * evals)) @ (evecs.conj().T @ phi)
-        deltas[idx] = np.linalg.norm(exact - approx)
-
-    lo, hi = fit_window
-    mask = (deltas >= lo) & (deltas <= hi)
-    if mask.sum() < 2:
-        raise SimulationError(
-            f"only {int(mask.sum())} defect values inside the fit window [{lo:g}, {hi:g}]; adjust the t range"
-        )
-    slope = np.polyfit(np.log(t[mask]), np.log(deltas[mask]), 1)[0]
-    return float(slope), deltas
+    energies, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    phase = -1j * np.outer(t, energies)
+    nonzero = energies != 0.0
+    growth = np.where(nonzero, np.expm1(phase) / np.where(nonzero, energies, 1.0), -1j * t[:, None])
+    drive = vectors.T @ (x.T @ hamiltonian[:, 0])
+    coeffs = (growth * drive) @ (x @ vectors).T
+    coeffs[:, 0] += 1.0
+    norm = np.einsum("ti,ij,tj->t", coeffs.conj(), overlap, coeffs).real
+    return TdceCoefficients(t, coeffs, norm_drift=float(np.abs(norm - overlap[0, 0]).max(initial=0.0)))
 
 
 def eigen_table_csv(path, solutions: dict[int, KrylovSolution]):

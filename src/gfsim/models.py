@@ -24,6 +24,8 @@ from .statevector import SimulationError, StateVector
 
 HERMITICITY_TOL = 1e-12
 MAX_DENSE_QUBITS = 12
+# spectral weight below which an eigenstate counts as unreachable from the initial state
+WEIGHT_TOL = 1e-12
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -238,25 +240,6 @@ def to_qubits(model) -> QubitHamiltonian:
     raise SimulationError(f"unsupported model type {type(model).__name__}")
 
 
-def jordan_wigner(j: int, kind: str, n_qubits: int) -> list[tuple[complex, str]]:
-    """Fermionic ladder operator as a Pauli-term sum with a signed Z string.
-
-    A_j^+ = [prod_{k<j} (-Z_k)] (X_j - i Y_j)/2 and A_j is its conjugate.
-    Returned terms have complex coefficients (the operator is not Hermitian).
-    """
-    if not 0 <= j < n_qubits:
-        raise SimulationError(f"mode index {j} out of range for {n_qubits} qubits")
-    if kind not in ("creation", "annihilation"):
-        raise SimulationError(f"kind must be creation|annihilation, got {kind!r}")
-    sign = (-1.0) ** j
-    ztail = {k: "Z" for k in range(j)}
-    y_coeff = -0.5j if kind == "creation" else 0.5j
-    return [
-        (sign * 0.5, _string(n_qubits, {**ztail, j: "X"})),
-        (sign * y_coeff, _string(n_qubits, {**ztail, j: "Y"})),
-    ]
-
-
 # Dense oracle ----------------------------------------------------------------
 
 
@@ -280,10 +263,10 @@ class DenseHamiltonian:
             w += weight * np.abs(overlaps) ** 2
         return w
 
-    def ground_energy(self, init: "InitialState", weight_tol: float = 1e-12) -> float:
+    def ground_energy(self, init: "InitialState") -> float:
         """Lowest eigenvalue with nonzero initial-state weight (reachable sector)."""
         w = self.spectral_weights(init)
-        reachable = self.eigenvalues[w > weight_tol]
+        reachable = self.eigenvalues[w > WEIGHT_TOL]
         if reachable.size == 0:
             raise SimulationError("initial state has no spectral weight above tolerance")
         return float(reachable.min())
@@ -294,9 +277,9 @@ class DenseHamiltonian:
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
 
-def build_dense(h: QubitHamiltonian, max_qubits: int = MAX_DENSE_QUBITS) -> DenseHamiltonian:
-    if h.n_qubits > max_qubits:
-        raise SimulationError(f"dense oracle limited to {max_qubits} qubits, got {h.n_qubits}")
+def build_dense(h: QubitHamiltonian) -> DenseHamiltonian:
+    if h.n_qubits > MAX_DENSE_QUBITS:
+        raise SimulationError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {h.n_qubits}")
     return DenseHamiltonian(h.to_matrix(), h.n_qubits)
 
 
@@ -383,11 +366,3 @@ def initial_state(model, spec="default") -> InitialState:
         if len(counts) > 1:
             raise SimulationError(f"mixture members disagree on particle numbers: {sorted(counts)}")
     return InitialState.from_bitstrings(bitstrings)
-
-
-def number_operator_matrix(model) -> np.ndarray:
-    """Dense total-number operator: sum_q (1 - Z_q)/2 (pairs for pairing)."""
-    n = model.n_qubits
-    terms = [(0.5, _string(n, {})) for _ in range(n)]
-    terms += [(-0.5, _string(n, {q: "Z"})) for q in range(n)]
-    return pauli_terms_matrix(terms, n)

@@ -145,17 +145,6 @@ def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[in
     return tuple(offsets), tuple(float(c) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class FdmStencil:
-    """Central-difference stencil family with a fixed step and accuracy order."""
-
-    h: float
-    accuracy: int = 8
-
-    def coefficients(self, deriv: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        return central_difference_coefficients(deriv, self.accuracy)
-
-
 def _series_samples(series: GfSeries) -> tuple[np.ndarray, float]:
     values = series.values
     if series.t[0] != 0.0:
@@ -187,42 +176,32 @@ def _tuned_step_index(k: int, accuracy: int, e_rms: float, eps: float, weight_su
     return int(np.clip(round(h_star / dt), 1, max_m))
 
 
-def moments_fdm(series: GfSeries, order: int, stencil: FdmStencil | None = None, accuracy: int = 8) -> MomentSet:
+def moments_fdm(series: GfSeries, order: int, accuracy: int = 8) -> MomentSet:
     """Moments by central finite differences of F at t = 0.
 
-    With stencil=None the step is tuned per order from the modeled error; an
-    explicit stencil's h must be an integer multiple of the grid spacing.
+    The step is a grid multiple tuned per order from the modeled error.
     """
     values, dt = _series_samples(series)
     eps = _noise_floor(series)
     e_rms = _rms_energy(values, dt)
-    acc = stencil.accuracy if stencil is not None else accuracy
 
     moments = np.zeros(order + 1)
     errors = np.zeros(order + 1)
     steps: dict[int, float] = {}
     noisy_orders: list[int] = []
     for k in range(order + 1):
-        offsets, coeffs = central_difference_coefficients(k, acc)
+        offsets, coeffs = central_difference_coefficients(k, accuracy)
         half = offsets[-1]
         weight_sum = float(np.abs(coeffs).sum())
-        if stencil is not None:
-            m = stencil.h / dt
-            if abs(m - round(m)) > 1e-9 * max(1.0, m):
-                raise SimulationError(f"stencil step {stencil.h} is not a grid multiple of {dt}")
-            m = int(round(m))
-        else:
-            max_m = (values.size - 1) // max(half, 1)
-            if max_m < 1:
-                raise SimulationError(f"grid covers only {values.size} points, too short for K={k} stencil")
-            m = _tuned_step_index(k, acc, e_rms, eps, weight_sum, dt, max_m)
-        if half * m > values.size - 1:
-            raise SimulationError(f"grid does not cover the K={k} stencil (needs t up to {half * m * dt:g})")
+        max_m = (values.size - 1) // max(half, 1)
+        if max_m < 1:
+            raise SimulationError(f"grid covers only {values.size} points, too short for K={k} stencil")
+        m = _tuned_step_index(k, accuracy, e_rms, eps, weight_sum, dt, max_m)
         h = m * dt
         samples = np.array([values[j * m] if j >= 0 else np.conj(values[-j * m]) for j in offsets])
         deriv = np.dot(coeffs, samples) / h**k
         moments[k] = float(np.real((1j) ** k * deriv))
-        errors[k] = (e_rms * h) ** acc * e_rms**k + eps * weight_sum / h**k
+        errors[k] = (e_rms * h) ** accuracy * e_rms**k + eps * weight_sum / h**k
         steps[k] = h
         if errors[k] > 0.1 * max(abs(moments[k]), e_rms**k):
             noisy_orders.append(k)  # amplification overwhelmed the estimate
@@ -231,7 +210,7 @@ def moments_fdm(series: GfSeries, order: int, stencil: FdmStencil | None = None,
         errors,
         route="fdm",
         source=series.model,
-        diagnostics={"accuracy": acc, "h_per_K": steps, "noisy_orders": noisy_orders},
+        diagnostics={"accuracy": accuracy, "h_per_K": steps, "noisy_orders": noisy_orders},
     )
 
 

@@ -38,39 +38,30 @@ from .trotter import Circuit
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Per-qubit 2x2 confusion matrices; columns are the true state."""
+    """The measured qubit's 2x2 confusion matrix; columns are the true state."""
 
-    matrices: tuple[np.ndarray, ...]
+    confusion: np.ndarray
 
     def __post_init__(self):
-        mats = []
-        for mat in self.matrices:
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (2, 2):
-                raise SimulationError(f"confusion matrix must be 2x2, got {mat.shape}")
-            if np.any(mat < -1e-12):
-                raise SimulationError("confusion matrix entries must be nonnegative")
-            if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-9:
-                raise SimulationError("confusion matrix columns must sum to 1")
-            mats.append(mat)
-        object.__setattr__(self, "matrices", tuple(mats))
+        mat = np.asarray(self.confusion, dtype=float)
+        if mat.shape != (2, 2):
+            raise SimulationError(f"confusion matrix must be 2x2, got {mat.shape}")
+        if np.any(mat < -1e-12):
+            raise SimulationError("confusion matrix entries must be nonnegative")
+        if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-9:
+            raise SimulationError("confusion matrix columns must sum to 1")
+        object.__setattr__(self, "confusion", mat)
 
     @classmethod
-    def uniform(cls, p_flip_0to1: float, p_flip_1to0: float, n_qubits: int) -> "ReadoutModel":
-        mat = np.array([[1.0 - p_flip_0to1, p_flip_1to0], [p_flip_0to1, 1.0 - p_flip_1to0]])
-        return cls(tuple(mat.copy() for _ in range(n_qubits)))
+    def from_flips(cls, p_flip_0to1: float, p_flip_1to0: float) -> "ReadoutModel":
+        return cls(np.array([[1.0 - p_flip_0to1, p_flip_1to0], [p_flip_0to1, 1.0 - p_flip_1to0]]))
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "ReadoutModel":
-        return cls.uniform(0.0, 0.0, n_qubits)
+    def identity(cls) -> "ReadoutModel":
+        return cls.from_flips(0.0, 0.0)
 
-    def confusion(self, qubit: int) -> np.ndarray:
-        if not 0 <= qubit < len(self.matrices):
-            raise SimulationError(f"no confusion matrix for qubit {qubit}")
-        return self.matrices[qubit]
-
-    def is_identity(self, qubit: int) -> bool:
-        return bool(np.allclose(self.confusion(qubit), np.eye(2), atol=1e-15))
+    def is_identity(self) -> bool:
+        return bool(np.allclose(self.confusion, np.eye(2), atol=1e-15))
 
 
 @dataclass(frozen=True)
@@ -150,12 +141,12 @@ def noisy_sample(
 
     Shots are iid, so each reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
     where p0 is the depolarized circuit's exact ancilla-0 probability and C the
-    ancilla's confusion matrix.  With p_dep = 0 and an identity confusion
+    readout's confusion matrix.  With p_dep = 0 and an identity confusion
     matrix this is the same single draw as sample_ancilla on the clean state.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    confusion = cfg.readout.confusion(ancilla)
+    confusion = cfg.readout.confusion
     p0 = _channel_p0(init, circuit, ancilla, cfg.p_dep)
     q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
     n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, q))))
@@ -175,13 +166,13 @@ def _to_probs(counts_or_probs) -> np.ndarray:
     return probs
 
 
-def mitigate_readout(counts_or_probs, readout: ReadoutModel, qubit: int) -> tuple[np.ndarray, bool]:
-    """Invert the qubit's confusion matrix; clip + renormalize off-simplex results.
+def mitigate_readout(counts_or_probs, readout: ReadoutModel) -> tuple[np.ndarray, bool]:
+    """Invert the confusion matrix; clip + renormalize off-simplex results.
 
     Returns (corrected probabilities, clipped flag).
     """
     probs = _to_probs(counts_or_probs)
-    confusion = readout.confusion(qubit)
+    confusion = readout.confusion
     det = float(np.linalg.det(confusion))
     if abs(det) < 1e-9:
         raise SimulationError(f"confusion matrix is singular (det = {det:.3e})")
@@ -213,7 +204,7 @@ class ReferenceCorrection:
         return self.inverse @ _to_probs(probs)
 
 
-def calibrate_reference(f0_re: float, f0_im: float, exact_f0: tuple[float, float] = (1.0, 0.0)) -> ReferenceCorrection:
+def calibrate_reference(f0_re: float, f0_im: float) -> ReferenceCorrection:
     """Build the t = 0 calibration matrix from observed Re/Im bias estimates.
 
     Ideal outcome probabilities are known exactly at t = 0: (1, 0) for the Re
@@ -222,8 +213,6 @@ def calibrate_reference(f0_re: float, f0_im: float, exact_f0: tuple[float, float
     on (1/2, 1/2) (the column average), which yields column 1.  With pure
     readout noise the result is exactly the measured qubit's confusion matrix.
     """
-    if exact_f0 != (1.0, 0.0):
-        raise SimulationError("calibration assumes the generating function is 1 at t = 0")
     obs_re = np.array([(1.0 + f0_re) / 2.0, (1.0 - f0_re) / 2.0])
     obs_im = np.array([(1.0 + f0_im) / 2.0, (1.0 - f0_im) / 2.0])
     col0 = obs_re
@@ -239,14 +228,13 @@ def _probs_to_bias(probs: np.ndarray) -> float:
     return float(probs[0] - probs[1])
 
 
-def mitigate_series(noisy: GfSeries, readout: ReadoutModel, ref: ReferenceCorrection, qubit: int) -> GfSeries:
+def mitigate_series(noisy: GfSeries, readout: ReadoutModel, ref: ReferenceCorrection) -> GfSeries:
     """Per-point readout inversion then reference correction, errors propagated.
 
     Error bars are scaled by the linearized bias sensitivity of the combined
     inverse map (the same scalar for both outcomes of a quadrature).
     """
-    confusion = readout.confusion(qubit)
-    inv_confusion = np.linalg.inv(confusion)
+    inv_confusion = np.linalg.inv(readout.confusion)
     combined = ref.inverse @ inv_confusion
     err_scale = abs(combined[0, 0] - combined[1, 0] - combined[0, 1] + combined[1, 1]) / 2.0
 

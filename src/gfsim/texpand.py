@@ -27,6 +27,10 @@ from .statevector import SimulationError
 
 PADE_COND_LIMIT = 1e12
 PADE_TAYLOR_TOL = 1e-8
+# admissibility scan of a Pade candidate: grid points on [0, tau_eval_max], and
+# the largest positive value allowed relative to the candidate's peak |value|
+PADE_SCAN_POINTS = 2001
+PADE_SIGN_TOL = 1e-4
 
 
 class PadeRejection(SimulationError):
@@ -177,9 +181,7 @@ def _has_positive_real_pole(approx: PadeApproximant) -> bool:
     return False
 
 
-def pade_select(
-    coeffs, order: int, tau_eval_max: float, grid_points: int = 2001, sign_tol: float = 1e-4
-) -> tuple[PadeApproximant, list[CandidateReport]]:
+def pade_select(coeffs, order: int, tau_eval_max: float) -> tuple[PadeApproximant, list[CandidateReport]]:
     """Enumerate Pade[I, J] with I+J = order, J-I >= 2 and pick the admissible winner.
 
     A candidate is discarded if it has a real pole anywhere on tau >= 0 (the
@@ -192,7 +194,7 @@ def pade_select(
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size < order + 1:
         raise SimulationError(f"need {order + 1} coefficients, have {coeffs.size}")
-    grid = np.linspace(0.0, tau_eval_max, grid_points)
+    grid = np.linspace(0.0, tau_eval_max, PADE_SCAN_POINTS)
 
     log: list[CandidateReport] = []
     survivors: list[tuple[int, int, float, PadeApproximant]] = []
@@ -210,7 +212,7 @@ def pade_select(
             continue
         values = approx(grid)
         worst = float(values.max())
-        if worst > sign_tol * float(np.abs(values).max()):
+        if worst > PADE_SIGN_TOL * float(np.abs(values).max()):
             log.append(
                 CandidateReport(i_order, j_order, False, f"positive value {worst:.3e} on the evaluation grid", approx.cond)
             )

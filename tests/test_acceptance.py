@@ -14,11 +14,12 @@ import numpy as np
 from gfsim.cli import main
 from gfsim.config import NOISE_PRESET
 from gfsim.genfunc import GfSeries, gf_exact, gf_series
-from gfsim.krylov import build_krylov_matrices, error_order_check, solve_generalized, survival_probability
+from gfsim.krylov import build_krylov_matrices, solve_generalized, survival_probability
 from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits, to_qubits
 from gfsim.moments import fourier_grid, moments_exact, moments_fdm, moments_fourier, spectral_peaks
 from gfsim.texpand import extrapolate_ground_energy
 from gfsim.trotter import evolve
+from krylov_oracles import error_order_check
 
 
 def report(number, name, checks):

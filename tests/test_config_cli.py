@@ -47,6 +47,49 @@ def test_moments_gap_target_rejected(tmp_path):
     assert main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "hubbard", "sites": 2, "g": 5, "levels": 9},
+        {"kind": "pairing", "levels": 2, "pairs": 1, "onsite": 3.0},
+        {"kind": "pairing", "eps": [1.0, 2.0], "levels": 2, "pairs": 1},
+        {"kind": "pairing", "eps": [1.0, 2.0], "delta_e": 0.5, "pairs": 1},
+    ],
+    ids=["hubbard-with-pairing-keys", "pairing-with-onsite", "eps-with-levels", "eps-with-delta_e"],
+)
+def test_model_keys_of_the_other_kind_rejected(tmp_path, model):
+    cfg = base_config(model=model)
+    with pytest.raises(ConfigError):
+        RunConfig(cfg)
+    assert main(["gf", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"auto": True, "t_max": 1.0}, {"auto": True, "dt": 0.1}, {"t_max": 0.5, "dt": 0.1, "gap_target": 0.05}],
+    ids=["auto-with-t_max", "auto-with-dt", "gap_target-without-auto"],
+)
+def test_time_grid_keys_the_grid_rule_ignores_rejected(grid):
+    with pytest.raises(ConfigError):
+        RunConfig(base_config(time_grid=grid))
+
+
+def test_n_steps_under_reference_policy_rejected():
+    with pytest.raises(ConfigError):
+        RunConfig(base_config(trotter={"policy": "reference", "n_steps": 8}))
+
+
+def test_noise_readout_forms(tmp_path):
+    # {p01, p10} and the same 2x2 matrix are one readout; a per-qubit list is refused
+    flips = RunConfig(base_config(noise={"readout": {"p01": 0.05, "p10": 0.10}}))
+    matrix = RunConfig(base_config(noise={"readout": [[0.95, 0.10], [0.05, 0.90]]}))
+    assert np.array_equal(flips.noise.readout.confusion, matrix.noise.readout.confusion)
+    per_qubit = base_config(noise={"readout": [np.eye(2).tolist()] * 2 + [[[0.95, 0.10], [0.05, 0.90]]]})
+    with pytest.raises(ConfigError):
+        RunConfig(per_qubit)
+    assert main(["noise", "--config", write_config(tmp_path, per_qubit), "--out-dir", str(tmp_path)]) == 2
+
+
 def test_numeric_ranges_checked():
     cfg = base_config(shots=-5)
     with pytest.raises(ConfigError):
@@ -296,3 +339,17 @@ def test_seed_flag_overrides_config(tmp_path):
     s2 = GfSeries.from_csv(out2 / "gf.csv")
     assert s1.seed == 99 and s2.seed == 4
     assert not np.array_equal(s1.re, s2.re)
+
+
+def test_manifests_load_back(tmp_path):
+    # resolved() writes every route's moments.accuracy and the raw model,
+    # time-grid and trotter blocks; each manifest must be a valid config
+    cfg = base_config(krylov={"orders": [0, 1], "t_max": 1.0, "dt": 0.1})
+    noise_cfg = json.loads(json.dumps(NOISE_PRESET))
+    noise_cfg.update(shots=2000, time_grid={"t_max": 0.04, "dt": 0.02})
+    path, noise_path = write_config(tmp_path, cfg), write_config(tmp_path, noise_cfg, "noise.json")
+    for command, config in (("gf", path), ("moments", path), ("krylov", path), ("noise", noise_path)):
+        assert main([command, "--config", config, "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / f"{command}_manifest.json"
+        again = RunConfig.from_file(manifest)
+        assert again.resolved() == json.loads(manifest.read_text())["config"]

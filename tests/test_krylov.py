@@ -5,15 +5,16 @@ from gfsim.genfunc import gf_exact
 from gfsim.models import InitialState, PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import MomentSet, moments_exact
 from gfsim.krylov import (
+    _scaled_matrices,
     build_krylov_matrices,
     eigen_table_csv,
-    error_order_check,
     solve_generalized,
     survival_csv,
     survival_probability,
     tdce_integrate,
 )
 from gfsim.statevector import SimulationError, StateVector
+from krylov_oracles import error_order_check, tdce_rk4
 
 SQRT2 = np.sqrt(2.0)
 
@@ -169,7 +170,7 @@ def test_tdce_matches_spectral_route_two_level():
     t = np.linspace(0, 6, 121)
     td = tdce_integrate(k, t)
     assert np.abs(td.survival(k) - survival_probability(sol, t)).max() < 1e-6
-    assert abs(td.c[0, 0] - 1.0) == 0.0
+    assert np.array_equal(td.c[0], [1.0, 0.0])
     assert td.norm_drift < 1e-8
 
 
@@ -182,11 +183,42 @@ def test_tdce_matches_spectral_route_benchmark():
     assert np.abs(td.survival(k) - survival_probability(sol, t)).max() < 1e-6
 
 
-def test_tdce_grid_validation():
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("g", [1.0, 2.0])
+def test_tdce_matches_rk4_oracle(g, order):
+    mom, _, _ = benchmark(g=g)
+    k = build_krylov_matrices(mom, order)
+    t = np.linspace(0, 2, 41)
+    td = tdce_integrate(k, t)
+    amp, _ = tdce_rk4(k, t)
+    assert np.abs(td.survival(k) - np.abs(amp) ** 2).max() < 1e-6
+    # the survival probability is even in t for a real H; the amplitude fixes the sign
+    overlap, _, _ = _scaled_matrices(k)
+    assert np.abs(td.c @ overlap[0] - amp).max() < 1e-6
+
+
+@pytest.mark.parametrize("g", [0.3, 1.0])
+def test_tdce_full_sector_matches_dense_oracle(g):
+    # order 5 spans the whole reachable sector of 4 levels, 2 pairs (6 states),
+    # so the survival probability is exact at every time
+    model = PairingModel.uniform(4, 2, 1.0, g)
+    dense = build_dense(pairing_to_qubits(model))
+    init = initial_state(model)
+    assert np.count_nonzero(dense.spectral_weights(init) > 1e-12) == 6
+    k = build_krylov_matrices(moments_exact(dense, init, 11), 5)
+    t = np.linspace(0, 20, 401)
+    td = tdce_integrate(k, t)
+    exact = np.abs(gf_exact(dense, init, t).values) ** 2
+    assert np.abs(td.survival(k) - exact).max() < 1e-7
+
+
+def test_tdce_holds_at_any_time():
+    # the closed form needs no grid from 0: unordered and negative times
     mom, _, _ = benchmark()
-    k = build_krylov_matrices(mom, 2)
-    with pytest.raises(SimulationError):
-        tdce_integrate(k, [0.5, 1.0])
+    k = build_krylov_matrices(mom, 4)
+    t = np.array([1.5, -0.7, 3.0, 0.2])
+    td = tdce_integrate(k, t)
+    assert np.abs(td.survival(k) - survival_probability(solve_generalized(k), t)).max() < 1e-9
 
 
 def test_error_order_slopes():

@@ -9,7 +9,6 @@ from gfsim.genfunc import GfSeries, gf_exact
 from gfsim.krylov import build_krylov_matrices
 from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
-    FdmStencil,
     MomentSet,
     SpectralDecomposition,
     central_difference_coefficients,
@@ -117,13 +116,6 @@ def test_fdm_low_orders_accurate():
     # route and tuned-step diagnostics recorded
     assert mom.route == "fdm"
     assert set(mom.diagnostics["h_per_K"]) == set(range(7))
-
-
-def test_fdm_explicit_stencil_step_must_match_grid():
-    _, dense, init = two_level()
-    series = gf_exact(dense, init, 1e-3 * np.arange(500))
-    with pytest.raises(SimulationError):
-        moments_fdm(series, 2, stencil=FdmStencil(h=0.0015708, accuracy=4))
 
 
 def test_fdm_degrades_at_high_order():
@@ -301,3 +293,10 @@ def test_moment_csv_round_trip(tmp_path):
 def test_moment_set_requires_unit_zeroth():
     with pytest.raises(SimulationError):
         MomentSet(np.array([0.5, 1.0]), np.zeros(2), route="exact")
+
+
+def test_fdm_rejects_grid_shorter_than_stencil():
+    _, dense, init = two_level()
+    series = gf_exact(dense, init, 1e-3 * np.arange(5))
+    with pytest.raises(SimulationError):
+        moments_fdm(series, 6)

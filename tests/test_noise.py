@@ -30,19 +30,19 @@ def preset_model():
 
 def test_confusion_columns_validated():
     with pytest.raises(SimulationError):
-        ReadoutModel((np.array([[0.9, 0.1], [0.2, 0.9]]),))
+        ReadoutModel(np.array([[0.9, 0.1], [0.2, 0.9]]))
 
 
 def test_p_dep_range_checked():
     with pytest.raises(SimulationError):
-        NoiseConfig(ReadoutModel.identity(1), p_dep=1.5)
+        NoiseConfig(ReadoutModel.identity(), p_dep=1.5)
 
 
 def test_noise_free_sampling_matches_clean_seed_path():
     # identity confusion + p_dep = 0 must reproduce sample_ancilla exactly
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.3, 1, "re")
-    cfg = NoiseConfig(ReadoutModel.identity(3), p_dep=0.0)
+    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.0)
     noisy = noisy_sample(init, circuit, 2, 5000, cfg, seed=21)
     clean_final = circuit.apply(init)
     clean = sample_ancilla(clean_final, 2, 5000, seed=21)
@@ -53,7 +53,7 @@ def test_readout_only_shifts_reported_probabilities():
     # p0 = 1 truth under the documented confusion gives reported p0 ~= 0.95
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.0, 1, "re")
-    cfg = NoiseConfig(ReadoutModel((np.eye(2), np.eye(2), CONFUSION)), p_dep=0.0)
+    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.0)
     counts = noisy_sample(init, circuit, 2, 10**5, cfg, seed=3)
     assert counts.n0 / counts.shots == pytest.approx(0.95, abs=0.01)
 
@@ -63,7 +63,7 @@ def test_full_depolarization_kills_the_signal():
     # composed uniform-Pauli errors scramble the ancilla coherence
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.5, 1, "re")
-    cfg = NoiseConfig(ReadoutModel.identity(3), p_dep=1.0)
+    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=1.0)
     counts = noisy_sample(init, circuit, 2, 4000, cfg, seed=5)
     assert abs(counts.bias) < 0.05
 
@@ -71,7 +71,7 @@ def test_full_depolarization_kills_the_signal():
 def test_mild_depolarization_damps_towards_zero():
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.0, 1, "re")
-    cfg = NoiseConfig(ReadoutModel.identity(3), p_dep=0.05)
+    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.05)
     counts = noisy_sample(init, circuit, 2, 10**5, cfg, seed=7)
     assert 0.7 < counts.bias < 0.999
 
@@ -103,7 +103,7 @@ def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
     """Reference sampler: per shot, an independent Pauli error on each slot
     with probability p_dep, a replay, a measurement and a confused readout."""
     rng = np.random.default_rng(seed)
-    confusion = cfg.readout.confusion(ancilla)
+    confusion = cfg.readout.confusion
     n_slots = _n_slots(circuit)
     cache = {}
     n0 = 0
@@ -126,7 +126,7 @@ def test_channel_binomial_matches_trajectory_sampling(t, n_steps, quad, p_dep):
     # q the probability noisy_sample draws from
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, t, n_steps, quad)
-    cfg = NoiseConfig(ReadoutModel((np.eye(2), np.eye(2), CONFUSION)), p_dep=p_dep)
+    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=p_dep)
     shots = 20000
     p0 = _channel_p0(init, circuit, 2, p_dep)
     q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
@@ -140,13 +140,13 @@ def test_noisy_sample_rejects_state_smaller_than_circuit():
     circuit = hadamard_test_circuit(model, 0.4, 1, "re")
     system_only = initial_state(model).members[0]
     with pytest.raises(SimulationError):
-        noisy_sample(system_only, circuit, 1, 100, NoiseConfig(ReadoutModel.identity(3)), seed=1)
+        noisy_sample(system_only, circuit, 1, 100, NoiseConfig(ReadoutModel.identity()), seed=1)
 
 
 def test_noisy_sample_is_one_binomial_draw():
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.4, 1, "im")
-    cfg = NoiseConfig(ReadoutModel((np.eye(2), np.eye(2), CONFUSION)), p_dep=0.002)
+    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.002)
     p0 = _channel_p0(init, circuit, 2, cfg.p_dep)
     q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
     counts = noisy_sample(init, circuit, 2, 10**6, cfg, seed=9)
@@ -155,30 +155,30 @@ def test_noisy_sample_is_one_binomial_draw():
 
 
 def test_mitigate_readout_identity():
-    probs, clipped = mitigate_readout(np.array([0.7, 0.3]), ReadoutModel.identity(1), 0)
+    probs, clipped = mitigate_readout(np.array([0.7, 0.3]), ReadoutModel.identity())
     assert np.allclose(probs, [0.7, 0.3])
     assert not clipped
 
 
 def test_mitigate_readout_exact_inverse():
     reported = CONFUSION @ np.array([1.0, 0.0])
-    probs, clipped = mitigate_readout(reported, ReadoutModel((CONFUSION,)), 0)
+    probs, clipped = mitigate_readout(reported, ReadoutModel(CONFUSION))
     assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
     assert not clipped
 
 
 def test_mitigate_readout_forward_inverse_identity():
     rng = np.random.default_rng(0)
-    model = ReadoutModel((CONFUSION,))
+    model = ReadoutModel(CONFUSION)
     for _ in range(25):
         p0 = rng.random()
         truth = np.array([p0, 1.0 - p0])
-        probs, _ = mitigate_readout(CONFUSION @ truth, model, 0)
+        probs, _ = mitigate_readout(CONFUSION @ truth, model)
         assert np.abs(probs - truth).max() < 1e-12
 
 
 def test_mitigate_readout_clips_off_simplex():
-    probs, clipped = mitigate_readout(np.array([0.99, 0.01]), ReadoutModel((CONFUSION,)), 0)
+    probs, clipped = mitigate_readout(np.array([0.99, 0.01]), ReadoutModel(CONFUSION))
     assert clipped
     assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0)
 
@@ -187,14 +187,14 @@ def test_readout_recovery_improves_with_shots():
     # shot-level recovery error shrinks like 1/sqrt(shots)
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.0, 1, "re")
-    readout = ReadoutModel((np.eye(2), np.eye(2), CONFUSION))
+    readout = ReadoutModel(CONFUSION)
     cfg = NoiseConfig(readout, p_dep=0.0)
     errors = []
     for shots in (10**3, 10**5):
         recovered = []
         for seed in range(20):
             counts = noisy_sample(init, circuit, 2, shots, cfg, seed=seed)
-            probs, _ = mitigate_readout(counts, readout, 2)
+            probs, _ = mitigate_readout(counts, readout)
             recovered.append(probs[0] - probs[1])
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
     assert errors[1] < errors[0] / 3.0
@@ -246,9 +246,9 @@ def test_mitigation_pipeline_identity_without_noise():
     dense = build_dense(pairing_to_qubits(model))
     t = np.arange(0.0, 0.31, 0.1)
     exact = gf_exact(dense, init, t, model=model.fingerprint())
-    readout = ReadoutModel.identity(3)
+    readout = ReadoutModel.identity()
     ref = calibrate_reference(1.0, 0.0)
-    out = mitigate_series(exact, readout, ref, qubit=2)
+    out = mitigate_series(exact, readout, ref)
     assert np.abs(out.re - exact.re).max() < 1e-12
     assert np.abs(out.im - exact.im).max() < 1e-12
     assert out.route == "mitigated"
@@ -260,14 +260,14 @@ def test_mitigated_series_beats_raw_on_preset():
     dense = build_dense(pairing_to_qubits(model))
     t = np.arange(0.0, 0.4001, 0.02)
     exact = gf_exact(dense, init, t)
-    readout = ReadoutModel((np.eye(2), np.eye(2), CONFUSION))
+    readout = ReadoutModel(CONFUSION)
     cfg = NoiseConfig(readout, p_dep=0.0)
     raw = _noisy_series(model, init, t, cfg, shots=10**5, seed=2)
 
-    re0, _ = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout, 2)
-    im0, _ = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout, 2)
+    re0, _ = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout)
+    im0, _ = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout)
     ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
-    mitigated = mitigate_series(raw, readout, ref, qubit=2)
+    mitigated = mitigate_series(raw, readout, ref)
 
     rms = lambda s: np.sqrt(np.mean(np.concatenate([s.re - exact.re, s.im - exact.im]) ** 2))
     assert rms(mitigated) <= 0.3 * rms(raw)
@@ -289,11 +289,11 @@ def test_error_bars_scaled_by_inverse_maps():
         shots=10**6,
         route="noisy",
     )
-    readout = ReadoutModel((CONFUSION,))
+    readout = ReadoutModel(CONFUSION)
     # reference calibrated on readout-corrected t=0 values (the pipeline order)
-    re0, _ = mitigate_readout(np.array([(1 + 0.85) / 2, (1 - 0.85) / 2]), readout, 0)
-    im0, _ = mitigate_readout(np.array([(1 + 0.05) / 2, (1 - 0.05) / 2]), readout, 0)
+    re0, _ = mitigate_readout(np.array([(1 + 0.85) / 2, (1 - 0.85) / 2]), readout)
+    im0, _ = mitigate_readout(np.array([(1 + 0.05) / 2, (1 - 0.05) / 2]), readout)
     ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
-    out = mitigate_series(raw, readout, ref, qubit=0)
+    out = mitigate_series(raw, readout, ref)
     assert out.re[0] == pytest.approx(1.0, abs=1e-9)
     assert out.re_err[0] > raw.re_err[0]  # inversion amplifies shot noise
