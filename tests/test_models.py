@@ -95,16 +95,23 @@ def test_number_conserving_block_dimension_70():
     dense = build_dense(pairing_to_qubits(model))
     sector = [i for i in range(256) if bin(i).count("1") == 4]
     assert len(sector) == 70
-    # H must not connect different occupation numbers: it commutes with the
-    # total number operator, the popcount diagonal
-    for hm in (
-        dense.matrix,
-        pairing_to_qubits(PairingModel.uniform(4, 2, 1.0, 0.7)).to_matrix(),
-        hubbard_to_qubits(HubbardModel(sites=3, hopping=1.0, onsite=1.5)).to_matrix(),
+    # H must not connect different occupation numbers
+    assert_commutes_with_number_operator(dense.matrix)
+
+
+def assert_commutes_with_number_operator(hm):
+    # the total number operator is the popcount diagonal
+    number = np.array([bin(i).count("1") for i in range(hm.shape[0])], dtype=float)
+    comm = hm * number[None, :] - number[:, None] * hm
+    assert np.abs(comm).max() < 1e-12
+
+
+def test_hamiltonians_commute_with_number_operator():
+    for h in (
+        pairing_to_qubits(PairingModel.uniform(4, 2, 1.0, 0.7)),
+        hubbard_to_qubits(HubbardModel(sites=3, hopping=1.0, onsite=1.5)),
     ):
-        number = np.array([bin(i).count("1") for i in range(hm.shape[0])], dtype=float)
-        comm = hm * number[None, :] - number[:, None] * hm
-        assert np.abs(comm).max() < 1e-12
+        assert_commutes_with_number_operator(h.to_matrix())
 
 
 def test_hermiticity_of_encodings():
