@@ -141,6 +141,7 @@ def cmd_texpand(args) -> int:
         oracle = imaginary_time_oracle(dense, cfg.init, curve.tau)
         e_gs = dense.ground_energy(cfg.init)
         extra = {"oracle_ground_energy": e_gs, "asymptote_abs_error": abs(curve.asymptote - e_gs)}
+        extra["oracle_curve_max_abs_error"] = float(np.abs(curve.energy - oracle.energy).max())
     _write_manifest(out_dir, "texpand", cfg, [out, report], t_start, extra=extra, inputs=[args.moments])
     orders = approx.orders if approx is not None else None
     print(f"wrote {out} (pade={orders}, asymptote={curve.asymptote:.8g})")

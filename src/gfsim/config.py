@@ -168,6 +168,8 @@ class RunConfig:
         if self.moment_route not in ("exact", "fdm", "fourier"):
             raise ConfigError(f"moments.route must be exact|fdm|fourier, got {self.moment_route!r}")
         self.moment_order = _number(mom, "order", "moments", default=12, minimum=0, integer=True)
+        if "accuracy" in mom and self.moment_route != "fdm":
+            raise ConfigError(f"moments.accuracy applies only to route 'fdm', not {self.moment_route!r}")
         self.fdm_accuracy = _number(mom, "accuracy", "moments", default=8, minimum=2, integer=True)
 
         tex = self.raw.get("texpansion", {})
@@ -209,7 +211,7 @@ class RunConfig:
             "shots": self.shots,
             "seed": self.seed,
             "trotter": dict(self.raw.get("trotter") or {"policy": "reference"}),
-            "moments": {"route": self.moment_route, "order": self.moment_order, "accuracy": self.fdm_accuracy},
+            "moments": {"route": self.moment_route, "order": self.moment_order},
             "texpansion": {"order": self.texpansion_order, "tau_max": self.tau_max},
             "krylov": {
                 "orders": list(self.krylov_orders),
@@ -219,6 +221,8 @@ class RunConfig:
             },
             "overlay_exact": self.overlay_exact,
         }
+        if self.moment_route == "fdm":
+            out["moments"]["accuracy"] = self.fdm_accuracy
         if "noise" in self.raw:
             out["noise"] = dict(self.raw["noise"])
         return out

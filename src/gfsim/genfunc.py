@@ -142,10 +142,11 @@ class GfSeries:
 
 
 def gf_exact(dense: DenseHamiltonian, init: InitialState, t_grid, model: str = "") -> GfSeries:
-    """F(t) = sum_a w_a e^{-i t E_a} from the cached eigendecomposition."""
+    """F(t) = sum_a w_a e^{-i t E_a} over the eigenstates with nonzero weight."""
     t = np.asarray(t_grid, dtype=float)
     w = dense.spectral_weights(init)
-    values = np.exp(-1j * np.outer(t, dense.eigenvalues)) @ w
+    keep = w > 0.0
+    values = np.exp(-1j * np.outer(t, dense.eigenvalues[keep])) @ w[keep]
     zeros = np.zeros_like(t)
     return GfSeries(t, values.real, values.imag, zeros, zeros, shots=0, route="exact", model=model)
 

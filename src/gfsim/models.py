@@ -10,7 +10,8 @@ Two models are supported:
     + U/4 sum_a [I - Z_a][I - Z_{a+M}].
 
 The dense matrix of any encoded Hamiltonian (eigendecomposition cached) is the
-oracle every "exact" curve in the package is checked against.
+oracle every "exact" curve in the package is checked against.  It is built
+from each Pauli term's bit action and diagonalized one block at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .statevector import SimulationError, StateVector
 
@@ -26,32 +29,6 @@ HERMITICITY_TOL = 1e-12
 MAX_DENSE_QUBITS = 12
 # spectral weight below which an eigenstate counts as unreachable from the initial state
 WEIGHT_TOL = 1e-12
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def pauli_string_matrix(ops: str) -> np.ndarray:
-    """Dense matrix of a Pauli string; ops[q] acts on qubit q (qubit 0 = LSB)."""
-    mat = _PAULI_1Q[ops[-1]]
-    for q in range(len(ops) - 2, -1, -1):
-        mat = np.kron(mat, _PAULI_1Q[ops[q]])
-    return mat
-
-
-def pauli_terms_matrix(terms, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a list of (complex coefficient, ops string) terms."""
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, ops in terms:
-        if len(ops) != n_qubits:
-            raise SimulationError(f"Pauli string {ops!r} does not match {n_qubits} qubits")
-        out += coeff * pauli_string_matrix(ops)
-    return out
 
 
 @dataclass(frozen=True)
@@ -108,7 +85,20 @@ class QubitHamiltonian:
         return float(sum(abs(t.coeff) for t in self.terms))
 
     def to_matrix(self) -> np.ndarray:
-        return pauli_terms_matrix([(t.coeff, t.ops) for t in self.terms], self.n_qubits)
+        """Dense matrix, each term entered by its action on basis states (qubit 0 = LSB).
+
+        X and Y flip the bits of xmask; Z and Y contribute the sign
+        (-1)^popcount(b & zmask) of the input bits b; each Y adds a factor i.
+        """
+        basis = np.arange(1 << self.n_qubits)
+        out = np.zeros((basis.size, basis.size), dtype=complex)
+        for term in self.terms:
+            xmask = sum(1 << q for q, c in enumerate(term.ops) if c in "XY")
+            zmask = sum(1 << q for q, c in enumerate(term.ops) if c in "YZ")
+            phase = (1, 1j, -1, -1j)[term.ops.count("Y") % 4]
+            signs = np.where(np.bitwise_count(basis & zmask) & 1, -1.0, 1.0)
+            out[basis ^ xmask, basis] += (term.coeff * phase) * signs
+        return out
 
 
 def _string(n: int, letters: dict[int, str]) -> str:
@@ -244,7 +234,11 @@ def to_qubits(model) -> QubitHamiltonian:
 
 
 class DenseHamiltonian:
-    """Dense Hermitian matrix with a cached eigendecomposition."""
+    """Dense Hermitian matrix with a cached eigendecomposition.
+
+    One eigh per connected component of the nonzero pattern (the sectors H
+    conserves); eigenvalues ascend, eigenvectors are exactly zero off their block.
+    """
 
     def __init__(self, matrix: np.ndarray, n_qubits: int):
         matrix = np.asarray(matrix, dtype=complex)
@@ -253,7 +247,16 @@ class DenseHamiltonian:
             raise SimulationError(f"matrix not Hermitian: |H - H^H| = {herm_err:.3e}")
         self.matrix = matrix
         self.n_qubits = int(n_qubits)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
+        _, labels = connected_components(csr_matrix(matrix != 0), directed=False)
+        values, vectors = np.empty(labels.size), np.zeros(matrix.shape, dtype=complex)
+        start = 0
+        for block in range(labels.max() + 1):
+            idx = np.flatnonzero(labels == block)
+            cols = slice(start, start + idx.size)
+            values[cols], vectors[idx, cols] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
+            start += idx.size
+        order = np.argsort(values, kind="stable")
+        self.eigenvalues, self.eigenvectors = values[order], vectors[:, order]
 
     def spectral_weights(self, init: "InitialState") -> np.ndarray:
         """w_alpha = sum_members weight * |<alpha|member>|^2; sums to 1."""

@@ -12,8 +12,10 @@ Hankel matrix of its samples has the number of tones as its rank (ESPRIT,
 Hua & Sarkar 1990; Roy & Kailath 1989).  The right singular vectors of that
 matrix are shift-invariant: one small eigenproblem gives the energies, and one
 linear least-squares solve gives the weights.  Shot noise sets the rank
-through the singular values it can reach.  Moments to any order then follow
-from <H^K> = sum_a p_a E_a^K.
+through the singular values it can reach.  The singular vectors come from
+the Hankel matrix's triangular factor R, built one block of rows at a time by
+a triangular-pentagonal QR update.  Moments to any order then follow from
+<H^K> = sum_a p_a E_a^K.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import ztpqrt
 
 from .genfunc import GfSeries, _fmt
 from .models import DenseHamiltonian, InitialState
@@ -94,12 +97,13 @@ class MomentSet:
 
 
 def moments_exact(dense: DenseHamiltonian, init: InitialState, order: int) -> MomentSet:
-    """Oracle moments sum_a w_a E_a^K from the cached eigendecomposition."""
+    """Oracle moments sum_a w_a E_a^K over the eigenstates with nonzero weight."""
     if order < 0:
         raise SimulationError(f"order must be >= 0, got {order}")
     w = dense.spectral_weights(init)
-    powers = np.vander(dense.eigenvalues, order + 1, increasing=True).T  # (K, alpha)
-    values = powers @ w
+    keep = w > 0.0
+    powers = np.vander(dense.eigenvalues[keep], order + 1, increasing=True).T  # (K, alpha)
+    values = powers @ w[keep]
     return MomentSet(values, np.zeros(order + 1), route="exact")
 
 
@@ -250,6 +254,24 @@ def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
     return dt * np.arange(n)
 
 
+def _hankel_r(data: np.ndarray, cols: int) -> np.ndarray:
+    """Triangular factor R of the Hankel matrix H[i, j] = data[i + j] with `cols` columns.
+
+    Each block of `cols` rows after the first is folded into R by LAPACK's
+    triangular-pentagonal QR (ztpqrt; sequential TSQR, Demmel et al. 2012).
+    """
+    hankel = sliding_window_view(data, cols)  # a view of data, no copy
+    r = np.asfortranarray(np.linalg.qr(hankel[:cols], mode="r"))
+    for start in range(cols, hankel.shape[0], cols):
+        # a copy: ztpqrt overwrites its B, and a one-row slice of the view is
+        # contiguous, so asfortranarray would hand over the trace itself
+        block = np.array(hankel[start : start + cols], order="F")
+        r, _, _, info = ztpqrt(0, min(64, cols), r, block, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise SimulationError(f"ztpqrt failed with info = {info}")
+    return r
+
+
 def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> SpectralDecomposition:
     """Tone energies and weights of F(t) by ESPRIT on a Hankel matrix of the trace.
 
@@ -266,12 +288,8 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> Spect
         )
     data = series.values
     cols = min(HANKEL_COLS, (data.size + 1) // 2)
-    hankel = sliding_window_view(data, cols)  # H[i, j] = F(t_{i+j}), a view
-    rows = hankel.shape[0]
-    r = np.zeros((0, cols), dtype=complex)
-    for start in range(0, rows, cols):  # never hold more than 2 cols rows
-        r = np.linalg.qr(np.vstack([r, hankel[start : start + cols]]), mode="r")
-    _, sing, vh = np.linalg.svd(r)
+    rows = data.size - cols + 1
+    _, sing, vh = np.linalg.svd(_hankel_r(data, cols))
     sigma = float(np.sqrt(np.mean(series.re_err**2 + series.im_err**2)))
     floor = max(RANK_TOL * sing[0], 2.0 * sigma * (np.sqrt(rows) + np.sqrt(cols)))
     rank = int(np.count_nonzero(sing > floor))

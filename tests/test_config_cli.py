@@ -6,7 +6,9 @@ import pytest
 from gfsim.cli import main
 from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
 from gfsim.genfunc import GfSeries
+from gfsim.models import build_dense, to_qubits
 from gfsim.moments import MomentSet
+from gfsim.texpand import imaginary_time_oracle
 
 
 def base_config(**overrides):
@@ -242,6 +244,18 @@ def test_cmd_texpand(tmp_path):
     assert lines[3] == "tau,E,dEdtau"
 
 
+def test_cmd_texpand_records_oracle_curve_error(tmp_path):
+    cfg = base_config(moments={"route": "exact", "order": 12}, texpansion={"order": 10})
+    assert main(["texpand", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "texpand_manifest.json").read_text())
+    curve = np.loadtxt(tmp_path / "energy_curve.csv", delimiter=",", skiprows=4)
+    run = RunConfig(cfg)
+    oracle = imaginary_time_oracle(build_dense(to_qubits(run.model)), run.init, curve[:, 0])
+    error = manifest["oracle_curve_max_abs_error"]
+    assert error == pytest.approx(np.abs(curve[:, 1] - oracle.energy).max(), rel=1e-12)
+    assert error > 0.0
+
+
 def test_cmd_texpand_no_admissible_exit_3(tmp_path):
     # moments crafted so the derivative series is -1/(1-tau)^3: the only
     # order-3 candidate [0,3] then carries a real positive pole
@@ -341,9 +355,27 @@ def test_seed_flag_overrides_config(tmp_path):
     assert not np.array_equal(s1.re, s2.re)
 
 
+@pytest.mark.parametrize("route", ["exact", "fourier"])
+def test_accuracy_off_the_fdm_route_rejected(tmp_path, capsys, route):
+    # only the fdm route has a stencil; elsewhere the key would be ignored
+    cfg = base_config(moments={"route": route, "order": 4, "accuracy": 2})
+    rc = main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "accuracy" in capsys.readouterr().err
+    assert not (tmp_path / "moments_manifest.json").exists()
+
+
+def test_fdm_accuracy_round_trips_through_the_manifest(tmp_path):
+    cfg = base_config(shots=0, moments={"route": "fdm", "order": 4, "accuracy": 4})
+    assert main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+    manifest = tmp_path / "moments_manifest.json"
+    assert json.loads(manifest.read_text())["config"]["moments"] == {"route": "fdm", "order": 4, "accuracy": 4}
+    assert RunConfig.from_file(manifest).fdm_accuracy == 4
+
+
 def test_manifests_load_back(tmp_path):
-    # resolved() writes every route's moments.accuracy and the raw model,
-    # time-grid and trotter blocks; each manifest must be a valid config
+    # resolved() writes moments.accuracy on the fdm route only, and the raw
+    # model, time-grid and trotter blocks; each manifest must be a valid config
     cfg = base_config(krylov={"orders": [0, 1], "t_max": 1.0, "dt": 0.1})
     noise_cfg = json.loads(json.dumps(NOISE_PRESET))
     noise_cfg.update(shots=2000, time_grid={"t_max": 0.04, "dt": 0.02})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gfsim.genfunc import GfSeries, gf_exact
 from gfsim.krylov import build_krylov_matrices
@@ -11,6 +12,7 @@ from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qu
 from gfsim.moments import (
     MomentSet,
     SpectralDecomposition,
+    _hankel_r,
     central_difference_coefficients,
     fourier_grid,
     moments_exact,
@@ -195,6 +197,31 @@ def test_spectral_peaks_recovers_drawn_tones(tones):
     assert spec.diagnostics["rank"] == energies.size
     assert np.allclose(spec.energies, energies, rtol=0, atol=1e-8)
     assert np.allclose(spec.weights, weights, rtol=0, atol=1e-8)
+
+
+def test_spectral_peaks_leaves_its_input_intact():
+    # 200 points: a 101 x 100 Hankel, so the last block folded into R has one
+    # row, a contiguous slice of the trace that the QR update must not overwrite
+    t = 0.1 * np.arange(200)
+    energies, weights = np.array([-1.3, 0.4, 2.1]), np.array([0.5, 0.3, 0.2])
+    series = tone_series(t, energies, weights)
+    before = [a.copy() for a in (series.t, series.re, series.im, series.re_err, series.im_err)]
+    spec = spectral_peaks(series)
+    after = (series.t, series.re, series.im, series.re_err, series.im_err)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert np.allclose(spec.energies, energies, rtol=0, atol=1e-8)
+    assert np.allclose(spec.weights, weights, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 60), st.integers(0, 2**32 - 1))
+def test_blocked_r_keeps_the_singular_values(cols, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * cols - 1 + extra_rows  # at least as many Hankel rows as columns
+    data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = np.linalg.svd(sliding_window_view(data, cols), compute_uv=False)
+    got = np.linalg.svd(_hankel_r(data, cols), compute_uv=False)
+    assert np.abs(got - expected).max() <= 1e-12 * expected[0]
 
 
 def test_spectral_peaks_rank_ceiling_raises():

@@ -13,7 +13,6 @@ from gfsim.models import (
     build_dense,
     initial_state,
     pairing_to_qubits,
-    pauli_terms_matrix,
     to_qubits,
 )
 from gfsim.statevector import GateMatrix, SimulationError, StateVector, pauli_x
@@ -29,6 +28,7 @@ from gfsim.trotter import (
     trotter_step_hubbard,
     trotter_step_pairing,
 )
+from model_oracles import pauli_terms_matrix
 
 
 def circuit_matrix(circuit):
