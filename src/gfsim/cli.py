@@ -165,7 +165,7 @@ def cmd_krylov(args) -> int:
     if mom.route == "fdm" and np.any(mom.errors[: needed + 1] > 1e-6 * np.abs(mom.values[: needed + 1])):
         print("warning: finite-difference moments exceed 1e-6 relative error; Krylov output may be unreliable")
 
-    solutions = {m: solve_generalized(build_krylov_matrices(mom, m), cfg.krylov_cutoff) for m in cfg.krylov_orders}
+    solutions = {m: solve_generalized(build_krylov_matrices(mom, m)) for m in cfg.krylov_orders}
     eigen_out = out_dir / "krylov_eigs.csv"
     eigen_table_csv(eigen_out, solutions)
 

@@ -180,14 +180,13 @@ class RunConfig:
             self.tau_max = _number(tex, "tau_max", "texpansion", minimum=1e-9)
 
         kry = self.raw.get("krylov", {})
-        _require_keys(kry, {"orders", "t_max", "dt", "cutoff"}, "krylov")
+        _require_keys(kry, {"orders", "t_max", "dt"}, "krylov")
         orders = kry.get("orders", [0, 1, 2, 3, 4, 5, 6])
         if not isinstance(orders, list) or not all(isinstance(m, int) and m >= 0 for m in orders):
             raise ConfigError("krylov.orders must be a list of nonnegative integers")
         self.krylov_orders = orders
         self.krylov_t_max = _number(kry, "t_max", "krylov", default=8.0, minimum=0.0)
         self.krylov_dt = _number(kry, "dt", "krylov", default=0.01, minimum=1e-9)
-        self.krylov_cutoff = _number(kry, "cutoff", "krylov", default=1e-10, minimum=0.0, maximum=1.0)
 
         self.noise = None
         if "noise" in self.raw:
@@ -217,7 +216,6 @@ class RunConfig:
                 "orders": list(self.krylov_orders),
                 "t_max": self.krylov_t_max,
                 "dt": self.krylov_dt,
-                "cutoff": self.krylov_cutoff,
             },
             "overlay_exact": self.overlay_exact,
         }

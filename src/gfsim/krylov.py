@@ -63,7 +63,6 @@ class KrylovSolution:
     energies: np.ndarray
     weights: np.ndarray
     retained_dim: int
-    cutoff: float
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -99,12 +98,12 @@ def _scaled_matrices(k: KrylovMatrices) -> tuple[np.ndarray, np.ndarray, float]:
     return overlap, hamiltonian, s
 
 
-def _canonical_basis(overlap: np.ndarray, cutoff: float) -> tuple[np.ndarray, dict]:
+def _canonical_basis(overlap: np.ndarray) -> tuple[np.ndarray, dict]:
     evals, evecs = np.linalg.eigh(overlap)
     s_max = float(evals.max())
     if s_max <= 0:
         raise SimulationError("overlap matrix has no positive eigenvalues")
-    keep = evals > cutoff * s_max
+    keep = evals > DEFAULT_CUTOFF * s_max
     if not keep.any():
         raise SimulationError("all overlap eigenvalues below cutoff")
     x = evecs[:, keep] / np.sqrt(evals[keep])
@@ -113,7 +112,7 @@ def _canonical_basis(overlap: np.ndarray, cutoff: float) -> tuple[np.ndarray, di
     return x, diag
 
 
-def solve_generalized(k: KrylovMatrices, cutoff: float = DEFAULT_CUTOFF) -> KrylovSolution:
+def solve_generalized(k: KrylovMatrices) -> KrylovSolution:
     """Canonical orthogonalization then diagonalization in the retained basis.
 
     Works in the energy-rescaled Krylov basis (same subspace, same spectrum,
@@ -121,7 +120,7 @@ def solve_generalized(k: KrylovMatrices, cutoff: float = DEFAULT_CUTOFF) -> Kryl
     the first basis vector through the same transformation.
     """
     overlap, hamiltonian, _ = _scaled_matrices(k)
-    x, diag = _canonical_basis(overlap, cutoff)
+    x, diag = _canonical_basis(overlap)
     reduced = x.T @ hamiltonian @ x
     reduced = 0.5 * (reduced + reduced.T)
     energies, vectors = np.linalg.eigh(reduced)
@@ -136,7 +135,6 @@ def solve_generalized(k: KrylovMatrices, cutoff: float = DEFAULT_CUTOFF) -> Kryl
         energies=energies,
         weights=weights,
         retained_dim=int(x.shape[1]),
-        cutoff=float(cutoff),
         diagnostics={**diag, "raw_weight_sum": raw_sum},
     )
 
@@ -178,7 +176,7 @@ def tdce_integrate(k: KrylovMatrices, t_grid) -> TdceCoefficients:
     """
     t = np.asarray(t_grid, dtype=float)
     overlap, hamiltonian, _ = _scaled_matrices(k)
-    x, _ = _canonical_basis(overlap, DEFAULT_CUTOFF)
+    x, _ = _canonical_basis(overlap)
     reduced = x.T @ hamiltonian @ x
     energies, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
     phase = -1j * np.outer(t, energies)

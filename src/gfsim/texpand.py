@@ -5,7 +5,8 @@ dE/dtau = -(variance at tau) <= 0, and its Taylor coefficients are cumulants:
 dE/dtau ~= -sum_{K=0}^{M} (-tau)^K / K! kappa_{K+2}.  The truncated series is
 replaced by a Pade approximant constrained to be negative, pole-free on the
 evaluation window, and decaying faster than 1/tau (denominator degree J with
-J - I >= 2); integrating it from 0 extrapolates E(tau) to its asymptote.
+J - I >= 2); integrating it from 0, in closed form by partial fractions,
+extrapolates E(tau) to its asymptote.
 
 The cumulant recurrence implemented is the standard moments-to-cumulants form
 kappa_n = <H^n> - sum_{k=1}^{n-1} C(n-1, k-1) kappa_k <H^{n-k}>, validated by
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .genfunc import _fmt
 from .models import DenseHamiltonian, InitialState
@@ -246,10 +246,6 @@ class EnergyCurve:
 
     dE/dtau must be nonpositive up to the same relative wiggle tolerance the
     approximant selector allows on a decaying rational tail.
-
-    uncertainty is |tail integral| + the quadrature error estimates only: it
-    does not cover the error of the extrapolation itself (9.9e-4 on pairing-8
-    at g/de = 1, where the asymptote is 0.237 from the ground energy).
     """
 
     tau: np.ndarray
@@ -257,7 +253,6 @@ class EnergyCurve:
     dEdtau: np.ndarray
     asymptote: float
     asymptote_grid_end: float
-    uncertainty: float = 0.0
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
@@ -272,7 +267,6 @@ class EnergyCurve:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# asymptote={_fmt(self.asymptote)}\n")
             fh.write(f"# asymptote_grid_end={_fmt(self.asymptote_grid_end)}\n")
-            fh.write(f"# uncertainty={_fmt(self.uncertainty)}\n")
             fh.write("tau,E,dEdtau\n")
             for row in zip(self.tau, self.energy, self.dEdtau):
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -286,32 +280,42 @@ def default_tau_max(kappa_2: float, factor: float = 20.0) -> float:
 
 
 def integrate_energy(approx: PadeApproximant, h_mean: float, tau_grid) -> EnergyCurve:
-    """E(tau) = <H> + int_0^tau p(s) ds by adaptive quadrature (tol 1e-10).
+    """E(tau) = <H> + int_0^tau p(s) ds in closed form, p the Pade approximant.
 
-    The asymptote adds the tail integral int_{tau_end}^inf p(s) ds, finite for
-    admissible approximants since they decay faster than 1/tau.
+    With poles z_j and residues r_j = num(z_j)/den'(z_j), a denominator degree
+    at least two above the numerator's gives sum_j r_j = 0, so the tail
+    T(tau) = int_tau^inf p = -Re sum_j r_j log(tau - z_j).  Then
+    E(tau) = <H> + T(0) - T(tau) and the asymptote is <H> + T(0).  No pole
+    lies on tau >= 0, so tau - z_j stays off the logarithm's branch cut.
+    Repeated poles, where these simple-pole residues do not apply, raise.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size == 0 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
         raise SimulationError("tau grid must be strictly increasing from 0")
-    energy = np.zeros(tau.size)
-    energy[0] = h_mean
-    for k in range(1, tau.size):
-        piece, piece_err = quad(approx, tau[k - 1], tau[k], epsabs=1e-10, epsrel=1e-10, limit=200)
-        if not np.isfinite(piece):
-            raise SimulationError(f"energy integral diverges on [{tau[k - 1]:g}, {tau[k]:g}]")
-        energy[k] = energy[k - 1] + piece
-    tail, tail_err = quad(approx, tau[-1], np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not np.isfinite(tail):
-        raise SimulationError("tail integral diverges; approximant violates decay constraint")
-    uncertainty = abs(tail) + abs(tail_err)
+    num = np.trim_zeros(approx.num, "b")
+    den = np.trim_zeros(approx.den, "b")
+    if num.size == 0:
+        tail = np.zeros(tau.size)
+    else:
+        if den.size - num.size < 2:
+            raise SimulationError(f"tail integral diverges: degrees {num.size - 1}/{den.size - 1} decay as 1/tau or slower")
+        if _has_positive_real_pole(approx):
+            raise SimulationError("tail integral crosses a real pole on tau >= 0")
+        poles = approx.poles()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
+            balance = abs(residues.sum()) / np.abs(residues).sum()
+        # the decay makes sum_j r_j = 0; roundoff breaks that only at (near-)repeated poles
+        if not balance <= 1e-8:
+            raise SimulationError(f"residues sum to {balance:.1e} of their magnitude: repeated poles")
+        tail = -(np.log(tau[:, None] - poles[None, :]) @ residues).real
+    energy = h_mean + (tail[0] - tail)
     return EnergyCurve(
         tau,
         energy,
         approx(tau),
-        asymptote=float(energy[-1] + tail),
+        asymptote=float(h_mean + tail[0]),
         asymptote_grid_end=float(energy[-1]),
-        uncertainty=float(uncertainty),
     )
 
 
@@ -323,7 +327,7 @@ def constant_energy_curve(h_mean: float, tau_grid) -> EnergyCurve:
 
 
 def extrapolate_ground_energy(
-    moments: MomentSet, order: int, tau_grid=None, tau_eval_max: float | None = None
+    moments: MomentSet, order: int, tau_eval_max: float | None = None
 ) -> tuple[EnergyCurve, PadeApproximant | None, list[CandidateReport]]:
     """Full pipeline: cumulants -> truncated series -> Pade -> integrated E(tau)."""
     cumulants = cumulants_from_moments(moments)
@@ -331,8 +335,7 @@ def extrapolate_ground_energy(
     kappa_2 = cumulants.kappa(2) if cumulants.order >= 2 else 0.0
     if tau_eval_max is None:
         tau_eval_max = default_tau_max(kappa_2) if kappa_2 > 0 else 1.0
-    if tau_grid is None:
-        tau_grid = np.linspace(0.0, tau_eval_max, 401)
+    tau_grid = np.linspace(0.0, tau_eval_max, 401)
     if kappa_2 <= 1e-14 * max(1.0, h_mean**2):
         return constant_energy_curve(h_mean, tau_grid), None, []
     coeffs = taylor_dEdtau(cumulants, order)

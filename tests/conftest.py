@@ -7,8 +7,8 @@ basis state, so the moments <H^K> are integers; cumulants, Taylor coefficients
 and Pade coefficients follow as Fractions, a Sturm sequence decides exactly
 whether a denominator has a real root on tau >= 0, and the integral of the
 approximant over [0, inf) is a 50-digit mpmath quadrature.  None of this
-shares code with ``gfsim.texpand`` or with ``scipy.integrate.quad``; the
-rational linear solve is the one the exact finite-difference stencils use.
+shares code with ``gfsim.texpand``; the rational linear solve is the one the
+exact finite-difference stencils use.
 """
 
 import math
@@ -90,14 +90,12 @@ def positive_root_count(poly: list[Fraction]) -> int:
 
 
 @pytest.fixture(scope="session")
-def texpand_exact():
-    """Exact order-10 asymptotes <H> + int_0^inf Pade[I, J] for the pairing benchmark at g/de=1.
+def exact_pades():
+    """<H> and every order-10 Pade[I, J] (J - I >= 2) of the pairing benchmark at g/de=1, exactly.
 
-    Maps every (I, J) with I + J = 10 and J - I >= 2 to the asymptote as a
-    float, or to None when the denominator has a real root on tau >= 0 (the
-    integral to infinity does not exist).
+    Returns (h_mean, {(I, J): (num, den)}) with integer <H> and Fraction
+    coefficients in ascending powers.
     """
-    mpmath = pytest.importorskip("mpmath")
     model = PairingModel.uniform(8, 4, 1.0, 1.0)
     (member,) = initial_state(model).members
     (start,) = np.flatnonzero(member.amplitudes)
@@ -105,11 +103,22 @@ def texpand_exact():
     moments = integer_moments(pairing_to_qubits(model).to_matrix(), int(start), EXACT_ORDER + 2)
     kappa = exact_cumulants(moments)
     coeffs = [-((-1) ** k) * kappa[k + 2] / math.factorial(k) for k in range(EXACT_ORDER + 1)]
+    orders = [(i_order, EXACT_ORDER - i_order) for i_order in range(EXACT_ORDER // 2)]
+    return moments[1], {(i, j): exact_pade(coeffs, i, j) for i, j in orders}
 
+
+@pytest.fixture(scope="session")
+def texpand_exact(exact_pades):
+    """Exact order-10 asymptotes <H> + int_0^inf Pade[I, J] for the pairing benchmark at g/de=1.
+
+    Maps every (I, J) with I + J = 10 and J - I >= 2 to the asymptote as a
+    float, or to None when the denominator has a real root on tau >= 0 (the
+    integral to infinity does not exist).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    h_mean, pades = exact_pades
     asymptotes = {}
-    for i_order in range(EXACT_ORDER // 2):
-        j_order = EXACT_ORDER - i_order
-        num, den = exact_pade(coeffs, i_order, j_order)
+    for (i_order, j_order), (num, den) in pades.items():
         if positive_root_count(den) > 0:
             asymptotes[(i_order, j_order)] = None
             continue
@@ -122,5 +131,5 @@ def texpand_exact():
                 error=True,
             )
             assert err < mpmath.mpf(10) ** -30, f"quadrature error {err} for Pade[{i_order},{j_order}]"
-            asymptotes[(i_order, j_order)] = float(moments[1] + integral)
+            asymptotes[(i_order, j_order)] = float(h_mean + integral)
     return asymptotes

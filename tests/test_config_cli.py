@@ -49,6 +49,14 @@ def test_moments_gap_target_rejected(tmp_path):
     assert main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_krylov_cutoff_rejected(tmp_path):
+    # the overlap cutoff is the fixed krylov.DEFAULT_CUTOFF; no config value reaches it
+    cfg = base_config(krylov={"cutoff": 1e-10})
+    with pytest.raises(ConfigError):
+        RunConfig(cfg)
+    assert main(["krylov", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -241,14 +249,14 @@ def test_cmd_texpand(tmp_path):
     report = (tmp_path / "pade_selection.txt").read_text()
     assert "chosen" in report
     lines = (tmp_path / "energy_curve.csv").read_text().splitlines()
-    assert lines[3] == "tau,E,dEdtau"
+    assert lines[2] == "tau,E,dEdtau"
 
 
 def test_cmd_texpand_records_oracle_curve_error(tmp_path):
     cfg = base_config(moments={"route": "exact", "order": 12}, texpansion={"order": 10})
     assert main(["texpand", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "texpand_manifest.json").read_text())
-    curve = np.loadtxt(tmp_path / "energy_curve.csv", delimiter=",", skiprows=4)
+    curve = np.loadtxt(tmp_path / "energy_curve.csv", delimiter=",", skiprows=3)
     run = RunConfig(cfg)
     oracle = imaginary_time_oracle(build_dense(to_qubits(run.model)), run.init, curve[:, 0])
     error = manifest["oracle_curve_max_abs_error"]

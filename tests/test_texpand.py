@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gfsim.models import InitialState, PairingModel, build_dense, initial_state, pairing_to_qubits
+from gfsim.models import HubbardModel, InitialState, PairingModel, build_dense, initial_state, pairing_to_qubits, to_qubits
 from gfsim.moments import MomentSet, moments_exact
 from gfsim.statevector import SimulationError, StateVector
 from gfsim.texpand import (
     CumulantSet,
+    PadeApproximant,
     PadeRejection,
     cumulants_from_moments,
     default_tau_max,
@@ -19,6 +20,7 @@ from gfsim.texpand import (
     selection_report,
     taylor_dEdtau,
 )
+from texpand_oracles import quad_energy_curve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,6 +157,64 @@ def test_integrate_energy_zero_derivative():
     assert curve.asymptote == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize(
+    "den, message",
+    [
+        ([1.0, 1.0], "tail integral diverges"),
+        ([1.0, 0.0, -1.0], "real pole on tau >= 0"),
+        ([1.0, 2.0, 1.0], "repeated poles"),
+        ([1.0, 3.0, 3.0, 1.0], "repeated poles"),
+    ],
+    ids=["one-over-tau-decay", "pole-at-tau-one", "double-pole", "triple-pole"],
+)
+def test_integrate_energy_rejects_an_improper_tail(den, message):
+    # -1/(1 + tau) has no finite integral to infinity; -1/(1 - tau^2) has a pole
+    # at tau = 1; at a repeated pole the simple-pole partial fractions do not apply
+    # (np.roots splits the triple pole by 1e-5, and the residues by 1e10 lose their sum)
+    with pytest.raises(SimulationError, match=message):
+        integrate_energy(PadeApproximant([-1.0], den), 0.0, np.linspace(0, 5, 11))
+
+
+def admissible_candidates(mom, order=10):
+    """Every admissible Pade approximant of the moments' dE/dtau series at this order, and the evaluation horizon."""
+    cum = cumulants_from_moments(mom)
+    coeffs = taylor_dEdtau(cum, order)
+    tau_max = default_tau_max(cum.kappa(2))
+    _, log = pade_select(coeffs, order, tau_max)
+    return [pade_fit(coeffs, r.i_order, r.j_order) for r in log if r.accepted], tau_max
+
+
+@pytest.mark.parametrize("case", ["pairing-0.5", "pairing-1", "pairing-2", "hubbard-4"])
+def test_closed_form_energy_matches_quadrature(case):
+    if case == "hubbard-4":
+        model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
+        mom = moments_exact(build_dense(to_qubits(model)), initial_state(model), 12)
+    else:
+        mom, _, _ = pairing_moments(float(case.split("-")[1]))
+    candidates, tau_max = admissible_candidates(mom)
+    assert candidates
+    tau = np.linspace(0.0, tau_max, 401)
+    h_mean = float(mom.values[1])
+    for approx in candidates:
+        curve = integrate_energy(approx, h_mean, tau)
+        energy, asymptote = quad_energy_curve(approx, h_mean, tau)
+        assert np.abs(curve.energy - energy).max() < 1e-11, approx.orders
+        assert abs(curve.asymptote - asymptote) < 1e-11, approx.orders
+
+
+def test_closed_form_asymptote_matches_exact_arithmetic(exact_pades, texpand_exact):
+    # the exact Pade coefficients rounded to float, integrated in closed form,
+    # against the 50-digit quadrature of the same rational function
+    h_mean, pades = exact_pades
+    pole_free = [orders for orders, energy in texpand_exact.items() if energy is not None]
+    assert pole_free
+    for orders in pole_free:
+        num, den = pades[orders]
+        approx = PadeApproximant([float(x) for x in num], [float(x) for x in den])
+        curve = integrate_energy(approx, float(h_mean), np.linspace(0.0, 5.0, 11))
+        assert abs(curve.asymptote - texpand_exact[orders]) <= 1e-13 * abs(texpand_exact[orders]), orders
+
+
 def test_energy_monotone_nonincreasing():
     mom, dense, init = pairing_moments(1.0)
     curve, approx, _ = extrapolate_ground_energy(mom, 10)
@@ -266,5 +326,5 @@ def test_energy_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[3] == "tau,E,dEdtau"
-    assert len(lines) == 4 + curve.tau.size
+    assert lines[2] == "tau,E,dEdtau"
+    assert len(lines) == 3 + curve.tau.size
