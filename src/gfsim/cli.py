@@ -99,7 +99,8 @@ def _moments_from_config(cfg: RunConfig, series_path: str | None) -> MomentSet:
         series = gf_exact(dense, cfg.init, cfg.t_grid, model=cfg.model.fingerprint())
     if cfg.moment_route == "fdm":
         return moments_fdm(series, cfg.moment_order, accuracy=cfg.fdm_accuracy)
-    spec = spectral_peaks(series, energy_bound=to_qubits(cfg.model).energy_bound)
+    center, radius = to_qubits(cfg.model).spectral_window
+    spec = spectral_peaks(series, energy_bound=radius, center=center)
     mom = moments_fourier(spec, cfg.moment_order)
     mom.source = series.model
     return mom

@@ -86,7 +86,8 @@ def build_time_grid(block: dict | None, model) -> np.ndarray:
     if block.get("auto"):
         _require_keys(block, {"auto", "gap_target"}, "time_grid with auto")
         gap_target = _number(block, "gap_target", "time_grid", default=0.02, minimum=1e-6)
-        return fourier_grid(to_qubits(model).energy_bound, gap_target=gap_target)
+        _, radius = to_qubits(model).spectral_window
+        return fourier_grid(radius, gap_target=gap_target)
     _require_keys(block, {"auto", "t_max", "dt"}, "time_grid without auto")
     t_max = _number(block, "t_max", "time_grid", minimum=0.0)
     dt = _number(block, "dt", "time_grid", minimum=1e-12)

@@ -80,9 +80,14 @@ class QubitHamiltonian:
         return 0.0
 
     @property
-    def energy_bound(self) -> float:
-        """sum_terms |coeff|, a rigorous bound on every |eigenvalue|."""
-        return float(sum(abs(t.coeff) for t in self.terms))
+    def spectral_window(self) -> tuple[float, float]:
+        """(c_I, B'): every eigenvalue lies within B' of the identity coefficient c_I.
+
+        B' = sum of the non-identity |coeff|, a rigorous bound on |E - c_I|.
+        """
+        identity = "I" * self.n_qubits
+        radius = sum(abs(t.coeff) for t in self.terms if t.ops != identity)
+        return self.coefficient(identity), float(radius)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, each term entered by its action on basis states (qubit 0 = LSB).

@@ -14,8 +14,10 @@ matrix are shift-invariant: one small eigenproblem gives the energies, and one
 linear least-squares solve gives the weights.  Shot noise sets the rank
 through the singular values it can reach.  The singular vectors come from
 the Hankel matrix's triangular factor R, built one block of rows at a time by
-a triangular-pentagonal QR update.  Moments to any order then follow from
-<H^K> = sum_a p_a E_a^K.
+a triangular-pentagonal QR update.  The trace is demodulated by the
+Hamiltonian's identity coefficient first, so its tones lie in a band of
+half-width B' about zero and the grid need only sample that band.  Moments to
+any order then follow from <H^K> = sum_a p_a E_a^K.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ from .statevector import SimulationError
 
 ROUTES = ("exact", "fdm", "fourier")
 
-HANKEL_COLS = 600  # Hankel columns in spectral_peaks: the most tones one solve can hold
+# Hankel columns in spectral_peaks: the most tones one solve can hold, and the
+# time span cols * dt over which close tones must separate (the pencil size of
+# Hua & Sarkar 1990).  On pairing-8's baseband grid (dt = pi / 80) 300 columns
+# span t = 3.75 pi; 240 (3.0 pi) sit at the edge of a cliff, and at 2.34 pi the
+# rank falls to 41 of 43 tones
+HANKEL_COLS = 300
 RANK_TOL = 1e-13  # singular values below RANK_TOL * s_0 are roundoff on a noiseless trace
 RENORMALIZE_WINDOW = (0.98, 1.02)  # weight sums rescaled to 1 by spectral_peaks
 
@@ -240,15 +247,18 @@ class SpectralDecomposition:
 
 
 def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
-    """Uniform grid satisfying the sampling rule for spectral extraction.
+    """Uniform grid satisfying the sampling rule for baseband spectral extraction.
 
-    dt = pi / (2 energy_bound) samples energies up to twice the bound without
-    aliasing; t_max = pi / gap_target sets the trace length, and with it the
-    energy separation below which two tones stop being distinguishable.
+    energy_bound is B' of QubitHamiltonian.spectral_window: once the trace is
+    demodulated by the identity coefficient (spectral_peaks' center), every
+    tone lies within +-B' of zero.  dt = pi / (1.25 B') samples that band
+    without aliasing, with a 25% margin; t_max = pi / gap_target sets the
+    trace length, and with it the energy separation below which two tones stop
+    being distinguishable.
     """
     if energy_bound <= 0:
         raise SimulationError("energy bound must be positive")
-    dt = np.pi / (2.0 * energy_bound)
+    dt = np.pi / (1.25 * energy_bound)
     t_max = np.pi / gap_target
     n = int(np.ceil(t_max / dt)) + 1
     return dt * np.arange(n)
@@ -272,21 +282,24 @@ def _hankel_r(data: np.ndarray, cols: int) -> np.ndarray:
     return r
 
 
-def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> SpectralDecomposition:
+def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: float = 0.0) -> SpectralDecomposition:
     """Tone energies and weights of F(t) by ESPRIT on a Hankel matrix of the trace.
 
-    The rank is the number of singular values above the larger of
-    RANK_TOL * s_0 and the spectral norm 2 sigma (sqrt(rows) + sqrt(cols))
-    that the trace's own shot noise would reach; a rank at the column
-    ceiling raises.  Passing the Hamiltonian's energy bound enables the
-    anti-aliasing check dt < pi / bound.
+    The trace is first demodulated, F(t) e^{i center t}, so that its tones sit
+    at E - center; the energies returned have center added back.  The rank is
+    the number of singular values above the larger of RANK_TOL * s_0 and the
+    spectral norm 2 sigma (sqrt(rows) + sqrt(cols)) that the trace's own shot
+    noise would reach; a rank at the column ceiling raises.  Passing a bound
+    on |E - center| (B' of QubitHamiltonian.spectral_window, with c_I as the
+    center) enables the anti-aliasing check dt < pi / bound.
     """
     dt = series.dt()
     if energy_bound is not None and dt >= np.pi / energy_bound:
         raise SimulationError(
-            f"grid step {dt:g} aliases energies up to {energy_bound:g} (need dt < {np.pi / energy_bound:g})"
+            f"grid step {dt:g} aliases energies {energy_bound:g} from the center {center:g}"
+            f" (need dt < {np.pi / energy_bound:g})"
         )
-    data = series.values
+    data = series.values * np.exp(1j * center * series.t)
     cols = min(HANKEL_COLS, (data.size + 1) // 2)
     rows = data.size - cols + 1
     _, sing, vh = np.linalg.svd(_hankel_r(data, cols))
@@ -298,11 +311,11 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> Spect
     if rank >= cols - 1:
         raise SimulationError(f"Hankel rank {rank} reaches the ceiling of {cols} columns")
 
-    # rows of vh span the tone vectors z_a^j, z_a = exp(-i E_a dt)
+    # rows of vh span the tone vectors z_a^j, z_a = exp(-i (E_a - center) dt)
     basis = vh[:rank].T
     phi = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
-    energies = np.sort(-np.angle(np.linalg.eigvals(phi)) / dt)
-    tones = np.exp(-1j * np.outer(series.t, energies))
+    offsets = np.sort(-np.angle(np.linalg.eigvals(phi)) / dt)
+    tones = np.exp(-1j * np.outer(series.t, offsets))
     weights = np.linalg.lstsq(
         np.vstack([tones.real, tones.imag]), np.concatenate([data.real, data.imag]), rcond=None
     )[0]
@@ -315,10 +328,17 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None) -> Spect
     if renormalized:
         weights = weights / total
     return SpectralDecomposition(
-        energies,
+        offsets + center,
         weights,
         residual_power,
-        diagnostics={"rank": rank, "n_peaks": rank, "weight_sum": total, "renormalized": renormalized},
+        diagnostics={
+            "rank": rank,
+            "n_peaks": rank,
+            "weight_sum": total,
+            "renormalized": renormalized,
+            "center": float(center),
+            "cols": cols,
+        },
     )
 
 

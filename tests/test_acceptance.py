@@ -95,9 +95,10 @@ def test_criterion_02_trotter_order():
 
 def test_criterion_03_fourier_moments():
     model, dense, init = _pairing_benchmark()
-    grid = fourier_grid(pairing_to_qubits(model).energy_bound)
-    series = gf_exact(dense, init, grid)
-    mom = moments_fourier(spectral_peaks(series), 21)
+    # the CLI's baseband path: the grid from B', the trace demodulated by c_I
+    center, radius = pairing_to_qubits(model).spectral_window
+    series = gf_exact(dense, init, fourier_grid(radius))
+    mom = moments_fourier(spectral_peaks(series, energy_bound=radius, center=center), 21)
     oracle = moments_exact(dense, init, 21)
     rel = np.abs(mom.values - oracle.values) / np.abs(oracle.values)
     report(3, "spectral moments to K=21", [(rel.max() < 1e-5, f"max relative error {rel.max():.2e}")])

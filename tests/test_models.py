@@ -144,7 +144,27 @@ def test_pairing_weak_coupling_spectrum_is_occupation_sums():
 def test_energy_bound_dominates_spectrum():
     h = pairing_to_qubits(PairingModel.uniform(4, 2, 1.0, 1.0))
     dense = build_dense(h)
-    assert np.abs(dense.eigenvalues).max() <= h.energy_bound + 1e-12
+    center, radius = h.spectral_window
+    assert np.abs(dense.eigenvalues - center).max() <= radius + 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, window",
+    [
+        (PairingModel.uniform(8, 4, 1.0, 1.0), (36.0, 64.0)),
+        (HubbardModel(sites=4, hopping=1.0, onsite=1.0), (1.0, 9.0)),
+    ],
+    ids=["pairing-8", "hubbard-4"],
+)
+def test_weighted_spectrum_lies_in_the_spectral_window(model, window):
+    h = to_qubits(model)
+    assert h.spectral_window == pytest.approx(window, rel=1e-15)
+    dense = build_dense(h)
+    weights = dense.spectral_weights(initial_state(model))
+    energies = dense.eigenvalues[weights > 1e-12]
+    center, radius = window
+    assert energies.size > 0
+    assert np.all(np.abs(energies - center) <= radius)
 
 
 def test_initial_state_pairing_lowest_filled():

@@ -133,11 +133,13 @@ def test_fdm_degrades_at_high_order():
 
 
 def test_fourier_grid_rule():
-    grid = fourier_grid(100.0, gap_target=0.02)
+    # pairing-8's B' = 64: dt = pi / (1.25 * 64) = pi / 80 and t_max = pi / 0.02, 4,001 points
+    grid = fourier_grid(64.0, gap_target=0.02)
     dt = grid[1] - grid[0]
-    assert dt <= np.pi / 200.0 + 1e-15
+    assert dt == pytest.approx(np.pi / 80.0, rel=1e-15)
     assert grid[-1] >= np.pi / 0.02 - dt
     assert grid[0] == 0.0
+    assert grid.size == 4001
 
 
 def test_spectral_peaks_single_tone():
@@ -162,11 +164,18 @@ def test_spectral_peaks_two_level():
     assert np.allclose(spec.weights, weights, atol=1e-8)
 
 
+def baseband_peaks(model, series):
+    """spectral_peaks as the CLI runs it: demodulated by c_I, aliasing checked against B'."""
+    center, radius = pairing_to_qubits(model).spectral_window
+    return spectral_peaks(series, energy_bound=radius, center=center)
+
+
 def test_spectral_peaks_benchmark_weight_capture():
     model, dense, init = benchmark()
-    h = pairing_to_qubits(model)
-    series = gf_exact(dense, init, fourier_grid(h.energy_bound))
-    spec = spectral_peaks(series)
+    _, radius = pairing_to_qubits(model).spectral_window
+    series = gf_exact(dense, init, fourier_grid(radius))
+    spec = baseband_peaks(model, series)
+    assert spec.diagnostics["center"] == 36.0 and spec.diagnostics["cols"] == 300
     assert spec.weights.sum() >= 0.999
     assert spec.residual_power < 1e-10
 
@@ -178,23 +187,31 @@ def tone_series(t, energies, weights):
 
 @st.composite
 def tone_sets(draw):
-    """1-8 tones, adjacent energies >= 0.2 apart, weights >= 1e-3 summing to 1."""
+    """1-8 tones, adjacent energies >= 0.2 apart, weights >= 1e-3 summing to 1.
+
+    The energies are drawn about 0 and then shifted by a center, zero or not;
+    bound is a bound on their distance from that center.
+    """
     n = draw(st.integers(1, 8))
     gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
-    energies = draw(st.floats(-10.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    offsets = draw(st.floats(-10.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) + 1e-9
     weights = 1e-3 + (1.0 - n * 1e-3) * raw / raw.sum()
-    bound = max(np.abs(energies).max(), 1.0) * draw(st.floats(1.0, 3.0))
-    return energies, weights, bound
+    bound = max(np.abs(offsets).max(), 1.0) * draw(st.floats(1.0, 3.0))
+    center = draw(st.one_of(st.just(0.0), st.floats(-40.0, 40.0)))
+    return offsets + center, weights, bound, center
 
 
 @settings(max_examples=60, deadline=None)
 @given(tone_sets())
 def test_spectral_peaks_recovers_drawn_tones(tones):
-    # the drawn tones are the oracle: no Hamiltonian or moments_exact involved
-    energies, weights, bound = tones
-    spec = spectral_peaks(tone_series(fourier_grid(bound, gap_target=0.1), energies, weights), energy_bound=bound)
+    # the drawn tones are the oracle: no Hamiltonian or moments_exact involved.  The
+    # grid has 2n + 5 points or more, so an (n + 3)-column Hankel holds the n tones
+    energies, weights, bound, center = tones
+    grid = fourier_grid(bound, gap_target=min(0.1, 1.25 * bound / (2 * energies.size + 4)))
+    spec = spectral_peaks(tone_series(grid, energies, weights), energy_bound=bound, center=center)
     assert spec.diagnostics["rank"] == energies.size
+    assert spec.diagnostics["center"] == center
     assert np.allclose(spec.energies, energies, rtol=0, atol=1e-8)
     assert np.allclose(spec.weights, weights, rtol=0, atol=1e-8)
 
@@ -235,11 +252,12 @@ def test_spectral_peaks_rank_ceiling_raises():
 
 
 def test_spectral_peaks_shot_noise_sets_rank():
-    # criterion-3 trace with Gaussian noise of the binomial sigma at 10^4 shots: measured
-    # rank 9-10 and K<=4 error 3.0e-2 to 3.7e-2 over noise seeds 0-7; gates rank <= 15
-    # (a fit of the noise takes dozens of tones) and error < 0.1
+    # criterion-3 trace (baseband grid, 4,001 points) with Gaussian noise of the binomial
+    # sigma at 10^4 shots: measured rank 9 and K<=4 error 3.4e-2 to 3.8e-2 over noise
+    # seeds 0-7; gates rank <= 15 (a fit of the noise takes dozens of tones) and error < 0.1
     model, dense, init = benchmark()
-    exact = gf_exact(dense, init, fourier_grid(pairing_to_qubits(model).energy_bound))
+    _, radius = pairing_to_qubits(model).spectral_window
+    exact = gf_exact(dense, init, fourier_grid(radius))
     shots = 10**4
     re_err = np.sqrt((1.0 - exact.re**2) / shots)
     im_err = np.sqrt((1.0 - exact.im**2) / shots)
@@ -248,7 +266,7 @@ def test_spectral_peaks_shot_noise_sets_rank():
     series = GfSeries(
         exact.t, exact.re + re_err * noise[0], exact.im + im_err * noise[1], re_err, im_err, shots=shots, route="sampled"
     )
-    spec = spectral_peaks(series)
+    spec = baseband_peaks(model, series)
     oracle = moments_exact(dense, init, 4)
     rel = np.abs(moments_fourier(spec, 4).values - oracle.values) / np.abs(oracle.values)
     assert spec.diagnostics["rank"] <= 15
@@ -263,10 +281,20 @@ def test_spectral_peaks_rejects_nonuniform_grid():
 
 
 def test_spectral_peaks_rejects_aliasing_grid():
-    _, dense, init = two_level()
+    model, dense, init = two_level()
     series = gf_exact(dense, init, np.arange(0, 40, 0.8))  # dt too coarse for E ~ 7
     with pytest.raises(SimulationError):
         spectral_peaks(series, energy_bound=7.0)
+    # in baseband the check runs against B': c_I = 3 and B' = 4 here, eigenvalues 3 -+ sqrt(2)
+    assert pairing_to_qubits(model).spectral_window == (3.0, 4.0)
+    with pytest.raises(SimulationError, match="aliases"):
+        baseband_peaks(model, gf_exact(dense, init, (np.pi / 4.0) * np.arange(200)))
+    # dt = pi / 5 is too coarse for the full bound 7 but samples the band 3 -+ 4
+    coarse = gf_exact(dense, init, (np.pi / 5.0) * np.arange(200))
+    with pytest.raises(SimulationError, match="aliases"):
+        spectral_peaks(coarse, energy_bound=7.0)
+    spec = baseband_peaks(model, coarse)
+    assert np.allclose(spec.energies, 3.0 + np.array([-1.0, 1.0]) * np.sqrt(2.0), rtol=0, atol=1e-8)
 
 
 def test_moments_fourier_single_peak():
