@@ -41,7 +41,7 @@ spec = spectral_peaks(gf_exact(dense, init, grid), energy_bound=radius, center=c
 fourier = moments_fourier(spec, 21)
 
 print(f"spectral decomposition: Hankel rank {spec.diagnostics['rank']}, "
-      f"weight sum {spec.weights.sum():.10f}, residual power {spec.residual_power:.2e}")
+      f"weight sum {spec.weights.sum():.10f}, residual power {spec.diagnostics['residual_power']:.2e}")
 print(f"grid rule: dt = pi / (1.25 B') = {grid[1]:.4f} (c_I = {center:g}, B' = {radius:g}), "
       f"t_max = {grid[-1]:.1f}, {grid.size} points, {spec.diagnostics['cols']} Hankel columns")
 print()

@@ -30,6 +30,7 @@ from .models import (  # noqa: F401
     PairingModel,
     PauliTerm,
     QubitHamiltonian,
+    Spectrum,
     build_dense,
     hubbard_to_qubits,
     initial_state,
@@ -49,7 +50,6 @@ from .trotter import (  # noqa: F401
 from .genfunc import GfSeries, gf_exact, gf_hadamard, gf_series  # noqa: F401
 from .moments import (  # noqa: F401
     MomentSet,
-    SpectralDecomposition,
     fourier_grid,
     moments_exact,
     moments_fdm,

@@ -172,7 +172,7 @@ def cmd_krylov(args) -> int:
 
     t_grid = cfg.krylov_dt * np.arange(int(round(cfg.krylov_t_max / cfg.krylov_dt)) + 1)
     dense = build_dense(to_qubits(cfg.model))
-    p_exact = np.abs(gf_exact(dense, cfg.init, t_grid).values) ** 2
+    p_exact = survival_probability(dense.spectrum(cfg.init), t_grid)
     best = max(cfg.krylov_orders)
     p_approx = survival_probability(solutions[best], t_grid)
     survival_out = out_dir / "survival.csv"

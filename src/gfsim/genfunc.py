@@ -142,11 +142,9 @@ class GfSeries:
 
 
 def gf_exact(dense: DenseHamiltonian, init: InitialState, t_grid, model: str = "") -> GfSeries:
-    """F(t) = sum_a w_a e^{-i t E_a} over the eigenstates with nonzero weight."""
+    """F(t) = sum_a w_a e^{-i t E_a} over the initial state's spectrum."""
     t = np.asarray(t_grid, dtype=float)
-    w = dense.spectral_weights(init)
-    keep = w > 0.0
-    values = np.exp(-1j * np.outer(t, dense.eigenvalues[keep])) @ w[keep]
+    values = dense.spectrum(init).trace(t)
     zeros = np.zeros_like(t)
     return GfSeries(t, values.real, values.imag, zeros, zeros, shots=0, route="exact", model=model)
 

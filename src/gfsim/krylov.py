@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .genfunc import _fmt
+from .models import Spectrum
 from .moments import MomentSet
 from .statevector import SimulationError
 
@@ -56,21 +57,11 @@ def build_krylov_matrices(moments: MomentSet, order: int) -> KrylovMatrices:
     return KrylovMatrices(order, overlap, hamiltonian)
 
 
-@dataclass
-class KrylovSolution:
+@dataclass(frozen=True)
+class KrylovSolution(Spectrum):
     """Subspace eigenvalues (ascending) with initial-state overlap weights."""
 
-    energies: np.ndarray
-    weights: np.ndarray
-    retained_dim: int
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        total = self.weights.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise SimulationError(f"overlap weights sum to {total:.8f}, expected 1")
+    retained_dim: int = field(kw_only=True)
 
 
 def _moment_scale(k: KrylovMatrices) -> float:
@@ -90,15 +81,20 @@ def _moment_scale(k: KrylovMatrices) -> float:
     return top ** (1.0 / (2.0 * k.order))
 
 
-def _scaled_matrices(k: KrylovMatrices) -> tuple[np.ndarray, np.ndarray, float]:
-    s = _moment_scale(k)
-    d = s ** (-np.arange(k.order + 1, dtype=float))
+def _scaled_matrices(k: KrylovMatrices) -> tuple[np.ndarray, np.ndarray]:
+    d = _moment_scale(k) ** (-np.arange(k.order + 1, dtype=float))
     overlap = d[:, None] * k.overlap * d[None, :]
     hamiltonian = d[:, None] * k.hamiltonian * d[None, :]
-    return overlap, hamiltonian, s
+    return overlap, hamiltonian
 
 
-def _canonical_basis(overlap: np.ndarray) -> tuple[np.ndarray, dict]:
+def _ritz_pairs(k: KrylovMatrices):
+    """Scaled (O, Hm), the canonical basis X, and the eigenpairs (E, V) of X^T Hm X.
+
+    X keeps the overlap eigendirections above DEFAULT_CUTOFF relative to the
+    largest, scaled so that X^T O X = 1.
+    """
+    overlap, hamiltonian = _scaled_matrices(k)
     evals, evecs = np.linalg.eigh(overlap)
     s_max = float(evals.max())
     if s_max <= 0:
@@ -107,9 +103,10 @@ def _canonical_basis(overlap: np.ndarray) -> tuple[np.ndarray, dict]:
     if not keep.any():
         raise SimulationError("all overlap eigenvalues below cutoff")
     x = evecs[:, keep] / np.sqrt(evals[keep])
-    s_min = float(evals[keep].min())
-    diag = {"overlap_condition": s_max / s_min, "dropped": int((~keep).sum())}
-    return x, diag
+    diag = {"overlap_condition": s_max / float(evals[keep].min()), "dropped": int((~keep).sum())}
+    reduced = x.T @ hamiltonian @ x
+    energies, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return overlap, hamiltonian, x, energies, vectors, diag
 
 
 def solve_generalized(k: KrylovMatrices) -> KrylovSolution:
@@ -119,11 +116,7 @@ def solve_generalized(k: KrylovMatrices) -> KrylovSolution:
     well-scaled overlap); weights q_a = |<a|phi_0>|^2 are obtained by mapping
     the first basis vector through the same transformation.
     """
-    overlap, hamiltonian, _ = _scaled_matrices(k)
-    x, diag = _canonical_basis(overlap)
-    reduced = x.T @ hamiltonian @ x
-    reduced = 0.5 * (reduced + reduced.T)
-    energies, vectors = np.linalg.eigh(reduced)
+    overlap, _, x, energies, vectors, diag = _ritz_pairs(k)
     # initial state in the orthonormal basis: v = X^T O e_0
     v = x.T @ overlap[:, 0]
     weights = np.abs(vectors.T @ v) ** 2
@@ -131,19 +124,12 @@ def solve_generalized(k: KrylovMatrices) -> KrylovSolution:
     if abs(raw_sum - 1.0) > 1e-6:
         raise SimulationError(f"initial state lost weight under the cutoff: sum q = {raw_sum:.8f}")
     weights = weights / raw_sum  # absorb 1e-10-level cutoff leakage
-    return KrylovSolution(
-        energies=energies,
-        weights=weights,
-        retained_dim=int(x.shape[1]),
-        diagnostics={**diag, "raw_weight_sum": raw_sum},
-    )
+    return KrylovSolution(energies, weights, {**diag, "raw_weight_sum": raw_sum}, retained_dim=int(x.shape[1]))
 
 
-def survival_probability(sol: KrylovSolution, t_grid) -> np.ndarray:
+def survival_probability(spectrum: Spectrum, t_grid) -> np.ndarray:
     """P_0(t) = |sum_a q_a e^{-i E_a t}|^2."""
-    t = np.asarray(t_grid, dtype=float)
-    amp = np.exp(-1j * np.outer(t, sol.energies)) @ sol.weights
-    return np.abs(amp) ** 2
+    return np.abs(spectrum.trace(t_grid)) ** 2
 
 
 @dataclass
@@ -160,7 +146,7 @@ class TdceCoefficients:
 
     def survival(self, k: KrylovMatrices) -> np.ndarray:
         """P_0(t) = |<phi_0 | phi(t)>|^2 = |(O c(t))_0|^2."""
-        overlap, _, _ = _scaled_matrices(k)
+        overlap, _ = _scaled_matrices(k)
         amp = self.c @ overlap[0]
         return np.abs(amp) ** 2
 
@@ -175,10 +161,7 @@ def tdce_integrate(k: KrylovMatrices, t_grid) -> TdceCoefficients:
     (-i t at E = 0).  norm_drift is max_t |c^H O c - <phi_0|phi_0>|.
     """
     t = np.asarray(t_grid, dtype=float)
-    overlap, hamiltonian, _ = _scaled_matrices(k)
-    x, _ = _canonical_basis(overlap)
-    reduced = x.T @ hamiltonian @ x
-    energies, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    overlap, hamiltonian, x, energies, vectors, _ = _ritz_pairs(k)
     phase = -1j * np.outer(t, energies)
     nonzero = energies != 0.0
     growth = np.where(nonzero, np.expm1(phase) / np.where(nonzero, energies, 1.0), -1j * t[:, None])

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import ztpqrt
 
 from .genfunc import GfSeries, _fmt
-from .models import DenseHamiltonian, InitialState
+from .models import DenseHamiltonian, InitialState, Spectrum
 from .statevector import SimulationError
 
 ROUTES = ("exact", "fdm", "fourier")
@@ -44,7 +44,7 @@ ROUTES = ("exact", "fdm", "fourier")
 # rank falls to 41 of 43 tones
 HANKEL_COLS = 300
 RANK_TOL = 1e-13  # singular values below RANK_TOL * s_0 are roundoff on a noiseless trace
-RENORMALIZE_WINDOW = (0.98, 1.02)  # weight sums rescaled to 1 by spectral_peaks
+RENORMALIZE_WINDOW = (0.98, 1.02)  # spectral_peaks rescales weight sums inside to 1 and raises above
 
 
 @dataclass
@@ -104,14 +104,8 @@ class MomentSet:
 
 
 def moments_exact(dense: DenseHamiltonian, init: InitialState, order: int) -> MomentSet:
-    """Oracle moments sum_a w_a E_a^K over the eigenstates with nonzero weight."""
-    if order < 0:
-        raise SimulationError(f"order must be >= 0, got {order}")
-    w = dense.spectral_weights(init)
-    keep = w > 0.0
-    powers = np.vander(dense.eigenvalues[keep], order + 1, increasing=True).T  # (K, alpha)
-    values = powers @ w[keep]
-    return MomentSet(values, np.zeros(order + 1), route="exact")
+    """Oracle moments sum_a w_a E_a^K over the initial state's spectrum."""
+    return MomentSet(dense.spectrum(init).moments(order), np.zeros(order + 1), route="exact")
 
 
 # Finite differences ----------------------------------------------------------
@@ -228,24 +222,6 @@ def moments_fdm(series: GfSeries, order: int, accuracy: int = 8) -> MomentSet:
 # Fourier route ----------------------------------------------------------------
 
 
-@dataclass
-class SpectralDecomposition:
-    """Peak energies and weights extracted from an F(t) trace."""
-
-    energies: np.ndarray
-    weights: np.ndarray
-    residual_power: float
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < -1e-9):
-            raise SimulationError("negative spectral weight")
-        if self.weights.sum() > 1.0 + 1e-6:
-            raise SimulationError(f"weights sum to {self.weights.sum():.8f} > 1")
-
-
 def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
     """Uniform grid satisfying the sampling rule for baseband spectral extraction.
 
@@ -282,7 +258,7 @@ def _hankel_r(data: np.ndarray, cols: int) -> np.ndarray:
     return r
 
 
-def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: float = 0.0) -> SpectralDecomposition:
+def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: float = 0.0) -> Spectrum:
     """Tone energies and weights of F(t) by ESPRIT on a Hankel matrix of the trace.
 
     The trace is first demodulated, F(t) e^{i center t}, so that its tones sit
@@ -291,7 +267,9 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
     spectral norm 2 sigma (sqrt(rows) + sqrt(cols)) that the trace's own shot
     noise would reach; a rank at the column ceiling raises.  Passing a bound
     on |E - center| (B' of QubitHamiltonian.spectral_window, with c_I as the
-    center) enables the anti-aliasing check dt < pi / bound.
+    center) enables the anti-aliasing check dt < pi / bound.  Negative fitted
+    weights are clipped to 0; a weight sum inside RENORMALIZE_WINDOW is
+    rescaled to 1, and one above it raises.
     """
     dt = series.dt()
     if energy_bound is not None and dt >= np.pi / energy_bound:
@@ -322,16 +300,17 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
     resid = data - tones @ weights
     weights = np.maximum(weights, 0.0)
 
-    residual_power = float(np.vdot(resid, resid).real / np.vdot(data, data).real)
     total = float(weights.sum())
-    renormalized = RENORMALIZE_WINDOW[0] <= total <= RENORMALIZE_WINDOW[1]
+    if total > RENORMALIZE_WINDOW[1]:
+        raise SimulationError(f"weights sum to {total:.8f}, above {RENORMALIZE_WINDOW[1]}")
+    renormalized = RENORMALIZE_WINDOW[0] <= total
     if renormalized:
         weights = weights / total
-    return SpectralDecomposition(
+    return Spectrum(
         offsets + center,
         weights,
-        residual_power,
         diagnostics={
+            "residual_power": float(np.vdot(resid, resid).real / np.vdot(data, data).real),
             "rank": rank,
             "n_peaks": rank,
             "weight_sum": total,
@@ -342,17 +321,9 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
     )
 
 
-def moments_fourier(spec: SpectralDecomposition, order: int) -> MomentSet:
-    """<H^K> = sum_a p_a E_a^K for K = 0..order."""
-    if order < 0:
-        raise SimulationError(f"order must be >= 0, got {order}")
-    powers = np.vander(spec.energies, order + 1, increasing=True).T
-    values = powers @ spec.weights
+def moments_fourier(spec: Spectrum, order: int) -> MomentSet:
+    """<H^K> = sum_a p_a E_a^K for K = 0..order, from spectral_peaks' Spectrum."""
+    values = spec.moments(order)
     e_top = float(np.abs(spec.energies).max()) if spec.energies.size else 0.0
-    errors = spec.residual_power * e_top ** np.arange(order + 1)
-    return MomentSet(
-        values,
-        errors,
-        route="fourier",
-        diagnostics={"residual_power": spec.residual_power, **spec.diagnostics},
-    )
+    errors = spec.diagnostics["residual_power"] * e_top ** np.arange(order + 1)
+    return MomentSet(values, errors, route="fourier", diagnostics=dict(spec.diagnostics))

@@ -346,15 +346,13 @@ def extrapolate_ground_energy(
 def imaginary_time_oracle(dense: DenseHamiltonian, init: InitialState, tau_grid) -> EnergyCurve:
     """Exact E(tau) and dE/dtau from the eigendecomposition (reference curves).
 
-    Exponentials are stabilized by subtracting the lowest weight-carrying
-    eigenvalue before exponentiation.
+    Runs over the reachable levels; exponentials are stabilized by subtracting
+    the lowest of them before exponentiation.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    w = dense.spectral_weights(init)
-    keep = w > 1e-15
-    energies = dense.eigenvalues[keep]
-    weights = w[keep]
-    e_min = energies.min()
+    spec = dense.spectrum(init).reachable()
+    energies, weights = spec.energies, spec.weights
+    e_min = energies[0]
     boltz = weights[None, :] * np.exp(-np.outer(tau, energies - e_min))
     norm = boltz.sum(axis=1)
     e_tau = (boltz @ energies) / norm

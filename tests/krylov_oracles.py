@@ -12,6 +12,7 @@ import numpy as np
 
 from gfsim.krylov import DEFAULT_CUTOFF
 from gfsim.statevector import SimulationError
+from model_oracles import propagator
 
 
 def tdce_rk4(k, t_grid, step_scale: float = 0.02) -> tuple[np.ndarray, float]:
@@ -77,7 +78,7 @@ def error_order_check(dense, init, order: int, t_set, fit_window=(1e-10, 1e-3)) 
 
     deltas = np.empty(t.size)
     for idx, tk in enumerate(t):
-        exact = dense.propagator(tk) @ phi
+        exact = propagator(dense, tk) @ phi
         approx = (evecs * np.exp(-1j * tk * evals)) @ (evecs.conj().T @ phi)
         deltas[idx] = np.linalg.norm(exact - approx)
 

@@ -1,8 +1,9 @@
-"""Independent oracle for the dense Hamiltonian builder.
+"""Independent oracles for the dense Hamiltonian builder and for time evolution.
 
 ``pauli_terms_matrix`` builds a Pauli sum from Kronecker products of the
 2x2 Pauli matrices; ``QubitHamiltonian.to_matrix`` builds the same matrix from
 each term's action on basis states, with no Kronecker products.
+``propagator`` is the exact exp(-i t H) that Trotter and Krylov evolution are checked against.
 """
 
 import numpy as np
@@ -34,3 +35,9 @@ def pauli_terms_matrix(terms, n_qubits: int) -> np.ndarray:
             raise SimulationError(f"Pauli string {ops!r} does not match {n_qubits} qubits")
         out += coeff * pauli_string_matrix(ops)
     return out
+
+
+def propagator(dense, t: float) -> np.ndarray:
+    """exp(-i t H) from the dense oracle's cached eigendecomposition."""
+    phases = np.exp(-1j * t * dense.eigenvalues)
+    return (dense.eigenvectors * phases) @ dense.eigenvectors.conj().T

@@ -20,6 +20,7 @@ from gfsim.moments import fourier_grid, moments_exact, moments_fdm, moments_four
 from gfsim.texpand import extrapolate_ground_energy
 from gfsim.trotter import evolve
 from krylov_oracles import error_order_check
+from model_oracles import propagator
 
 
 def report(number, name, checks):
@@ -70,7 +71,7 @@ def test_criterion_01_gf_fidelity():
 def test_criterion_02_trotter_order():
     def slope(model, state, t):
         dense = build_dense(to_qubits(model))
-        oracle = dense.propagator(t) @ state.amplitudes
+        oracle = propagator(dense, t) @ state.amplitudes
         errs = []
         steps = [8, 16, 32, 64]
         for n in steps:

@@ -62,7 +62,7 @@ def test_gf_exact_hermitian_symmetry():
     model, dense, init = two_level()
     t = np.linspace(0, 2, 9)
     plus = gf_exact(dense, init, t)
-    minus_values = (np.exp(-1j * np.outer(-t, dense.eigenvalues)) @ dense.spectral_weights(init))
+    minus_values = dense.spectrum(init).trace(-t)
     assert np.abs(plus.values - np.conj(minus_values)).max() < 1e-12
 
 

@@ -132,6 +132,13 @@ def test_survival_two_level_rabi_formula():
     assert np.abs(survival_probability(sol, t) - rabi).max() < 1e-9
 
 
+def test_exact_survival_is_the_squared_exact_trace():
+    _, dense, init = benchmark()
+    t = np.arange(0.0, 8.0001, 0.01)
+    exact = np.abs(gf_exact(dense, init, t).values) ** 2
+    assert np.abs(survival_probability(dense.spectrum(init), t) - exact).max() <= 1e-15
+
+
 def test_survival_window_grows_with_order():
     mom, dense, init = benchmark()
     t = np.arange(0.0, 8.0001, 0.01)
@@ -192,7 +199,7 @@ def test_tdce_matches_rk4_oracle(g, order):
     amp, _ = tdce_rk4(k, t)
     assert np.abs(td.survival(k) - np.abs(amp) ** 2).max() < 1e-6
     # the survival probability is even in t for a real H; the amplitude fixes the sign
-    overlap, _, _ = _scaled_matrices(k)
+    overlap, _ = _scaled_matrices(k)
     assert np.abs(td.c @ overlap[0] - amp).max() < 1e-6
 
 
@@ -203,7 +210,7 @@ def test_tdce_full_sector_matches_dense_oracle(g):
     model = PairingModel.uniform(4, 2, 1.0, g)
     dense = build_dense(pairing_to_qubits(model))
     init = initial_state(model)
-    assert np.count_nonzero(dense.spectral_weights(init) > 1e-12) == 6
+    assert dense.spectrum(init).reachable().energies.size == 6
     k = build_krylov_matrices(moments_exact(dense, init, 11), 5)
     t = np.linspace(0, 20, 401)
     td = tdce_integrate(k, t)

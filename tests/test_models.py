@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsim.models import (
+    WEIGHT_TOL,
     HubbardModel,
     InitialState,
     PairingModel,
@@ -160,8 +161,7 @@ def test_weighted_spectrum_lies_in_the_spectral_window(model, window):
     h = to_qubits(model)
     assert h.spectral_window == pytest.approx(window, rel=1e-15)
     dense = build_dense(h)
-    weights = dense.spectral_weights(initial_state(model))
-    energies = dense.eigenvalues[weights > 1e-12]
+    energies = dense.spectrum(initial_state(model)).reachable().energies
     center, radius = window
     assert energies.size > 0
     assert np.all(np.abs(energies - center) <= radius)
@@ -205,6 +205,20 @@ def test_ground_energy_uses_reachable_sector():
     # global minimum is the empty sector at 0; the reachable one is positive
     assert dense.eigenvalues.min() == pytest.approx(0.0, abs=1e-12)
     assert dense.ground_energy(init) > 1.0
+
+
+def test_unreachable_weight_on_pairing_8_is_degenerate_mixing():
+    # the weights in (0, WEIGHT_TOL] are not lone roundoff levels: each sits on a
+    # level exactly degenerate with a reachable one, and together they stay
+    # far below one part in 10^14
+    model = PairingModel.uniform(8, 4, 1.0, 1.0)
+    spec = build_dense(to_qubits(model)).spectrum(initial_state(model))
+    reachable = spec.reachable()
+    assert spec.energies.size == 60 and reachable.energies.size == 46
+    dropped = spec.weights <= WEIGHT_TOL
+    assert all(np.abs(reachable.energies - e).min() < 1e-9 for e in spec.energies[dropped])
+    assert 0.0 < spec.weights[dropped].sum() < 1e-14
+    assert spec.trace([0.0])[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pauli_string_matrix_ordering():
@@ -279,7 +293,9 @@ def test_block_diagonalization_matches_full_eigh(h, init):
     # 0.027 vector by vector); the weights are compared per distinct eigenvalue
     full = sum(w * np.abs(evecs.conj().T @ m.amplitudes) ** 2 for w, m in zip(init.weights, init.members))
     starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > 1e-9 * scale)
-    blocked = np.add.reduceat(dense.spectral_weights(init), starts)
+    spec = dense.spectrum(init)
+    group = np.searchsorted(0.5 * (evals[starts[1:] - 1] + evals[starts[1:]]), spec.energies)
+    blocked = np.bincount(group, weights=spec.weights, minlength=starts.size)
     assert np.abs(blocked - np.add.reduceat(full, starts)).max() < 1e-12
 
 
@@ -306,6 +322,10 @@ def test_eigenvectors_stay_in_their_block(model, sector):
         support = np.unique(labels[col != 0])
         assert support.size == 1
         block_of.append(support[0])
-    # weights outside the initial state's block are exact zeros
+    # weights outside the initial state's block are exact zeros, so the spectrum's
+    # w > 0 cut keeps only levels of that block
+    vecs = dense.eigenvectors
+    w = sum(p * np.abs(vecs.conj().T @ m.amplitudes) ** 2 for p, m in zip(init.weights, init.members))
     outside = np.array(block_of) != home.pop()
-    assert np.all(dense.spectral_weights(init)[outside] == 0.0)
+    assert np.all(w[outside] == 0.0)
+    assert np.array_equal(dense.spectrum(init).energies, dense.eigenvalues[w > 0.0])

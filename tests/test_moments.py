@@ -8,10 +8,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gfsim.genfunc import GfSeries, gf_exact
 from gfsim.krylov import build_krylov_matrices
-from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
+from gfsim.models import PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
     MomentSet,
-    SpectralDecomposition,
     _hankel_r,
     central_difference_coefficients,
     fourier_grid,
@@ -177,7 +176,7 @@ def test_spectral_peaks_benchmark_weight_capture():
     spec = baseband_peaks(model, series)
     assert spec.diagnostics["center"] == 36.0 and spec.diagnostics["cols"] == 300
     assert spec.weights.sum() >= 0.999
-    assert spec.residual_power < 1e-10
+    assert spec.diagnostics["residual_power"] < 1e-10
 
 
 def tone_series(t, energies, weights):
@@ -297,8 +296,18 @@ def test_spectral_peaks_rejects_aliasing_grid():
     assert np.allclose(spec.energies, 3.0 + np.array([-1.0, 1.0]) * np.sqrt(2.0), rtol=0, atol=1e-8)
 
 
+def test_spectral_peaks_rejects_weights_summing_above_the_window():
+    # F = (1 + e) cos t - e cos 3t keeps |F| <= 1 for e <= 1/8, but its tones at +-3
+    # carry negative weight; clipped to 0, the +-1 tones sum to 1 + e
+    t = fourier_grid(3.5)
+    trace = 1.05 * np.cos(t) - 0.05 * np.cos(3.0 * t)
+    zeros = np.zeros_like(t)
+    with pytest.raises(SimulationError, match="weights sum to 1.05"):
+        spectral_peaks(GfSeries(t, trace, zeros, zeros, zeros))
+
+
 def test_moments_fourier_single_peak():
-    spec = SpectralDecomposition(np.array([3.0]), np.array([1.0]), 0.0)
+    spec = Spectrum(np.array([3.0]), np.array([1.0]), {"residual_power": 0.0})
     mom = moments_fourier(spec, 4)
     assert np.allclose(mom.values, 3.0 ** np.arange(5))
 

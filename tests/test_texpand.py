@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gfsim.models import HubbardModel, InitialState, PairingModel, build_dense, initial_state, pairing_to_qubits, to_qubits
+from gfsim.models import (
+    DenseHamiltonian,
+    HubbardModel,
+    InitialState,
+    PairingModel,
+    build_dense,
+    initial_state,
+    pairing_to_qubits,
+    to_qubits,
+)
 from gfsim.moments import MomentSet, moments_exact
 from gfsim.statevector import SimulationError, StateVector
 from gfsim.texpand import (
@@ -273,6 +282,21 @@ def test_eigenstate_input_short_circuits_to_constant():
     curve, approx, log = extrapolate_ground_energy(mom, 10)
     assert approx is None and log == []
     assert np.allclose(curve.energy, dense.eigenvalues[2])
+
+
+def test_weight_below_tolerance_leaves_the_ground_and_asymptote_reachable():
+    # levels -3, 2, 4, 7; the state puts 1e-13 on -3, five units below the reachable ground
+    dense = DenseHamiltonian(np.diag([-3.0, 2.0, 4.0, 7.0]), 2)
+    rest = np.sqrt(0.5 * (1.0 - 1e-13))
+    init = InitialState([StateVector(2, np.array([np.sqrt(1e-13), rest, rest, 0.0]))])
+    spec = dense.spectrum(init)
+    assert np.array_equal(spec.energies, [-3.0, 2.0, 4.0])  # traces and moments keep the level
+    assert np.array_equal(spec.reachable().energies, [2.0, 4.0])
+    assert dense.ground_energy(init) == 2.0
+    curve = imaginary_time_oracle(dense, init, np.linspace(0.0, 20.0, 41))
+    assert curve.asymptote == 2.0
+    # with the -3 level kept, 1e-13 e^{5 tau} would pull E(20) to -3
+    assert np.all(curve.energy >= 2.0) and curve.energy[-1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_imaginary_time_oracle_two_level():

@@ -28,7 +28,7 @@ from gfsim.trotter import (
     trotter_step_hubbard,
     trotter_step_pairing,
 )
-from model_oracles import pauli_terms_matrix
+from model_oracles import pauli_terms_matrix, propagator
 
 
 def circuit_matrix(circuit):
@@ -133,13 +133,13 @@ def test_evolve_exact_when_parts_commute():
     state = initial_state(model).members[0]
     t = 1.7
     out = evolve(state, model, t, 1)
-    oracle = dense.propagator(t) @ state.amplitudes
+    oracle = propagator(dense, t) @ state.amplitudes
     assert np.abs(out.amplitudes - oracle).max() < 1e-12
 
 
 def first_order_slope(model, state, t, steps_list):
     dense = build_dense(to_qubits(model))
-    oracle = dense.propagator(t) @ state.amplitudes
+    oracle = propagator(dense, t) @ state.amplitudes
     errs = []
     for n in steps_list:
         out = evolve(state, model, t, n)
