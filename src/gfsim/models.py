@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .statevector import SimulationError, StateVector
 
@@ -149,10 +147,7 @@ class QubitHamiltonian:
 
 
 def _string(n: int, letters: dict[int, str]) -> str:
-    out = ["I"] * n
-    for q, letter in letters.items():
-        out[q] = letter
-    return "".join(out)
+    return "".join(letters.get(q, "I") for q in range(n))
 
 
 # Models --------------------------------------------------------------------
@@ -207,10 +202,7 @@ class PairingModel:
 
     def fingerprint(self) -> str:
         eps = ",".join(f"{e:g}" for e in self.eps)
-        if np.allclose(self.g, self.g.flat[0]):
-            gtxt = f"{self.g.flat[0]:g}"
-        else:
-            gtxt = "matrix"
+        gtxt = f"{self.g.flat[0]:g}" if np.allclose(self.g, self.g.flat[0]) else "matrix"
         return f"pairing(M={self.n_levels},N={self.n_pairs},eps=[{eps}],g={gtxt})"
 
 
@@ -251,15 +243,13 @@ def pairing_to_qubits(model: PairingModel) -> QubitHamiltonian:
 
 def hubbard_to_qubits(model: HubbardModel) -> QubitHamiltonian:
     """Encode the Hubbard chain on 2M qubits (up: 0..M-1, down: M..2M-1)."""
-    m = model.sites
-    n = 2 * m
+    m, n = model.sites, 2 * model.sites
     terms: list[tuple[float, str]] = []
-    for a in range(2 * m - 1):
-        if a == m - 1:  # no hop across the spin-sector boundary
-            continue
-        c = 0.5 * model.hopping
-        terms.append((c, _string(n, {a: "X", a + 1: "X"})))
-        terms.append((c, _string(n, {a: "Y", a + 1: "Y"})))
+    c = 0.5 * model.hopping
+    for a in range(n - 1):
+        if a != m - 1:  # no hop across the spin-sector boundary
+            terms.append((c, _string(n, {a: "X", a + 1: "X"})))
+            terms.append((c, _string(n, {a: "Y", a + 1: "Y"})))
     u4 = 0.25 * model.onsite
     for a in range(m):
         terms.append((u4, _string(n, {})))
@@ -280,6 +270,22 @@ def to_qubits(model) -> QubitHamiltonian:
 # Dense oracle ----------------------------------------------------------------
 
 
+def _block_labels(matrix: np.ndarray) -> np.ndarray:
+    """Connected components of the nonzero pattern, numbered by their smallest index.
+
+    Min-label propagation with pointer jumping: a label never exceeds its
+    index, so each component settles on its smallest one.
+    """
+    rows, cols = np.nonzero(matrix)
+    labels, settled = np.arange(matrix.shape[0]), None
+    while not np.array_equal(labels, settled):
+        settled = labels.copy()
+        np.minimum.at(labels, rows, settled[cols])  # each nonzero links both ways
+        np.minimum.at(labels, cols, settled[rows])
+        labels = labels[labels]
+    return np.unique(labels, return_inverse=True)[1]
+
+
 class DenseHamiltonian:
     """Dense Hermitian matrix with a cached eigendecomposition.
 
@@ -294,7 +300,7 @@ class DenseHamiltonian:
             raise SimulationError(f"matrix not Hermitian: |H - H^H| = {herm_err:.3e}")
         self.matrix = matrix
         self.n_qubits = int(n_qubits)
-        _, labels = connected_components(csr_matrix(matrix != 0), directed=False)
+        labels = _block_labels(matrix)
         values, vectors = np.empty(labels.size), np.zeros(matrix.shape, dtype=complex)
         start = 0
         for block in range(labels.max() + 1):
@@ -359,25 +365,17 @@ class InitialState:
 
 
 def _pairing_lowest_filled(model: PairingModel) -> list[str]:
-    order = np.argsort(model.eps, kind="stable")
-    bits = ["0"] * model.n_levels
-    for p in order[: model.n_pairs]:
-        bits[p] = "1"
-    return ["".join(bits)]
+    filled = set(np.argsort(model.eps, kind="stable")[: model.n_pairs].tolist())
+    return ["".join("1" if p in filled else "0" for p in range(model.n_levels))]
 
 
 def _hubbard_pair_mixture(model: HubbardModel, pairs: int = 2) -> list[str]:
     m = model.sites
     if pairs > m:
         raise SimulationError(f"cannot place {pairs} up-down pairs on {m} sites")
-    out = []
-    for sites in itertools.combinations(range(m), pairs):
-        bits = ["0"] * (2 * m)
-        for i in sites:
-            bits[i] = "1"
-            bits[i + m] = "1"
-        out.append("".join(bits))
-    return out
+    # the down half repeats the up half: each chosen site holds an up-down pair
+    halves = ("".join("1" if i in sites else "0" for i in range(m)) for sites in itertools.combinations(range(m), pairs))
+    return [half * 2 for half in halves]
 
 
 def initial_state(model, spec="default") -> InitialState:

@@ -13,11 +13,11 @@ Hua & Sarkar 1990; Roy & Kailath 1989).  The right singular vectors of that
 matrix are shift-invariant: one small eigenproblem gives the energies, and one
 linear least-squares solve gives the weights.  Shot noise sets the rank
 through the singular values it can reach.  The singular vectors come from
-the Hankel matrix's triangular factor R, built one block of rows at a time by
-a triangular-pentagonal QR update.  The trace is demodulated by the
-Hamiltonian's identity coefficient first, so its tones lie in a band of
-half-width B' about zero and the grid need only sample that band.  Moments to
-any order then follow from <H^K> = sum_a p_a E_a^K.
+the Hankel matrix's triangular factor R, built one block of rows at a time.
+The trace is demodulated by the Hamiltonian's identity coefficient first, so
+its tones lie in a band of half-width B' about zero and the grid need only
+sample that band.  Moments to any order then follow from
+<H^K> = sum_a p_a E_a^K.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import ztpqrt
 
 from .genfunc import GfSeries, _fmt
 from .models import DenseHamiltonian, InitialState, Spectrum
@@ -150,13 +149,6 @@ def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[in
     return tuple(offsets), tuple(float(c) for c in coeffs)
 
 
-def _series_samples(series: GfSeries) -> tuple[np.ndarray, float]:
-    values = series.values
-    if series.t[0] != 0.0:
-        raise SimulationError("FDM needs a grid starting at t = 0")
-    return values, series.dt()
-
-
 def _rms_energy(values: np.ndarray, dt: float) -> float:
     """sqrt(<H^2>) estimated from a 2nd-order second difference at t = 0."""
     if values.size < 2:
@@ -186,7 +178,9 @@ def moments_fdm(series: GfSeries, order: int, accuracy: int = 8) -> MomentSet:
 
     The step is a grid multiple tuned per order from the modeled error.
     """
-    values, dt = _series_samples(series)
+    if series.t[0] != 0.0:
+        raise SimulationError("FDM needs a grid starting at t = 0")
+    values, dt = series.values, series.dt()
     eps = _noise_floor(series)
     e_rms = _rms_energy(values, dt)
 
@@ -243,18 +237,14 @@ def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
 def _hankel_r(data: np.ndarray, cols: int) -> np.ndarray:
     """Triangular factor R of the Hankel matrix H[i, j] = data[i + j] with `cols` columns.
 
-    Each block of `cols` rows after the first is folded into R by LAPACK's
-    triangular-pentagonal QR (ztpqrt; sequential TSQR, Demmel et al. 2012).
+    Each block of `cols` rows after the first is folded in by the QR of R
+    stacked on the block (sequential TSQR, Demmel et al. 2012), so only one
+    block is ever copied out of the view.
     """
     hankel = sliding_window_view(data, cols)  # a view of data, no copy
-    r = np.asfortranarray(np.linalg.qr(hankel[:cols], mode="r"))
+    r = np.linalg.qr(hankel[:cols], mode="r")
     for start in range(cols, hankel.shape[0], cols):
-        # a copy: ztpqrt overwrites its B, and a one-row slice of the view is
-        # contiguous, so asfortranarray would hand over the trace itself
-        block = np.array(hankel[start : start + cols], order="F")
-        r, _, _, info = ztpqrt(0, min(64, cols), r, block, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise SimulationError(f"ztpqrt failed with info = {info}")
+        r = np.linalg.qr(np.vstack([r, hankel[start : start + cols]]), mode="r")
     return r
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import gfsim
 from gfsim.cli import main
 from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
 from gfsim.genfunc import GfSeries, gf_series
@@ -404,3 +409,28 @@ def test_manifests_load_back(tmp_path):
         manifest = tmp_path / f"{command}_manifest.json"
         again = RunConfig.from_file(manifest)
         assert again.resolved() == json.loads(manifest.read_text())["config"]
+
+
+def test_cli_and_oracle_run_without_scipy():
+    # a fresh interpreter, so no other test's import counts; scipy is a test dependency only
+    script = textwrap.dedent(
+        """
+        import sys
+        import gfsim, gfsim.cli
+        from gfsim.genfunc import gf_exact
+        from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
+        from gfsim.moments import fourier_grid, spectral_peaks
+
+        model = PairingModel.uniform(4, 2)
+        h = pairing_to_qubits(model)
+        center, radius = h.spectral_window
+        trace = gf_exact(build_dense(h), initial_state(model), fourier_grid(radius))
+        spectral_peaks(trace, energy_bound=radius, center=center)
+        print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(gfsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

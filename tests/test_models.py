@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from gfsim.models import (
     WEIGHT_TOL,
@@ -12,6 +14,7 @@ from gfsim.models import (
     PairingModel,
     QubitHamiltonian,
     SimulationError,
+    _block_labels,
     build_dense,
     hubbard_to_qubits,
     initial_state,
@@ -329,3 +332,40 @@ def test_eigenvectors_stay_in_their_block(model, sector):
     outside = np.array(block_of) != home.pop()
     assert np.all(w[outside] == 0.0)
     assert np.array_equal(dense.spectrum(init).energies, dense.eigenvalues[w > 0.0])
+
+
+def scipy_labels(matrix):
+    """The independent oracle: scipy's undirected connected components."""
+    return connected_components(csr_matrix(matrix != 0), directed=False)[1]
+
+
+@st.composite
+def sparsity_patterns(draw):
+    """Symmetric patterns: at most n random edges, so some nodes stay isolated, plus one fully connected block."""
+    n = draw(st.integers(1, 40))
+    pattern = np.zeros((n, n), dtype=bool)
+    nodes = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(nodes, nodes), max_size=n)):
+        pattern[i, j] = pattern[j, i] = True
+    clique = draw(st.lists(nodes, unique=True, max_size=n))
+    pattern[np.ix_(clique, clique)] = True
+    return pattern
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparsity_patterns())
+@example(np.zeros((5, 5), dtype=bool))  # every node isolated
+@example(np.ones((6, 6), dtype=bool))  # one block
+def test_block_labels_match_scipy_components(pattern):
+    matrix = pattern * (0.6 - 0.8j)
+    assert np.array_equal(_block_labels(matrix), scipy_labels(matrix))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [PairingModel.uniform(8, 4, 1.0, 1.0), HubbardModel(sites=4, hopping=1.0, onsite=1.0), PairingModel.uniform(4, 2)],
+    ids=["pairing-8", "hubbard-4", "pairing-4"],
+)
+def test_block_labels_match_scipy_on_models(model):
+    matrix = to_qubits(model).to_matrix()
+    assert np.array_equal(_block_labels(matrix), scipy_labels(matrix))
