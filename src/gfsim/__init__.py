@@ -16,7 +16,6 @@ from .statevector import (  # noqa: F401
     ShotCounts,
     SimulationError,
     StateVector,
-    ancilla_expectation,
     apply_controlled,
     apply_gate,
     hadamard,
@@ -44,8 +43,6 @@ from .trotter import (  # noqa: F401
     reference_dt,
     steps_for,
     trotter_step,
-    trotter_step_hubbard,
-    trotter_step_pairing,
 )
 from .genfunc import GfSeries, gf_exact, gf_hadamard, gf_series  # noqa: F401
 from .moments import (  # noqa: F401

@@ -2,14 +2,19 @@
 
 * exact: spectral formula from the dense oracle, F(t) = sum_a w_a e^{-i t E_a};
 * statevector (shots = 0): Hadamard-test circuits evaluated with exact ancilla
-  expectations;
+  biases;
 * sampled (shots > 0): the same circuits with binomial shot sampling.
 
 The Hadamard test prepares (|0> + |1>)/sqrt(2) on the ancilla, applies the
 Trotterized evolution controlled on the ancilla, and closes with a Hadamard;
 the ancilla bias p0 - p1 is Re F(t).  Inserting R(-pi/2) on the ancilla turns
-the bias into Im F(t).  Mixtures are averaged member by member with the shot
-budget split evenly.
+the bias into Im F(t).  Both biases are read off the state before the closing
+gates: its ancilla halves are psi_0 = psi/sqrt(2) and psi_1 = U psi/sqrt(2), so
+F(t) = <psi|U|psi> = 2 <psi_0|psi_1>, and the closing Hadamard would measure 0
+with probability (1 + Re F)/2 (the Re circuit) or (1 + Im F)/2 (the Im
+circuit).  The sampled route draws each circuit's shots from that
+probability.  Mixtures are averaged member by member with the shot budget
+split evenly.
 
 The CSV format written here is the contract between the quantum-side and
 classical-side modules: `# model=`, `# shots=`, `# seed=`, `# route=` header
@@ -26,15 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import DenseHamiltonian, InitialState
-from .statevector import (
-    SimulationError,
-    ancilla_expectation,
-    apply_gate,
-    derive_seed,
-    hadamard,
-    phase_gate,
-    sample_ancilla,
-)
+from .statevector import SimulationError, apply_gate, derive_seed, hadamard, phase_gate, sample_ancilla
 from .trotter import controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
@@ -160,7 +157,7 @@ class HadamardEstimate(NamedTuple):
 def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, seed: int) -> HadamardEstimate:
     """One time point of F(t) via the two Hadamard-test circuits.
 
-    shots = 0 uses exact ancilla expectations (no sampling); otherwise each
+    shots = 0 uses the exact ancilla biases (no sampling); otherwise each
     quadrature of each mixture member is sampled with shots/len(mixture)
     measurements (rounded down, actual total recorded).
     """
@@ -173,20 +170,18 @@ def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, s
         raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
     h_gate = hadamard(ancilla)
-    s_gate = phase_gate(-math.pi / 2.0, ancilla)
     estimates = np.zeros(2)
     for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
-        mid = apply_gate(member.tensor_with_ancilla(), h_gate)
+        state = apply_gate(member.tensor_with_ancilla(), h_gate)
         if t != 0:
-            mid = controlled_evolve(mid, model, t, n_steps, ancilla)
-        for quad in (_QUAD_RE, _QUAD_IM):
-            state = apply_gate(mid, s_gate) if quad == _QUAD_IM else mid
-            state = apply_gate(state, h_gate)
+            state = controlled_evolve(state, model, t, n_steps, ancilla)
+        halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
+        f = 2.0 * np.vdot(halves[0], halves[1])
+        for quad, bias in ((_QUAD_RE, f.real), (_QUAD_IM, f.imag)):
             if shots == 0:
-                estimates[quad] += weight * ancilla_expectation(state, ancilla)
+                estimates[quad] += weight * bias
             else:
-                sub_seed = derive_seed(seed, m_idx, quad)
-                counts = sample_ancilla(state, ancilla, per_member, sub_seed)
+                counts = sample_ancilla((1.0 + bias) / 2.0, per_member, derive_seed(seed, m_idx, quad))
                 estimates[quad] += weight * counts.bias
 
     total = per_member * members

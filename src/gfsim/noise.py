@@ -32,6 +32,7 @@ from .statevector import (
     apply_controlled,
     apply_gate,
     controlled_matrix,
+    sample_ancilla,
 )
 from .trotter import Circuit
 
@@ -142,15 +143,11 @@ def noisy_sample(
     Shots are iid, so each reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
     where p0 is the depolarized circuit's exact ancilla-0 probability and C the
     readout's confusion matrix.  With p_dep = 0 and an identity confusion
-    matrix this is the same single draw as sample_ancilla on the clean state.
+    matrix this is the same single draw as sample_ancilla on the clean state's p0.
     """
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
     confusion = cfg.readout.confusion
     p0 = _channel_p0(init, circuit, ancilla, cfg.p_dep)
-    q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
-    n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, q))))
-    return ShotCounts(n0=n0, n1=shots - n0, seed=int(seed))
+    return sample_ancilla(confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0), shots, seed)
 
 
 # Mitigation -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense statevector kernel: gates, controlled gates, ancilla readout and sampling.
+"""Dense statevector kernel: gates, controlled gates, ancilla readout and shot sampling.
 
 Conventions (frozen for the whole package):
 
@@ -11,8 +11,9 @@ Conventions (frozen for the whole package):
 * the ancilla used by Hadamard tests is always the highest-index qubit.
 
 All operations are pure: they take a state in and return a new state.  RNG is
-numpy's PCG64 (``default_rng``); every sampling call takes an explicit seed and
-records it in the result.
+numpy's PCG64 (``default_rng``); `sample_ancilla` is the one place that draws
+shots, from an outcome probability, and takes an explicit seed that it records
+in the result.
 """
 
 from __future__ import annotations
@@ -176,19 +177,11 @@ def ancilla_probability(state: StateVector, ancilla: int) -> float:
     return float((total - p1) / total)
 
 
-def ancilla_expectation(state: StateVector, ancilla: int) -> float:
-    """Exact p0 - p1 for a measurement of the given qubit; lies in [-1, 1]."""
-    p0 = ancilla_probability(state, ancilla)
-    return 2.0 * p0 - 1.0
-
-
-def sample_ancilla(state: StateVector, ancilla: int, shots: int, seed: int) -> ShotCounts:
-    """Binomial sample of the ancilla readout; deterministic for a fixed seed."""
+def sample_ancilla(p0: float, shots: int, seed: int) -> ShotCounts:
+    """Binomial sample of a readout giving 0 with probability p0 (clipped to [0, 1]); deterministic per seed."""
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    p0 = min(1.0, max(0.0, ancilla_probability(state, ancilla)))
-    rng = np.random.default_rng(seed)
-    n0 = int(rng.binomial(shots, p0))
+    n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, p0))))
     return ShotCounts(n0=n0, n1=shots - n0, seed=int(seed))
 
 

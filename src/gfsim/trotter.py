@@ -9,22 +9,25 @@ explicit 1- and 2-qubit blocks:
   p > q the block with cos(g_pq dt) / +i sin(g_pq dt) entries.
 
 Within each part gates are applied in ascending qubit order; the order is
-frozen here because any fixed order is valid at first order.
+frozen here because any fixed order is valid at first order.  `_step_gates`
+builds the step as one stack of 4x4 matrices and target pairs, checked for
+unitarity once; `trotter_step` wraps the same stack as a gate-level `Circuit`.
 
-`evolve` and `controlled_evolve` multiply the whole step out into a step
-matrix on the particle-number sectors the input occupies, and then apply it
-n_steps times.  Every gate of both factorizations is diagonal or acts only
-inside {|01>, |10>}, so it conserves the Hamming weight of the system
-register: the amplitudes outside those sectors are zero and stay exactly zero.
-The step matrix is built on the sector alone, starting from its identity: a
-gate scales each sector state by its diagonal entry and mixes in the one
-partner state that differs on the two targets.  A gate that couples local
-states of different weight raises `SimulationError` instead of leaking
-amplitude out of the sector.  The last step matrix is kept, keyed by the model
-object, the step size and the occupied weights, so the members of a mixture
-evaluated at one time point share one build.  Controlled evolution evolves
-only the ancilla-|1> half, which is exact for the block-diagonal
-[[I, 0], [0, U]].
+`evolve` and `controlled_evolve` multiply the stack out into a step matrix on
+the particle-number sectors the input occupies, raise it to the n_steps-th
+power by repeated squaring, and apply that power once.  Every gate of both
+factorizations is diagonal or acts only inside {|01>, |10>}, so it conserves
+the Hamming weight of the system register: the amplitudes outside those
+sectors are zero and stay exactly zero.  The step matrix is built on the
+sector alone, starting from its identity: a gate scales each sector state by
+its diagonal entry and mixes in the one partner state that differs on the two
+targets; runs of diagonal gates are folded into the neighbouring mixing gate.
+A gate that couples local states of different weight raises `SimulationError`
+instead of leaking amplitude out of the sector.  The last power is kept, keyed
+by the model object, t, n_steps and the occupied weights, so the members of a
+mixture evaluated at one time point share one build and one power.
+Controlled evolution evolves only the ancilla-|1> half, which is exact for the
+block-diagonal [[I, 0], [0, U]].
 
 The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
 ancilla-controlled 3-qubit matrix) is kept for the noise study, which applies a
@@ -88,71 +91,61 @@ class Circuit:
         return Circuit(gates, max(self.n_qubits, ancilla + 1), self.dt, self.n_steps)
 
 
-def _hopping_block(lam: float) -> np.ndarray:
-    c, s = math.cos(lam), math.sin(lam)
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, -1j * s, 0],
-            [0, -1j * s, c, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+# A 1-qubit gate on q sits in the stack as a 4x4 on the pair (q, q): its local
+# value 2 s_q + s_q is 0 or 3, so its 2x2 matrix fills rows and columns 0 and 3
+# (this index picks them out), and rows and columns 1 and 2, which no state
+# reaches, hold the identity.
+_ONE_QUBIT = (np.array([[0], [3]]), np.array([0, 3]))
 
 
-def _pairing_block(lam: float) -> np.ndarray:
-    c, s = math.cos(lam), math.sin(lam)
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, 1j * s, 0],
-            [0, 1j * s, c, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+def _step_gates(model, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One first-order step as a gate stack: (G, 4, 4) matrices and (G, 2) target pairs, in step order.
 
-
-def trotter_step_hubbard(model: HubbardModel, dt: float) -> Circuit:
-    """One first-order step: hopping blocks then interaction blocks."""
+    Each gate is the identity but for a phase e^{i phase} on |11> (a phase,
+    interaction or 1-qubit R gate) or for cos(lam) on |01>, |10> and
+    off * sin(lam) between them (a pair-coupling or hopping block).
+    """
     if dt <= 0:
         raise SimulationError(f"dt must be > 0, got {dt}")
-    m = model.sites
-    gates: list[AppliedGate] = []
-    lam = dt * model.hopping
-    for a in range(2 * m - 1):
-        if a == m - 1:
-            continue
-        gates.append(AppliedGate(GateMatrix(_hopping_block(lam), (a, a + 1), name=f"Uj({a},{a + 1})")))
-    phase = np.diag([1.0, 1.0, 1.0, np.exp(-1j * dt * model.onsite)])
-    for a in range(m):
-        gates.append(AppliedGate(GateMatrix(phase, (a, a + m), name=f"Uu({a},{a + m})")))
-    return Circuit(tuple(gates), model.n_qubits, dt=dt)
-
-
-def trotter_step_pairing(model: PairingModel, dt: float) -> Circuit:
-    """One first-order step: level phase gates then pair-coupling blocks."""
-    if dt <= 0:
-        raise SimulationError(f"dt must be > 0, got {dt}")
-    m = model.n_levels
-    gates: list[AppliedGate] = []
-    for p in range(m):
-        phi = -2.0 * model.eps[p] * dt
-        gates.append(AppliedGate(GateMatrix(np.diag([1.0, np.exp(1j * phi)]), (p,), name=f"R({p})")))
-    for p in range(1, m):
-        for q in range(p):
-            lam = model.g[p, q] * dt
-            gates.append(AppliedGate(GateMatrix(_pairing_block(lam), (q, p), name=f"Ug({q},{p})")))
-    return Circuit(tuple(gates), model.n_qubits, dt=dt)
+    if isinstance(model, PairingModel):
+        # level phase gates R(-2 eps_p dt), then the pair-coupling blocks on (q, p) for p > q
+        m = model.n_levels
+        pairs = np.array([(p, p) for p in range(m)] + [(q, p) for p in range(1, m) for q in range(p)])
+        phased, coupled = slice(0, m), slice(m, None)
+        phases = -2.0 * model.eps * dt
+        lam, off = model.g[pairs[coupled, 1], pairs[coupled, 0]] * dt, 1j
+    elif isinstance(model, HubbardModel):
+        # hopping blocks on neighbours within each spin chain, then interaction blocks on (a, a + M)
+        m = model.sites
+        pairs = np.array([(a, a + 1) for a in range(2 * m - 1) if a != m - 1] + [(a, a + m) for a in range(m)])
+        coupled, phased = slice(0, 2 * m - 2), slice(2 * m - 2, None)
+        phases = np.full(m, -dt * model.onsite)
+        lam, off = np.full(2 * m - 2, dt * model.hopping), -1j
+    else:
+        raise SimulationError(f"unsupported model type {type(model).__name__}")
+    matrices = np.tile(np.eye(4, dtype=complex), (len(pairs), 1, 1))
+    matrices[phased, 3, 3] = np.exp(1j * phases)
+    matrices[coupled, 1, 1] = matrices[coupled, 2, 2] = np.cos(lam)
+    matrices[coupled, 1, 2] = matrices[coupled, 2, 1] = off * np.sin(lam)
+    err = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - np.eye(4)).max(axis=(1, 2))
+    if np.any(err > UNITARITY_TOL):
+        g = int(np.argmax(err))
+        raise SimulationError(f"non-unitary gate on {tuple(pairs[g])}: |U^H U - I| = {err[g]:.3e}")
+    return matrices, pairs
 
 
 def trotter_step(model, dt: float) -> Circuit:
-    if isinstance(model, PairingModel):
-        return trotter_step_pairing(model, dt)
-    if isinstance(model, HubbardModel):
-        return trotter_step_hubbard(model, dt)
-    raise SimulationError(f"unsupported model type {type(model).__name__}")
+    """One first-order step as a gate-level circuit, gate for gate the stack of `_step_gates`."""
+    matrices, pairs = _step_gates(model, dt)
+    gates = []
+    for matrix, (a, b) in zip(matrices, pairs.tolist()):
+        if a == b:
+            gate = GateMatrix(matrix[_ONE_QUBIT], (a,), name=f"R({a})")
+        else:
+            kind = "Ug" if isinstance(model, PairingModel) else "Uj" if b == a + 1 else "Uu"
+            gate = GateMatrix(matrix, (a, b), name=f"{kind}({a},{b})")
+        gates.append(AppliedGate(gate))
+    return Circuit(tuple(gates), model.n_qubits, dt=dt)
 
 
 def reference_dt(model) -> float:
@@ -180,8 +173,8 @@ def steps_for(model, t: float, policy="reference") -> int:
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
-def _hamming_weights(n_qubits: int) -> np.ndarray:
-    index = np.arange(1 << n_qubits)
+def _hamming_weights(index: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Number of set bits among the low n_qubits of each index."""
     return sum((index >> q) & 1 for q in range(n_qubits))
 
 
@@ -192,29 +185,23 @@ _LOCAL_WEIGHT = np.array([0, 1, 1, 2])
 _WEIGHT_CHANGING = np.not_equal.outer(_LOCAL_WEIGHT, _LOCAL_WEIGHT)
 
 
-def _sector_step(step: Circuit, basis: np.ndarray) -> np.ndarray:
+def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
-    basis is a sorted union of whole Hamming-weight sectors.  A gate on targets
-    (a, b) acts on a sector state s through its local value v = 2 s_a + s_b:
-    s keeps G[v, v] of itself and, for v in {01, 10}, takes G[v, v ^ 3] of its
-    partner s ^ mask, the state with both targets flipped.
+    matrices and pairs are a gate stack as `_step_gates` returns it; basis is a
+    sorted union of whole Hamming-weight sectors.  A gate on targets (a, b)
+    acts on a sector state s through its local value v = 2 s_a + s_b: s keeps
+    G[v, v] of itself and, for v in {01, 10}, takes G[v, v ^ 3] of its partner
+    s ^ mask, the state with both targets flipped.  A gate with no partner
+    coupling is diagonal; each run of them is folded into the next mixing
+    gate (a trailing run into the last one), so only mixing gates touch the
+    matrix.
     """
-    gates = [item.gate for item in step.gates]
-    matrices = np.zeros((len(gates), 4, 4), dtype=complex)
-    pairs = np.empty((len(gates), 2), dtype=np.int64)
-    for g, gate in enumerate(gates):
-        if len(gate.targets) == 1:
-            matrices[g][np.ix_([0, 3], [0, 3])] = gate.matrix
-            pairs[g] = gate.targets * 2
-        else:
-            matrices[g] = gate.matrix
-            pairs[g] = gate.targets
     leak = np.abs(matrices[:, _WEIGHT_CHANGING]).max(axis=1, initial=0.0)
     if np.any(leak > UNITARITY_TOL):
         g = int(np.argmax(leak))
         raise SimulationError(
-            f"gate {gates[g].name or gates[g].targets} does not conserve the Hamming weight: coupling {leak[g]:.3e}"
+            f"gate {g} on {tuple(pairs[g].tolist())} does not conserve the Hamming weight: coupling {leak[g]:.3e}"
         )
     high = (basis >> pairs[:, :1]) & 1
     low = (basis >> pairs[:, 1:]) & 1
@@ -222,39 +209,48 @@ def _sector_step(step: Circuit, basis: np.ndarray) -> np.ndarray:
     swap = high != low
     flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
     partner = np.where(swap, np.searchsorted(basis, flipped), np.arange(basis.size))
-    rows = np.arange(len(gates))[:, None]
+    rows = np.arange(len(matrices))[:, None]
     diag = matrices[rows, local, local]
     off = np.where(swap, matrices[rows, local, local ^ 3], 0.0)
-    states = np.eye(basis.size, dtype=complex)
+    # a gate is M[i, i] = d[i], M[p[i], i] = o[i]; diag(acc) M has d * acc and o * acc[p]
+    updates = []
+    acc = np.ones(basis.size, dtype=complex)
     for d, p, o in zip(diag, partner, off):
+        if o.any():
+            updates.append((acc * d, p, acc[p] * o))
+            acc = np.ones(basis.size, dtype=complex)
+        else:
+            acc = acc * d
+    if not updates:
+        return np.diag(acc)
+    d, p, o = updates[-1]  # M diag(acc) has d * acc and o * acc
+    updates[-1] = (d * acc, p, o * acc)
+    states = np.eye(basis.size, dtype=complex)
+    for d, p, o in updates:
         states = states * d + states[:, p] * o
     return states
 
 
-# (model, dt, occupied weights, basis, step matrix) of the last build; the
-# model is matched by identity, which is safe because its fields are immutable
+# (model, t, n_steps, occupied weights, basis, n_steps-th power of the step
+# matrix) of the last build; the model is matched by identity, which is safe
+# because its fields are immutable
 _last_step: tuple | None = None
 
 
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
     """Evolve each row of system amplitudes by n_steps steps, within its occupied sectors."""
     global _last_step
-    dt = t / n_steps
-    weights = _hamming_weights(model.n_qubits)
-    occupied = np.unique(weights[rows.any(axis=0)])
+    n = model.n_qubits
+    occupied = np.unique(_hamming_weights(np.flatnonzero(rows.any(axis=0)), n))
     last = _last_step
-    if last is not None and last[0] is model and last[1] == dt and np.array_equal(last[2], occupied):
-        basis, u = last[3], last[4]
+    if last is not None and last[0] is model and last[1:3] == (t, n_steps) and np.array_equal(last[3], occupied):
+        basis, power = last[4], last[5]
     else:
-        step = trotter_step(model, dt)
-        basis = np.flatnonzero(np.isin(weights, occupied))
-        u = _sector_step(step, basis)
-        _last_step = (model, dt, occupied, basis, u)
-    block = rows[:, basis]
-    for _ in range(n_steps):
-        block = block @ u
+        basis = np.flatnonzero(np.isin(_hamming_weights(np.arange(1 << n), n), occupied))
+        power = np.linalg.matrix_power(_sector_step(*_step_gates(model, t / n_steps), basis), n_steps)
+        _last_step = (model, t, n_steps, occupied, basis, power)
     out = np.zeros_like(rows)
-    out[:, basis] = block
+    out[:, basis] = rows[:, basis] @ power
     return out
 
 

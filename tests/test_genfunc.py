@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfsim import genfunc
-from gfsim.genfunc import GfSeries, gf_exact, gf_hadamard, gf_series
+from gfsim.genfunc import GfSeries, gf_exact, gf_hadamard, gf_series, hadamard_test_circuit
 from gfsim.models import (
     HubbardModel,
     InitialState,
@@ -11,7 +11,7 @@ from gfsim.models import (
     initial_state,
     pairing_to_qubits,
 )
-from gfsim.statevector import SimulationError, StateVector
+from gfsim.statevector import SimulationError, StateVector, ancilla_probability, derive_seed, sample_ancilla
 from gfsim.trotter import trotter_step
 
 SQRT2 = np.sqrt(2.0)
@@ -130,6 +130,56 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
     assert {n for n, _, _ in calls} == {model.n_qubits + 1}
     assert sorted({t for _, t, _ in calls}) == list(grid[1:])
     assert sum(n * len(trotter_step(model, t / n).gates) for _, t, n in calls) == gates
+
+
+def gate_level_hadamard(model, init, t, n_steps, shots, seed):
+    """Both Hadamard-test circuits applied gate by gate, read through ancilla_probability.
+
+    Returns the mixture's (Re, Im) estimate and the sampled n0 per sub-seed.
+    """
+    ancilla = model.n_qubits
+    per_member = shots // len(init)
+    estimates, n0 = np.zeros(2), {}
+    for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
+        for quad, name in enumerate(("re", "im")):
+            final = hadamard_test_circuit(model, t, n_steps, name).apply(member.tensor_with_ancilla())
+            p0 = ancilla_probability(final, ancilla)
+            if shots == 0:
+                estimates[quad] += weight * (2.0 * p0 - 1.0)
+            else:
+                counts = sample_ancilla(p0, per_member, derive_seed(seed, m_idx, quad))
+                n0[counts.seed] = counts.n0
+                estimates[quad] += weight * counts.bias
+    return estimates, n0
+
+
+@pytest.mark.parametrize(
+    "model, members",
+    [(HubbardModel(sites=3, hopping=1.0, onsite=1.3), 3), (PairingModel.uniform(4, 2, 1.0, 0.7), 1)],
+    ids=["hubbard-3", "pairing-4"],
+)
+def test_hadamard_matches_gate_level_circuits(monkeypatch, model, members):
+    # F = 2<psi_0|psi_1> read off the ancilla halves against the full circuits, H, R(-pi/2) and H included
+    init = initial_state(model)
+    assert len(init) == members
+    drawn = {}
+    real = genfunc.sample_ancilla
+
+    def recorded(p0, shots, seed):
+        counts = real(p0, shots, seed)
+        drawn[counts.seed] = counts.n0
+        return counts
+
+    monkeypatch.setattr(genfunc, "sample_ancilla", recorded)
+    for t, n_steps in ((0.0, 1), (0.7, 5), (1.9, 3)):
+        est = gf_hadamard(model, init, t, n_steps, 0, 0)
+        oracle, _ = gate_level_hadamard(model, init, t, n_steps, 0, 0)
+        assert abs(est.re - oracle[0]) < 1e-12 and abs(est.im - oracle[1]) < 1e-12
+        drawn.clear()
+        est = gf_hadamard(model, init, t, n_steps, 3000, 11)
+        oracle, n0 = gate_level_hadamard(model, init, t, n_steps, 3000, 11)
+        assert drawn == n0 and len(n0) == 2 * len(init)
+        assert (est.re, est.im) == (oracle[0], oracle[1])
 
 
 def test_hadamard_sampled_within_error_bars():

@@ -39,13 +39,13 @@ def test_p_dep_range_checked():
 
 
 def test_noise_free_sampling_matches_clean_seed_path():
-    # identity confusion + p_dep = 0 must reproduce sample_ancilla exactly
+    # identity confusion + p_dep = 0 must reproduce sample_ancilla on the clean p0 exactly
     model, init = preset_model()
     circuit = hadamard_test_circuit(model, 0.3, 1, "re")
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.0)
     noisy = noisy_sample(init, circuit, 2, 5000, cfg, seed=21)
     clean_final = circuit.apply(init)
-    clean = sample_ancilla(clean_final, 2, 5000, seed=21)
+    clean = sample_ancilla(ancilla_probability(clean_final, 2), 5000, seed=21)
     assert (noisy.n0, noisy.n1) == (clean.n0, clean.n1)
 
 

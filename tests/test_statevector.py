@@ -5,7 +5,7 @@ from gfsim.statevector import (
     GateMatrix,
     SimulationError,
     StateVector,
-    ancilla_expectation,
+    ancilla_probability,
     apply_controlled,
     apply_gate,
     controlled_matrix,
@@ -125,36 +125,36 @@ def test_norm_preserved_by_random_gate_sequences():
     assert abs(state.norm() ** 2 - 1.0) < 1e-12 * n_gates
 
 
-def test_ancilla_expectation_basis_states():
-    assert ancilla_expectation(StateVector.from_bitstring("00"), 1) == 1.0
-    assert ancilla_expectation(StateVector.from_bitstring("01"), 1) == -1.0  # bits[1] is qubit 1
-    assert ancilla_expectation(StateVector.from_bitstring("10"), 0) == -1.0
-    assert ancilla_expectation(StateVector.from_bitstring("10"), 1) == 1.0
+def test_ancilla_probability_basis_states():
+    assert ancilla_probability(StateVector.from_bitstring("00"), 1) == 1.0
+    assert ancilla_probability(StateVector.from_bitstring("01"), 1) == 0.0  # bits[1] is qubit 1
+    assert ancilla_probability(StateVector.from_bitstring("10"), 0) == 0.0
+    assert ancilla_probability(StateVector.from_bitstring("10"), 1) == 1.0
 
 
-def test_ancilla_expectation_superposition():
+def test_ancilla_probability_superposition():
     state = apply_gate(StateVector(2), hadamard(1))
-    assert abs(ancilla_expectation(state, 1)) < 1e-15
+    assert abs(ancilla_probability(state, 1) - 0.5) < 1e-15
 
 
 def test_sampling_deterministic_and_certain_outcomes():
-    state = StateVector.from_bitstring("0")
-    counts = sample_ancilla(state, 0, 100, seed=5)
+    p0 = ancilla_probability(StateVector.from_bitstring("0"), 0)
+    counts = sample_ancilla(p0, 100, seed=5)
     assert counts.n0 == 100 and counts.n1 == 0
-    again = sample_ancilla(state, 0, 100, seed=5)
+    again = sample_ancilla(p0, 100, seed=5)
     assert (counts.n0, counts.n1) == (again.n0, again.n1)
     assert counts.seed == 5
 
 
 def test_sampling_zero_shots_rejected():
     with pytest.raises(SimulationError):
-        sample_ancilla(StateVector(1), 0, 0, seed=1)
+        sample_ancilla(1.0, 0, seed=1)
 
 
 def test_sampling_unbiased_at_half():
     # p0 = 1/2; 5-sigma binomial bound on the bias estimate
     state = apply_gate(StateVector(1), hadamard(0))
-    counts = sample_ancilla(state, 0, 10**4, seed=9)
+    counts = sample_ancilla(ancilla_probability(state, 0), 10**4, seed=9)
     assert counts.n0 + counts.n1 == 10**4
     assert abs(counts.bias) < 0.05
 
@@ -162,7 +162,8 @@ def test_sampling_unbiased_at_half():
 def test_sampling_converges_to_expectation():
     rng = np.random.default_rng(3)
     state = random_state(3, rng)
-    exact = ancilla_expectation(state, 2)
+    p0 = ancilla_probability(state, 2)
     shots = 10**6
-    counts = sample_ancilla(state, 2, shots, seed=17)
+    counts = sample_ancilla(p0, shots, seed=17)
+    exact = 2.0 * p0 - 1.0
     assert abs(counts.bias - exact) < 5.0 / np.sqrt(shots)

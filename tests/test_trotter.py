@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -20,13 +20,12 @@ from gfsim.trotter import (
     AppliedGate,
     Circuit,
     _sector_step,
+    _step_gates,
     controlled_evolve,
     evolve,
     reference_dt,
     steps_for,
     trotter_step,
-    trotter_step_hubbard,
-    trotter_step_pairing,
 )
 from model_oracles import pauli_terms_matrix, propagator
 
@@ -57,7 +56,7 @@ def phase_insensitive_distance(a, b):
 
 
 def test_hubbard_step_zero_hopping_blocks_are_identity():
-    step = trotter_step_hubbard(HubbardModel(sites=2, hopping=0.0, onsite=1.0), dt=0.1)
+    step = trotter_step(HubbardModel(sites=2, hopping=0.0, onsite=1.0), dt=0.1)
     hopping = [g for g in step.gates if g.gate.name.startswith("Uj")]
     for g in hopping:
         assert np.allclose(g.gate.matrix, np.eye(4))
@@ -65,7 +64,7 @@ def test_hubbard_step_zero_hopping_blocks_are_identity():
 
 def test_hopping_block_at_quarter_period_swaps_with_phase():
     # evaluate the printed 4x4 at lambda = pi/2: |01> <-> |10> up to -i
-    step = trotter_step_hubbard(HubbardModel(sites=2, hopping=1.0, onsite=0.0), dt=np.pi / 2)
+    step = trotter_step(HubbardModel(sites=2, hopping=1.0, onsite=0.0), dt=np.pi / 2)
     block = step.gates[0].gate.matrix
     assert np.allclose(block @ np.array([0, 1, 0, 0]), [0, 0, -1j, 0])
     assert np.allclose(block @ np.array([0, 0, 1, 0]), [0, -1j, 0, 0])
@@ -73,7 +72,7 @@ def test_hopping_block_at_quarter_period_swaps_with_phase():
 
 def test_pairing_step_without_coupling_is_diagonal():
     model = PairingModel.uniform(3, 1, 1.0, 0.0)
-    step = trotter_step_pairing(model, dt=0.05)
+    step = trotter_step(model, dt=0.05)
     mat = circuit_matrix(step)
     assert np.abs(mat - np.diag(np.diag(mat))).max() < 1e-12
 
@@ -83,7 +82,7 @@ def test_pairing_step_reproduces_split_propagator():
     model = PairingModel.uniform(2, 1, 1.0, 1.0)
     dt = 0.01
     h_diag, h_coup = split_parts(model)
-    step_mat = circuit_matrix(trotter_step_pairing(model, dt))
+    step_mat = circuit_matrix(trotter_step(model, dt))
     oracle = expm(-1j * dt * h_coup) @ expm(-1j * dt * h_diag)
     assert np.abs(step_mat - oracle).max() < 1e-12
 
@@ -92,7 +91,7 @@ def test_hubbard_step_reproduces_split_propagator():
     model = HubbardModel(sites=2, hopping=0.7, onsite=1.3)
     dt = 0.02
     h_diag, h_coup = split_parts(model)  # diagonal = interaction, coupling = hopping
-    step_mat = circuit_matrix(trotter_step_hubbard(model, dt))
+    step_mat = circuit_matrix(trotter_step(model, dt))
     oracle = expm(-1j * dt * h_diag) @ expm(-1j * dt * h_coup)
     assert np.abs(step_mat - oracle).max() < 1e-11
 
@@ -344,10 +343,24 @@ def test_pairing_model_arrays_are_read_only():
         model.g[0, 1] = 2.0
 
 
+def gate_stack(circuit):
+    """The circuit's gates as a `_sector_step` stack; a 1-qubit gate on q sits on (q, q) at rows/columns 0 and 3."""
+    matrices = np.tile(np.eye(4, dtype=complex), (len(circuit.gates), 1, 1))
+    pairs = np.empty((len(circuit.gates), 2), dtype=np.int64)
+    for g, item in enumerate(circuit.gates):
+        if len(item.gate.targets) == 1:
+            matrices[g][np.ix_([0, 3], [0, 3])] = item.gate.matrix
+            pairs[g] = item.gate.targets * 2
+        else:
+            matrices[g] = item.gate.matrix
+            pairs[g] = item.gate.targets
+    return matrices, pairs
+
+
 def test_sector_step_rejects_weight_changing_gate():
     leaky = Circuit((AppliedGate(pauli_x(0)),), 2)
     with pytest.raises(SimulationError, match="Hamming weight"):
-        _sector_step(leaky, np.array([1, 2]))  # the one-particle sector of two qubits
+        _sector_step(*gate_stack(leaky), np.array([1, 2]))  # the one-particle sector of two qubits
 
 
 def test_sector_step_matches_gate_level_on_general_conserving_gates():
@@ -365,7 +378,7 @@ def test_sector_step_matches_gate_level_on_general_conserving_gates():
         gates.append(AppliedGate(GateMatrix(matrix, targets)))
     circuit = Circuit(tuple(gates), 3)
     basis = np.arange(8)
-    assert np.abs(_sector_step(circuit, basis) - circuit_matrix(circuit).T).max() < 1e-14
+    assert np.abs(_sector_step(*gate_stack(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
 
 
 def test_step_reuse_follows_the_occupied_sectors():
@@ -375,3 +388,57 @@ def test_step_reuse_follows_the_occupied_sectors():
         state = StateVector.from_bitstring(bits)
         out = evolve(state, model, 0.5, 2)
         assert np.abs(out.amplitudes - gate_level(state, model, 0.5, 2).amplitudes).max() < 1e-12
+
+
+# One power of the step matrix per (model, t, n_steps, occupied sectors) -------
+
+
+def sector_walk(state, model, t, n_steps):
+    """n_steps products with the step matrix on every sector at once (the kernel before the power)."""
+    full = np.arange(1 << model.n_qubits)
+    step = _sector_step(*_step_gates(model, t / n_steps), full)
+    rows = state.amplitudes.reshape(-1, full.size)
+    for _ in range(n_steps):
+        rows = rows @ step
+    return rows.reshape(-1)
+
+
+def sector_state(n_qubits, weights, seed):
+    """Random normalized amplitudes on the basis states whose Hamming weight is in weights."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(1 << n_qubits)
+    inside = np.isin(sum((index >> q) & 1 for q in range(n_qubits)), list(weights))
+    amps = (rng.normal(size=index.size) + 1j * rng.normal(size=index.size)) * inside
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+POWER_MODELS = {
+    "pairing-4": PairingModel.uniform(4, 2, 1.0, 0.7),
+    "hubbard-3": HubbardModel(sites=3, hopping=1.0, onsite=1.3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(POWER_MODELS)),
+    st.floats(0.01, 3.0),
+    st.integers(1, 2000),
+    st.sets(st.integers(0, 4), min_size=1, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+@example("pairing-4", 2.0, 2000, {1, 2}, 0)
+@example("hubbard-3", 2.0, 2000, {2, 3}, 1)
+def test_step_power_matches_step_walk(label, t, n_steps, weights, seed):
+    model = POWER_MODELS[label]
+    state = sector_state(model.n_qubits, weights, seed)
+    out = evolve(state, model, t, n_steps)
+    assert np.abs(out.amplitudes - sector_walk(state, model, t, n_steps)).max() < 1e-12
+
+
+def test_step_power_is_not_reused_across_equal_step_sizes():
+    # (0.5, 2) and (1.0, 4) share dt = 0.25; a power keyed on dt would apply U^2 at t = 1.0
+    model = PairingModel.uniform(4, 2, 1.0, 0.7)
+    state = StateVector.from_bitstring("1100")
+    for t, n_steps in ((0.5, 2), (1.0, 4), (0.5, 2)):
+        out = evolve(state, model, t, n_steps)
+        assert np.abs(out.amplitudes - gate_level(state, model, t, n_steps).amplitudes).max() < 1e-12
