@@ -145,6 +145,8 @@ def noisy_sample(
     readout's confusion matrix.  With p_dep = 0 and an identity confusion
     matrix this is the same single draw as sample_ancilla on the clean state's p0.
     """
+    if shots < 1:  # before the density evolution, not after it
+        raise SimulationError(f"shots must be >= 1, got {shots}")
     confusion = cfg.readout.confusion
     p0 = _channel_p0(init, circuit, ancilla, cfg.p_dep)
     return sample_ancilla(confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0), shots, seed)

@@ -10,22 +10,32 @@ explicit 1- and 2-qubit blocks:
 
 Within each part gates are applied in ascending qubit order; the order is
 frozen here because any fixed order is valid at first order.  `_step_gates`
-builds the step as one stack of 4x4 matrices and target pairs, checked for
-unitarity once; `trotter_step` wraps the same stack as a gate-level `Circuit`.
+builds the step as one stack of 4x4 matrices and target pairs; `trotter_step`
+wraps the same stack as a gate-level `Circuit`, whose gates each check their
+own unitarity, and `_sector_step` checks the whole stack at once.
 
 `evolve` and `controlled_evolve` multiply the stack out into a step matrix on
-the particle-number sectors the input occupies, raise it to the n_steps-th
-power by repeated squaring, and apply that power once.  Every gate of both
-factorizations is diagonal or acts only inside {|01>, |10>}, so it conserves
-the Hamming weight of the system register: the amplitudes outside those
-sectors are zero and stay exactly zero.  The step matrix is built on the
-sector alone, starting from its identity: a gate scales each sector state by
-its diagonal entry and mixes in the one partner state that differs on the two
-targets; runs of diagonal gates are folded into the neighbouring mixing gate.
-A gate that couples local states of different weight raises `SimulationError`
-instead of leaking amplitude out of the sector.  The last power is kept, keyed
-by the model object, t, n_steps and the occupied weights, so the members of a
-mixture evaluated at one time point share one build and one power.
+the particle-number sectors the input occupies and apply it n_steps times,
+either by walking (n_steps products of the rows with the step) or by raising
+it to the n_steps-th power by repeated squaring and applying that once.  Every
+gate of both factorizations is diagonal or acts only inside {|01>, |10>}, so
+it conserves the Hamming weight of the system register: the amplitudes
+outside those sectors are zero and stay exactly zero.  The step matrix is
+built on the sector alone, starting from its identity: a gate scales each
+sector state by its diagonal entry and mixes in the one partner state that
+differs on the two targets.  A gate that couples local states of different
+weight raises `SimulationError` instead of leaking amplitude out of the
+sector.
+
+Walk or power is chosen from the sector dimension d and n_steps: the power
+costs about log2(n_steps) d x d products, the walk n_steps row products, and
+one d x d product costs about d/4 row products.  So small sectors at many
+steps take the power, and a big sector (pairing-12's 924 states) walks.  The
+last build is kept, keyed by the model object, t, n_steps and the occupied
+weights, so the members of a mixture evaluated at one time point share one
+step matrix, and share its power once the rows they walked would have paid
+for it.
+
 Controlled evolution evolves only the ancilla-|1> half, which is exact for the
 block-diagonal [[I, 0], [0, U]].
 
@@ -93,9 +103,8 @@ class Circuit:
 
 # A 1-qubit gate on q sits in the stack as a 4x4 on the pair (q, q): its local
 # value 2 s_q + s_q is 0 or 3, so its 2x2 matrix fills rows and columns 0 and 3
-# (this index picks them out), and rows and columns 1 and 2, which no state
-# reaches, hold the identity.
-_ONE_QUBIT = (np.array([[0], [3]]), np.array([0, 3]))
+# (every third one), and rows and columns 1 and 2, which no state reaches, hold
+# the identity.
 
 
 def _step_gates(model, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +132,10 @@ def _step_gates(model, dt: float) -> tuple[np.ndarray, np.ndarray]:
         lam, off = np.full(2 * m - 2, dt * model.hopping), -1j
     else:
         raise SimulationError(f"unsupported model type {type(model).__name__}")
-    matrices = np.tile(np.eye(4, dtype=complex), (len(pairs), 1, 1))
+    matrices = np.eye(4, dtype=complex)[None].repeat(len(pairs), axis=0)
     matrices[phased, 3, 3] = np.exp(1j * phases)
     matrices[coupled, 1, 1] = matrices[coupled, 2, 2] = np.cos(lam)
     matrices[coupled, 1, 2] = matrices[coupled, 2, 1] = off * np.sin(lam)
-    err = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - np.eye(4)).max(axis=(1, 2))
-    if np.any(err > UNITARITY_TOL):
-        g = int(np.argmax(err))
-        raise SimulationError(f"non-unitary gate on {tuple(pairs[g])}: |U^H U - I| = {err[g]:.3e}")
     return matrices, pairs
 
 
@@ -140,7 +145,7 @@ def trotter_step(model, dt: float) -> Circuit:
     gates = []
     for matrix, (a, b) in zip(matrices, pairs.tolist()):
         if a == b:
-            gate = GateMatrix(matrix[_ONE_QUBIT], (a,), name=f"R({a})")
+            gate = GateMatrix(matrix[::3, ::3].copy(), (a,), name=f"R({a})")
         else:
             kind = "Ug" if isinstance(model, PairingModel) else "Uj" if b == a + 1 else "Uu"
             gate = GateMatrix(matrix, (a, b), name=f"{kind}({a},{b})")
@@ -188,15 +193,17 @@ _WEIGHT_CHANGING = np.not_equal.outer(_LOCAL_WEIGHT, _LOCAL_WEIGHT)
 def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
-    matrices and pairs are a gate stack as `_step_gates` returns it; basis is a
+    matrices and pairs are a gate stack as `_step_gates` returns it, each gate
+    unitary and conserving the Hamming weight (checked here); basis is a
     sorted union of whole Hamming-weight sectors.  A gate on targets (a, b)
     acts on a sector state s through its local value v = 2 s_a + s_b: s keeps
     G[v, v] of itself and, for v in {01, 10}, takes G[v, v ^ 3] of its partner
-    s ^ mask, the state with both targets flipped.  A gate with no partner
-    coupling is diagonal; each run of them is folded into the next mixing
-    gate (a trailing run into the last one), so only mixing gates touch the
-    matrix.
+    s ^ mask, the state with both targets flipped.
     """
+    err = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - np.eye(4)).max(axis=(1, 2), initial=0.0)
+    if np.any(err > UNITARITY_TOL):
+        g = int(np.argmax(err))
+        raise SimulationError(f"gate {g} on {tuple(pairs[g].tolist())} is not unitary: |U^H U - I| = {err[g]:.3e}")
     leak = np.abs(matrices[:, _WEIGHT_CHANGING]).max(axis=1, initial=0.0)
     if np.any(leak > UNITARITY_TOL):
         g = int(np.argmax(leak))
@@ -212,29 +219,29 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     rows = np.arange(len(matrices))[:, None]
     diag = matrices[rows, local, local]
     off = np.where(swap, matrices[rows, local, local ^ 3], 0.0)
-    # a gate is M[i, i] = d[i], M[p[i], i] = o[i]; diag(acc) M has d * acc and o * acc[p]
-    updates = []
-    acc = np.ones(basis.size, dtype=complex)
+    cols = np.eye(basis.size, dtype=complex)  # the transpose, so partners are gathered as contiguous rows
     for d, p, o in zip(diag, partner, off):
-        if o.any():
-            updates.append((acc * d, p, acc[p] * o))
-            acc = np.ones(basis.size, dtype=complex)
-        else:
-            acc = acc * d
-    if not updates:
-        return np.diag(acc)
-    d, p, o = updates[-1]  # M diag(acc) has d * acc and o * acc
-    updates[-1] = (d * acc, p, o * acc)
-    states = np.eye(basis.size, dtype=complex)
-    for d, p, o in updates:
-        states = states * d + states[:, p] * o
-    return states
+        cols = d[:, None] * cols + o[:, None] * cols[p]
+    return cols.T
 
 
-# (model, t, n_steps, occupied weights, basis, n_steps-th power of the step
-# matrix) of the last build; the model is matched by identity, which is safe
-# because its fields are immutable
-_last_step: tuple | None = None
+@dataclass
+class _Built:
+    """The step matrix on the occupied sectors for one (model, t, n_steps), and its n_steps-th power once paid for."""
+
+    model: object
+    t: float
+    n_steps: int
+    occupied: np.ndarray
+    basis: np.ndarray
+    step: np.ndarray
+    power: np.ndarray | None = None
+    walked: int = 0  # row products spent on walking this step so far
+
+
+# The last build; the model is matched by identity, which is safe because its
+# fields are immutable
+_last_step: _Built | None = None
 
 
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
@@ -243,14 +250,27 @@ def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
     n = model.n_qubits
     occupied = np.unique(_hamming_weights(np.flatnonzero(rows.any(axis=0)), n))
     last = _last_step
-    if last is not None and last[0] is model and last[1:3] == (t, n_steps) and np.array_equal(last[3], occupied):
-        basis, power = last[4], last[5]
-    else:
+    same = last is not None and last.model is model and (last.t, last.n_steps) == (t, n_steps)
+    if not (same and np.array_equal(last.occupied, occupied)):
         basis = np.flatnonzero(np.isin(_hamming_weights(np.arange(1 << n), n), occupied))
-        power = np.linalg.matrix_power(_sector_step(*_step_gates(model, t / n_steps), basis), n_steps)
-        _last_step = (model, t, n_steps, occupied, basis, power)
+        step = _sector_step(*_step_gates(model, t / n_steps), basis)
+        last = _last_step = _Built(model, t, n_steps, occupied, basis, step)
+    block = rows[:, last.basis]
+    # matrix_power takes bit_length + popcount - 2 d x d products, each about d/4
+    # row products (numpy with OpenBLAS, 2 vCPU, d from 20 to 924); walk until
+    # the rows walked with this step would have paid for them
+    cost = n_steps * len(rows)
+    products = n_steps.bit_length() + n_steps.bit_count() - 2
+    if last.power is None and 4 * (last.walked + cost) > products * last.basis.size:
+        last.power = np.linalg.matrix_power(last.step, n_steps)
+    if last.power is not None:
+        block = block @ last.power
+    else:
+        for _ in range(n_steps):
+            block = block @ last.step
+        last.walked += cost
     out = np.zeros_like(rows)
-    out[:, basis] = rows[:, basis] @ power
+    out[:, last.basis] = block
     return out
 
 

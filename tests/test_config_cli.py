@@ -224,8 +224,8 @@ def test_cmd_moments_fourier_from_sampled_series(tmp_path):
     # seeds 3-11: the CLI runs seed 3, library gf_series and spectral_peaks (the calls
     # the CLI makes) run the rest.  Measured over seeds 3-22 at 10^4 shots per point:
     # median 3.0e-3 and max 1.8e-2 on the 51-point baseband grid, where seed 3 reads
-    # 9.4e-3; median 3.1e-3 over seeds 3-11.  gap_target 0.1 gives 51 points, about
-    # 0.04 s per trace on 2 vCPU (the default auto grid, 251 points, about 0.2 s)
+    # 9.4e-3; median 3.1e-3 over seeds 3-11.  gap_target 0.1 gives 51 points, 0.02-0.04 s
+    # per trace on 2 vCPU (the default auto grid, 251 points, 0.1-0.2 s)
     cfg = base_config(time_grid={"auto": True, "gap_target": 0.1}, shots=10000, seed=3)
     cfg["moments"] = {"route": "fourier", "order": 4}
     del cfg["trotter"]

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from gfsim import noise
 from gfsim.genfunc import GfSeries, gf_exact, hadamard_test_circuit
 from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.noise import (
@@ -141,6 +142,14 @@ def test_noisy_sample_rejects_state_smaller_than_circuit():
     system_only = initial_state(model).members[0]
     with pytest.raises(SimulationError):
         noisy_sample(system_only, circuit, 1, 100, NoiseConfig(ReadoutModel.identity()), seed=1)
+
+
+def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
+    model, init = preset_model()
+    circuit = hadamard_test_circuit(model, 0.4, 1, "re")
+    monkeypatch.setattr(noise, "_channel_p0", lambda *args: pytest.fail("evolved before checking shots"))
+    with pytest.raises(SimulationError, match="shots must be >= 1"):
+        noisy_sample(init, circuit, 2, 0, NoiseConfig(ReadoutModel.identity()), seed=1)
 
 
 def test_noisy_sample_is_one_binomial_draw():

@@ -363,6 +363,13 @@ def test_sector_step_rejects_weight_changing_gate():
         _sector_step(*gate_stack(leaky), np.array([1, 2]))  # the one-particle sector of two qubits
 
 
+def test_sector_step_rejects_non_unitary_gate():
+    matrices, pairs = _step_gates(PairingModel.uniform(2, 1, 1.0, 1.0), 0.1)
+    matrices[-1, 1, 1] *= 1.001
+    with pytest.raises(SimulationError, match="not unitary"):
+        _sector_step(matrices, pairs, np.array([1, 2]))
+
+
 def test_sector_step_matches_gate_level_on_general_conserving_gates():
     # the Trotter blocks are symmetric; these are not, so a transposed
     # coupling or a swapped target order shows up
@@ -442,3 +449,32 @@ def test_step_power_is_not_reused_across_equal_step_sizes():
     for t, n_steps in ((0.5, 2), (1.0, 4), (0.5, 2)):
         out = evolve(state, model, t, n_steps)
         assert np.abs(out.amplitudes - gate_level(state, model, t, n_steps).amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, n_steps, powered",
+    [
+        # d = 20: the power's 4 products cost 80 row products, so two 10-step
+        # calls walk and the third takes the power
+        (HubbardModel(sites=3, hopping=1.0, onsite=1.3), 10, [False, False, True]),
+        # d = 70: 14 products cost 245 row products, less than one 1000-step walk
+        (PairingModel.uniform(8, 4, 1.0, 1.0), 1000, [True, True]),
+        # d = 252: 12 products cost 756 row products, three 250-step walks
+        (PairingModel.uniform(10, 5, 1.0, 1.0), 250, [False, False, False, True]),
+    ],
+)
+def test_walk_until_the_power_pays(model, n_steps, powered):
+    # calls at one (t, n_steps) on one sector, as mixture members make them
+    t = 0.9
+    weight = model.n_qubits // 2
+    basis = np.flatnonzero(trotter._hamming_weights(np.arange(1 << model.n_qubits), model.n_qubits) == weight)
+    step = _sector_step(*_step_gates(model, t / n_steps), basis)
+    trotter._last_step = None
+    for seed, want in enumerate(powered):
+        state = sector_state(model.n_qubits, {weight}, seed)
+        expected = state.amplitudes[basis]
+        for _ in range(n_steps):
+            expected = expected @ step
+        out = evolve(state, model, t, n_steps)
+        assert (trotter._last_step.power is not None) == want
+        assert np.abs(out.amplitudes[basis] - expected).max() < 1e-12
