@@ -58,10 +58,14 @@ def _write_manifest(
     return path
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is None:
+def _load_config(args, preset: dict | None = None) -> RunConfig:
+    """Config from --config, else a copy of the command's preset if it has one; --seed overrides the seed."""
+    if args.config is not None:
+        cfg = RunConfig.from_file(args.config)
+    elif preset is not None:
+        cfg = RunConfig(json.loads(json.dumps(preset)))
+    else:
         raise ConfigError("--config is required for this command")
-    cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
         cfg.raw["seed"] = args.seed
         cfg.seed = args.seed
@@ -189,13 +193,7 @@ def _noise_rms(series: GfSeries, exact: GfSeries) -> float:
 
 def cmd_noise(args) -> int:
     t_start = time.time()
-    if args.config is None:
-        cfg = RunConfig(json.loads(json.dumps(NOISE_PRESET)))
-        if args.seed is not None:
-            cfg.raw["seed"] = args.seed
-            cfg.seed = args.seed
-    else:
-        cfg = _load_config(args)
+    cfg = _load_config(args, NOISE_PRESET)
     if cfg.noise is None:
         raise ConfigError("noise command needs a noise block in the config")
     if not isinstance(cfg.trotter_policy, int):

@@ -55,6 +55,8 @@ def build_model(block: dict):
                 raise ConfigError("model.eps fixes the levels; levels and delta_e cannot go with it")
             eps = np.asarray(block["eps"], dtype=float)
             levels = eps.size
+            if eps.ndim != 1 or levels == 0:
+                raise ConfigError(f"model.eps must be a nonempty list of level energies, got {block['eps']!r}")
         else:
             levels = _number(block, "levels", "model", minimum=1, integer=True)
             delta_e = _number(block, "delta_e", "model", default=1.0, minimum=0.0)
@@ -155,9 +157,14 @@ class RunConfig:
         _require_keys(self.raw, _TOP_KEYS, "config")
         if "model" not in self.raw:
             raise ConfigError("config needs a model block")
-        self.model = build_model(self.raw["model"])
-        self.init = build_initial_state(self.model, self.raw.get("initial_state"))
-        self.t_grid = build_time_grid(self.raw.get("time_grid"), self.model)
+        try:
+            self.model = build_model(self.raw["model"])
+            self.init = build_initial_state(self.model, self.raw.get("initial_state"))
+            self.t_grid = build_time_grid(self.raw.get("time_grid"), self.model)
+        except ConfigError:
+            raise
+        except SimulationError as exc:  # a model, state or grid the config cannot build is a config error
+            raise ConfigError(str(exc)) from exc
         self.shots = _number(self.raw, "shots", "config", default=0, minimum=0, integer=True)
         self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, integer=True)
         self.trotter_policy = build_trotter_policy(self.raw.get("trotter"))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .models import DenseHamiltonian, InitialState
 from .statevector import SimulationError, apply_gate, derive_seed, hadamard, phase_gate, sample_ancilla
-from .trotter import controlled_evolve, steps_for, trotter_step
+from .trotter import AppliedGate, Circuit, controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
 
@@ -230,8 +230,6 @@ def hadamard_test_circuit(model, t: float, n_steps: int, quadrature: str):
 
     quadrature is "re" or "im"; the ancilla is qubit model.n_qubits.
     """
-    from .trotter import AppliedGate, Circuit
-
     if quadrature not in ("re", "im"):
         raise SimulationError(f"quadrature must be re|im, got {quadrature!r}")
     ancilla = model.n_qubits

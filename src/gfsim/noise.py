@@ -5,15 +5,19 @@ suffers a uniform Pauli error (X, Y, Z each with probability p_dep/3), and
 the measured qubit's outcome passes through a column-stochastic 2x2
 confusion matrix before counting.  `noisy_sample` samples this exactly: the
 density matrix through the equivalent depolarizing channel, then one binomial
-draw.  `_run_with_errors` (one fixed error pattern on a pure state) is the
-reference the channel is tested against.
+draw.  The channel acts on vec(rho), a state of twice as many qubits, so each
+gate and each depolarizing slot is one `_apply_matrix` call: kron(G, G*) for
+a gate, and the channel's closed form, one 4x4 map, for a slot.
+`_run_with_errors` (one fixed error pattern on a pure state) is the reference
+the channel is tested against.
 
 Mitigation: (1) readout inversion applies the inverse confusion matrix to
 outcome probabilities; (2) reference correction builds one 2x2 matrix from
 the t = 0 data of both Hadamard-test circuits, where the ideal outcomes are
 known exactly -- the Re circuit's ideal (1, 0) pins its first column and the
 Im circuit's ideal (1/2, 1/2) pins the column average -- and applies the
-stored inverse at every later time.
+stored inverse at every later time.  On a series the two inverses compose to
+one affine map of the bias, applied to all points at once.
 """
 
 from __future__ import annotations
@@ -100,32 +104,32 @@ def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[i
     return state
 
 
-def _conjugate(rho: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """G rho G^H as two batched applies: G on the rows of rho^T, then G* on the rows of G rho."""
-    g_rho = _apply_matrix(rho.T, n_qubits, matrix, targets).T
-    return _apply_matrix(g_rho, n_qubits, matrix.conj(), targets)
-
-
 def _channel_p0(init: StateVector, circuit: Circuit, ancilla: int, p_dep: float) -> float:
     """Exact ancilla-0 probability after the circuit under the depolarizing channel.
 
-    After every gate each touched qubit passes through
-    rho -> (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z), the average over
-    the independent per-slot Pauli errors that `_run_with_errors` inserts.
+    rho is held as vec(rho), a state of 2n qubits with the row bits above the
+    column bits, so that a gate G on the targets is kron(G, G*) on the row
+    targets followed by the column targets.  After every gate each touched
+    qubit q passes through rho -> (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z)
+    = (1 - 4p/3) rho + (2p/3) Tr_q rho (x) I, the average over the independent
+    per-slot Pauli errors that `_run_with_errors` inserts: one 4x4 map on
+    (row q, column q) that mixes the two diagonal entries and damps the two
+    coherences.
     """
     n = init.n_qubits
     if circuit.n_qubits > n or not 0 <= ancilla < n:
         raise SimulationError(f"circuit on {circuit.n_qubits} qubits, ancilla {ancilla}, state of {n} qubits")
-    rho = np.outer(init.amplitudes, init.amplitudes.conj())
+    keep, damp = 1.0 - 2.0 * p_dep / 3.0, 1.0 - 4.0 * p_dep / 3.0
+    depolarize = np.diag([keep, damp, damp, keep]).astype(complex)
+    depolarize[0, 3] = depolarize[3, 0] = 2.0 * p_dep / 3.0
+    rho = np.outer(init.amplitudes, init.amplitudes.conj()).reshape(-1)
     for item in circuit.gates:
-        if item.control is None:
-            rho = _conjugate(rho, n, item.gate.matrix, item.gate.targets)
-        else:
-            rho = _conjugate(rho, n, controlled_matrix(item.gate), item.touched)
+        gate = item.gate.matrix if item.control is None else controlled_matrix(item.gate)
+        rows = tuple(n + q for q in item.touched)
+        rho = _apply_matrix(rho, 2 * n, np.kron(gate, gate.conj()), rows + item.touched)
         for qubit in item.touched:
-            flipped = sum(_conjugate(rho, n, pauli, (qubit,)) for pauli in _PAULIS)
-            rho = (1.0 - p_dep) * rho + (p_dep / 3.0) * flipped
-    diag = rho.diagonal().real
+            rho = _apply_matrix(rho, 2 * n, depolarize, (n + qubit, qubit))
+    diag = rho.reshape(1 << n, 1 << n).diagonal().real
     bit = (np.arange(diag.size) >> ancilla) & 1
     return float(diag[bit == 0].sum() / diag.sum())
 
@@ -199,9 +203,6 @@ class ReferenceCorrection:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "inverse", np.linalg.inv(mat))
 
-    def correct(self, probs) -> np.ndarray:
-        return self.inverse @ _to_probs(probs)
-
 
 def calibrate_reference(f0_re: float, f0_im: float) -> ReferenceCorrection:
     """Build the t = 0 calibration matrix from observed Re/Im bias estimates.
@@ -219,35 +220,22 @@ def calibrate_reference(f0_re: float, f0_im: float) -> ReferenceCorrection:
     return ReferenceCorrection(np.column_stack([col0, col1]))
 
 
-def _bias_to_probs(bias: float) -> np.ndarray:
-    return np.array([(1.0 + bias) / 2.0, (1.0 - bias) / 2.0])
-
-
-def _probs_to_bias(probs: np.ndarray) -> float:
-    return float(probs[0] - probs[1])
-
-
 def mitigate_series(noisy: GfSeries, readout: ReadoutModel, ref: ReferenceCorrection) -> GfSeries:
-    """Per-point readout inversion then reference correction, errors propagated.
+    """Readout inversion then reference correction, as one affine map of the bias.
 
-    Error bars are scaled by the linearized bias sensitivity of the combined
-    inverse map (the same scalar for both outcomes of a quadrature).
+    The combined inverse c = ref.inverse @ inv(C) sends the pair
+    ((1 + b)/2, (1 - b)/2) to one whose bias is offset + slope b, with
+    slope = (c00 - c10 - c01 + c11)/2 and offset = (c00 - c10 + c01 - c11)/2.
+    Both quadratures go through that map, and their error bars scale by |slope|.
     """
-    inv_confusion = np.linalg.inv(readout.confusion)
-    combined = ref.inverse @ inv_confusion
-    err_scale = abs(combined[0, 0] - combined[1, 0] - combined[0, 1] + combined[1, 1]) / 2.0
-
-    def correct(bias: float) -> float:
-        probs = inv_confusion @ _bias_to_probs(bias)
-        return _probs_to_bias(ref.inverse @ probs)
-
-    re = np.array([correct(b) for b in noisy.re])
-    im = np.array([correct(b) for b in noisy.im])
+    c = ref.inverse @ np.linalg.inv(readout.confusion)
+    slope = (c[0, 0] - c[1, 0] - c[0, 1] + c[1, 1]) / 2.0
+    offset = (c[0, 0] - c[1, 0] + c[0, 1] - c[1, 1]) / 2.0
     return replace(
         noisy,
-        re=re,
-        im=im,
-        re_err=noisy.re_err * err_scale,
-        im_err=noisy.im_err * err_scale,
+        re=offset + slope * noisy.re,
+        im=offset + slope * noisy.im,
+        re_err=noisy.re_err * abs(slope),
+        im_err=noisy.im_err * abs(slope),
         route="mitigated",
     )

@@ -85,7 +85,6 @@ class PadeApproximant:
 
     num: np.ndarray  # a_0..a_I, ascending powers
     den: np.ndarray  # b_0=1, b_1..b_J, ascending powers
-    residual: float = 0.0
     cond: float = 0.0
 
     def __post_init__(self):
@@ -137,23 +136,20 @@ def pade_fit(coeffs, i_order: int, j_order: int) -> PadeApproximant:
     if j_order == 0:
         den = np.array([1.0])
         cond = 1.0
-        residual = 0.0
     else:
         a = np.array([[c(i_order + ell - m) for m in range(1, j_order + 1)] for ell in range(1, j_order + 1)])
         rhs = -np.array([c(i_order + ell) for ell in range(1, j_order + 1)])
         if not a.any():
             b = np.zeros(j_order)
             cond = 1.0
-            residual = float(np.linalg.norm(rhs))
         else:
             cond = float(np.linalg.cond(a))
             if not np.isfinite(cond) or cond > PADE_COND_LIMIT:
                 raise PadeRejection(f"Pade[{i_order},{j_order}] system condition {cond:.3e} exceeds {PADE_COND_LIMIT:g}")
             b = np.linalg.solve(a, rhs)
-            residual = float(np.linalg.norm(a @ b - rhs))
         den = np.concatenate([[1.0], b])
     num = np.array([sum(den[m] * c(i - m) for m in range(min(i, j_order) + 1)) for i in range(i_order + 1)])
-    approx = PadeApproximant(num, den, residual=residual, cond=cond)
+    approx = PadeApproximant(num, den, cond=cond)
 
     back = approx.taylor(total)
     scale = np.abs(coeffs[: total + 1]).max() or 1.0
@@ -259,7 +255,7 @@ class EnergyCurve:
         self.energy = np.asarray(self.energy, dtype=float)
         self.dEdtau = np.asarray(self.dEdtau, dtype=float)
         if self.dEdtau.size:
-            limit = 1e-4 * float(np.abs(self.dEdtau).max()) + 1e-10
+            limit = PADE_SIGN_TOL * float(np.abs(self.dEdtau).max()) + 1e-10
             if float(self.dEdtau.max()) > limit:
                 raise SimulationError(f"dE/dtau reaches {self.dEdtau.max():.3e} > 0")
 

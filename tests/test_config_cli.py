@@ -185,8 +185,17 @@ def test_cmd_gf_rerun_from_manifest_identical(tmp_path):
 
 
 def test_invalid_config_exit_code_2(tmp_path):
-    path = write_config(tmp_path, base_config(bogus=True))
-    assert main(["gf", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    # an unknown key, and a model, initial state or time grid that the config cannot build
+    invalid = [
+        base_config(bogus=True),
+        base_config(initial_state="no-such-state"),
+        base_config(model={"kind": "pairing", "levels": 2, "pairs": 3}),
+        base_config(model={"kind": "pairing", "levels": 4, "pairs": 2}, initial_state=["1110"]),
+        base_config(model={"kind": "pairing", "eps": [], "pairs": 0}),
+    ]
+    for cfg in invalid:
+        path = write_config(tmp_path, cfg)
+        assert main(["gf", "--config", path, "--out-dir", str(tmp_path)]) == 2, cfg
 
 
 def test_runtime_failure_exit_code_1(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from gfsim import noise
 from gfsim.genfunc import GfSeries, gf_exact, hadamard_test_circuit
-from gfsim.models import PairingModel, build_dense, initial_state, pairing_to_qubits
+from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.noise import (
     NoiseConfig,
     ReadoutModel,
@@ -18,7 +18,7 @@ from gfsim.noise import (
     mitigate_series,
     noisy_sample,
 )
-from gfsim.statevector import SimulationError, ancilla_probability, sample_ancilla
+from gfsim.statevector import SimulationError, StateVector, ancilla_probability, controlled_matrix, sample_ancilla
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
 
@@ -98,6 +98,71 @@ def test_channel_matches_error_pattern_sum(quad):
                 expected += weight * ancilla_probability(final, 2)
     dropped = 1.0 - sum(comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(3))
     assert abs(_channel_p0(init, circuit, 2, p) - expected) <= dropped
+
+
+def _embed(matrix, targets, n):
+    """The full 2^n x 2^n operator of a gate on the targets (targets[0] the most
+    significant bit of the gate index), summed entry by entry as Kronecker
+    products over qubits n-1 .. 0."""
+    k = len(targets)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for a, b in product(range(1 << k), repeat=2):
+        if matrix[a, b] == 0:
+            continue
+        term = np.ones((1, 1), dtype=complex)
+        for q in reversed(range(n)):
+            factor = np.eye(2, dtype=complex)
+            if q in targets:
+                shift = k - 1 - targets.index(q)
+                factor = np.zeros((2, 2), dtype=complex)
+                factor[(a >> shift) & 1, (b >> shift) & 1] = 1.0
+            term = np.kron(term, factor)
+        full += matrix[a, b] * term
+    return full
+
+
+def _dense_channel_p0(init, circuit, ancilla, p):
+    """Density-matrix oracle: each gate as a dense 2^n x 2^n unitary, then on every
+    touched qubit rho -> (1 - p) rho + (p/3) sum_P P rho P over P = X, Y, Z."""
+    n = init.n_qubits
+    rho = np.outer(init.amplitudes, init.amplitudes.conj())
+    for item in circuit.gates:
+        gate = item.gate.matrix if item.control is None else controlled_matrix(item.gate)
+        full = _embed(gate, item.touched, n)
+        rho = full @ rho @ full.conj().T
+        for qubit in item.touched:
+            paulis = [_embed(pauli, (qubit,), n) for pauli in noise._PAULIS]
+            rho = (1 - p) * rho + (p / 3) * sum(pauli @ rho @ pauli for pauli in paulis)
+    diag = rho.diagonal().real
+    return diag[((np.arange(diag.size) >> ancilla) & 1) == 0].sum() / diag.sum()
+
+
+def _random_state(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps)).tensor_with_ancilla()
+
+
+_ORACLE_CASES = [
+    ("preset-re", PairingModel.uniform(2, 1, 1.0, 1.0), 0.4, 1, "re"),
+    ("preset-im", PairingModel.uniform(2, 1, 1.0, 1.0), 0.4, 1, "im"),
+    ("pairing-4", PairingModel.uniform(4, 2, 1.0, 0.7), 0.4, 3, "re"),
+    ("hubbard-2", HubbardModel(sites=2, hopping=1.0, onsite=2.0), 0.4, 3, "im"),
+]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.002, 0.3, 0.75])
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
+def test_channel_matches_dense_density_matrix(case, p):
+    # exact at every p, unlike the weight-<=2 pattern sum (small p) and the trajectory test (statistical)
+    name, model, t, n_steps, quad = case
+    if name.startswith("preset"):
+        init = initial_state(model).members[0].tensor_with_ancilla()
+    else:
+        init = _random_state(model.n_qubits, seed=model.n_qubits)
+    circuit = hadamard_test_circuit(model, t, n_steps, quad)
+    ancilla = model.n_qubits
+    assert abs(_channel_p0(init, circuit, ancilla, p) - _dense_channel_p0(init, circuit, ancilla, p)) <= 1e-13
 
 
 def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
@@ -224,7 +289,7 @@ def test_calibration_reproduces_confusion_matrix():
 
 def test_calibration_self_consistency():
     ref = calibrate_reference(0.83, 0.06)
-    corrected = ref.correct(np.array([(1 + 0.83) / 2, (1 - 0.83) / 2]))
+    corrected = ref.inverse @ np.array([(1 + 0.83) / 2, (1 - 0.83) / 2])
     assert corrected[0] - corrected[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -306,3 +371,31 @@ def test_error_bars_scaled_by_inverse_maps():
     out = mitigate_series(raw, readout, ref)
     assert out.re[0] == pytest.approx(1.0, abs=1e-9)
     assert out.re_err[0] > raw.re_err[0]  # inversion amplifies shot noise
+
+
+def test_mitigate_series_matches_per_point_inverse():
+    # oracle: per point, solve the confusion system, apply the reference inverse, read the bias
+    rng = np.random.default_rng(4)
+    size = 40
+    values = rng.uniform(0, 0.5, size) * np.exp(2j * np.pi * rng.random(size))
+    raw = GfSeries(
+        np.arange(size) * 0.01,
+        values.real,
+        values.imag,
+        rng.uniform(1e-4, 1e-2, size),
+        rng.uniform(1e-4, 1e-2, size),
+        shots=10**5,
+        route="noisy",
+    )
+    ref = calibrate_reference(0.95, 0.02)
+    out = mitigate_series(raw, ReadoutModel(CONFUSION), ref)
+
+    def bias(b):
+        probs = ref.inverse @ np.linalg.solve(CONFUSION, np.array([(1 + b) / 2, (1 - b) / 2]))
+        return probs[0] - probs[1]
+
+    assert np.abs(out.re - [bias(b) for b in raw.re]).max() <= 1e-14
+    assert np.abs(out.im - [bias(b) for b in raw.im]).max() <= 1e-14
+    slope = abs(bias(1.0) - bias(-1.0)) / 2
+    assert np.allclose(out.re_err, raw.re_err * slope, rtol=1e-13, atol=0)
+    assert np.allclose(out.im_err, raw.im_err * slope, rtol=1e-13, atol=0)
