@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import DenseHamiltonian, InitialState
-from .statevector import SimulationError, apply_gate, derive_seed, hadamard, phase_gate, sample_ancilla
+from .statevector import SimulationError, StateVector, derive_seed, hadamard, phase_gate, sample_ancilla
 from .trotter import AppliedGate, Circuit, controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
@@ -169,10 +169,10 @@ def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, s
     if shots and per_member == 0:
         raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
-    h_gate = hadamard(ancilla)
     estimates = np.zeros(2)
     for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
-        state = apply_gate(member.tensor_with_ancilla(), h_gate)
+        # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
+        state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)
         if t != 0:
             state = controlled_evolve(state, model, t, n_steps, ancilla)
         halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit

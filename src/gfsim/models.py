@@ -267,6 +267,21 @@ def to_qubits(model) -> QubitHamiltonian:
     raise SimulationError(f"unsupported model type {type(model).__name__}")
 
 
+def sector_labels(model, index) -> np.ndarray:
+    """The conserved sector of each basis index of the model's register, as one integer label.
+
+    Pairing conserves the Hamming weight; Hubbard conserves N_up (the low M
+    qubits) and N_down (the high M qubits) separately, labelled N_up + (M + 1) N_down.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if isinstance(model, PairingModel):
+        return np.bitwise_count(index).astype(np.int64)
+    if isinstance(model, HubbardModel):
+        m = model.sites
+        return np.bitwise_count(index & ((1 << m) - 1)) + (m + 1) * np.bitwise_count(index >> m).astype(np.int64)
+    raise SimulationError(f"unsupported model type {type(model).__name__}")
+
+
 # Dense oracle ----------------------------------------------------------------
 
 
@@ -404,9 +419,10 @@ def initial_state(model, spec="default") -> InitialState:
                 raise SimulationError(
                     f"bitstring {bits!r} occupies {bits.count('1')} pairs, model has N={model.n_pairs}"
                 )
-    if isinstance(model, HubbardModel):
-        m = model.sites
-        counts = {(b[:m].count("1"), b[m:].count("1")) for b in bitstrings}
-        if len(counts) > 1:
-            raise SimulationError(f"mixture members disagree on particle numbers: {sorted(counts)}")
-    return InitialState.from_bitstrings(bitstrings)
+    init = InitialState.from_bitstrings(bitstrings)
+    labels = sector_labels(model, [np.flatnonzero(member.amplitudes)[0] for member in init.members])
+    differ = np.flatnonzero(labels != labels[0])
+    if differ.size:
+        other = bitstrings[differ[0]]
+        raise SimulationError(f"mixture members disagree on particle numbers: {bitstrings[0]!r} and {other!r}")
+    return init

@@ -15,24 +15,27 @@ wraps the same stack as a gate-level `Circuit`, whose gates each check their
 own unitarity, and `_sector_step` checks the whole stack at once.
 
 `evolve` and `controlled_evolve` multiply the stack out into a step matrix on
-the particle-number sectors the input occupies and apply it n_steps times,
-either by walking (n_steps products of the rows with the step) or by raising
-it to the n_steps-th power by repeated squaring and applying that once.  Every
-gate of both factorizations is diagonal or acts only inside {|01>, |10>}, so
-it conserves the Hamming weight of the system register: the amplitudes
-outside those sectors are zero and stay exactly zero.  The step matrix is
-built on the sector alone, starting from its identity: a gate scales each
+the conserved sectors the input occupies and apply it n_steps times, either by
+walking (n_steps products of the rows with the step) or by raising it to the
+n_steps-th power by repeated squaring and applying that once.  The sectors are
+those of `models.sector_labels`: the Hamming weight for pairing, and N_up and
+N_down separately for Hubbard, whose hopping blocks each move one fermion
+within its own spin chain.  Every gate of both factorizations is diagonal or
+acts only inside {|01>, |10>}, so the amplitudes outside those sectors are
+zero and stay exactly zero; Hubbard-4's mixture, for one, evolves on the 36
+states of its (2, 2) sector, not the 70 of weight 4.  The step matrix is
+built on the sectors alone, starting from their identity: a gate scales each
 sector state by its diagonal entry and mixes in the one partner state that
 differs on the two targets.  A gate that couples local states of different
-weight raises `SimulationError` instead of leaking amplitude out of the
-sector.
+weight, or a sector state to a partner outside the sectors, raises
+`SimulationError` instead of leaking amplitude.
 
 Walk or power is chosen from the sector dimension d and n_steps: the power
 costs about log2(n_steps) d x d products, the walk n_steps row products, and
 one d x d product costs about d/4 row products.  So small sectors at many
 steps take the power, and a big sector (pairing-12's 924 states) walks.  The
 last build is kept, keyed by the model object, t, n_steps and the occupied
-weights, so the members of a mixture evaluated at one time point share one
+sectors, so the members of a mixture evaluated at one time point share one
 step matrix, and share its power once the rows they walked would have paid
 for it.
 
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HubbardModel, PairingModel
+from .models import HubbardModel, PairingModel, sector_labels
 from .statevector import UNITARITY_TOL, GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
 
 REFERENCE_DT_PAIRING = 0.002  # dt * (level spacing)
@@ -178,11 +181,6 @@ def steps_for(model, t: float, policy="reference") -> int:
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
-def _hamming_weights(index: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Number of set bits among the low n_qubits of each index."""
-    return sum((index >> q) & 1 for q in range(n_qubits))
-
-
 # Entries of a 4x4 gate matrix that couple local states of different Hamming
 # weight.  A 1-qubit gate on q is embedded as a gate on (q, q), whose local
 # values are 0 and 3 only, so its coupling lands on these entries too.
@@ -195,10 +193,12 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
 
     matrices and pairs are a gate stack as `_step_gates` returns it, each gate
     unitary and conserving the Hamming weight (checked here); basis is a
-    sorted union of whole Hamming-weight sectors.  A gate on targets (a, b)
-    acts on a sector state s through its local value v = 2 s_a + s_b: s keeps
-    G[v, v] of itself and, for v in {01, 10}, takes G[v, v ^ 3] of its partner
-    s ^ mask, the state with both targets flipped.
+    sorted union of whole conserved sectors (`models.sector_labels`).  A gate
+    on targets (a, b) acts on a sector state s through its local value
+    v = 2 s_a + s_b: s keeps G[v, v] of itself and, for v in {01, 10}, takes
+    G[v, v ^ 3] of its partner s ^ mask, the state with both targets flipped.
+    A gate whose nonzero G[v, v ^ 3] reaches a partner outside the basis
+    raises `SimulationError`.
     """
     err = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - np.eye(4)).max(axis=(1, 2), initial=0.0)
     if np.any(err > UNITARITY_TOL):
@@ -213,12 +213,22 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     high = (basis >> pairs[:, :1]) & 1
     low = (basis >> pairs[:, 1:]) & 1
     local = 2 * high + low
-    swap = high != low
-    flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
-    partner = np.where(swap, np.searchsorted(basis, flipped), np.arange(basis.size))
     rows = np.arange(len(matrices))[:, None]
     diag = matrices[rows, local, local]
-    off = np.where(swap, matrices[rows, local, local ^ 3], 0.0)
+    off = np.where(high != low, matrices[rows, local, local ^ 3], 0.0)
+    # only a state the gate does couple needs its partner, and that partner must lie in the basis
+    gate, state = np.nonzero(off)
+    flipped = basis[state] ^ ((1 << pairs[gate, 0]) | (1 << pairs[gate, 1]))
+    found = np.searchsorted(basis, flipped)
+    outside = basis[np.minimum(found, basis.size - 1)] != flipped
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise SimulationError(
+            f"gate {gate[k]} on {tuple(pairs[gate[k]].tolist())} couples basis state {basis[state[k]]} "
+            f"to {flipped[k]}, which lies outside the sector basis"
+        )
+    partner = np.tile(np.arange(basis.size), (len(matrices), 1))
+    partner[gate, state] = found
     cols = np.eye(basis.size, dtype=complex)  # the transpose, so partners are gathered as contiguous rows
     for d, p, o in zip(diag, partner, off):
         cols = d[:, None] * cols + o[:, None] * cols[p]
@@ -232,7 +242,7 @@ class _Built:
     model: object
     t: float
     n_steps: int
-    occupied: np.ndarray
+    occupied: np.ndarray  # flags by sector label
     basis: np.ndarray
     step: np.ndarray
     power: np.ndarray | None = None
@@ -245,14 +255,15 @@ _last_step: _Built | None = None
 
 
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
-    """Evolve each row of system amplitudes by n_steps steps, within its occupied sectors."""
+    """Evolve each row of system amplitudes by n_steps steps, on the union of the conserved sectors the rows occupy."""
     global _last_step
-    n = model.n_qubits
-    occupied = np.unique(_hamming_weights(np.flatnonzero(rows.any(axis=0)), n))
+    labels = sector_labels(model, np.arange(1 << model.n_qubits))
+    occupied = np.zeros(labels.max() + 1, dtype=bool)
+    occupied[labels[rows.any(axis=0)]] = True
     last = _last_step
     same = last is not None and last.model is model and (last.t, last.n_steps) == (t, n_steps)
     if not (same and np.array_equal(last.occupied, occupied)):
-        basis = np.flatnonzero(np.isin(_hamming_weights(np.arange(1 << n), n), occupied))
+        basis = np.flatnonzero(occupied[labels])
         step = _sector_step(*_step_gates(model, t / n_steps), basis)
         last = _last_step = _Built(model, t, n_steps, occupied, basis, step)
     block = rows[:, last.basis]

@@ -190,6 +190,13 @@ def test_initial_state_occupation_mismatch_rejected():
         initial_state(PairingModel.uniform(4, 2), ["1110"])
 
 
+def test_initial_state_spin_mismatch_rejected():
+    # both members hold two fermions, as (N_up, N_down) = (1, 1) and (2, 0)
+    with pytest.raises(SimulationError, match="disagree on particle numbers: '1001' and '1100'"):
+        initial_state(HubbardModel(sites=2, hopping=1.0, onsite=1.0), ["1001", "1100"])
+    assert len(initial_state(HubbardModel(sites=2, hopping=1.0, onsite=1.0), ["1001", "0110"])) == 2
+
+
 def test_initial_state_explicit_bitstrings():
     state = initial_state(PairingModel.uniform(4, 2), ["1100", "0011"])
     assert len(state) == 2

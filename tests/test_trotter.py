@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -397,6 +399,26 @@ def test_step_reuse_follows_the_occupied_sectors():
         assert np.abs(out.amplitudes - gate_level(state, model, 0.5, 2).amplitudes).max() < 1e-12
 
 
+def test_sector_step_rejects_gate_coupling_out_of_the_basis():
+    # a hopping block across the two spin chains, on (a, a + M), moves an up
+    # fermion to a down site: from the (2, 2) sector its partner lies in (1, 3) or (3, 1)
+    matrices, pairs = _step_gates(HubbardModel(sites=4, hopping=1.0, onsite=1.0), 0.1)
+    with pytest.raises(SimulationError, match="outside the sector basis"):
+        _sector_step(matrices[:1], np.array([[0, 4]]), spin_basis(4, {(2, 2)}))
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+def test_interaction_gates_build_on_every_spin_sector(sites):
+    # the interaction blocks sit on (a, a + M) like the gate above, but their
+    # 01/10 entries are zero, so no partner is looked up
+    model = HubbardModel(sites=sites, hopping=0.8, onsite=1.3)
+    stack = _step_gates(model, 0.1)
+    full = _sector_step(*stack, np.arange(1 << model.n_qubits))
+    for sector in itertools.product(range(sites + 1), repeat=2):
+        basis = spin_basis(sites, {sector})
+        assert np.abs(_sector_step(*stack, basis) - full[np.ix_(basis, basis)]).max() < 1e-15
+
+
 # One power of the step matrix per (model, t, n_steps, occupied sectors) -------
 
 
@@ -410,12 +432,23 @@ def sector_walk(state, model, t, n_steps):
     return rows.reshape(-1)
 
 
-def sector_state(n_qubits, weights, seed):
-    """Random normalized amplitudes on the basis states whose Hamming weight is in weights."""
+def weight_basis(n_qubits, weights):
+    """The basis states whose Hamming weight is in weights."""
+    return np.flatnonzero(np.isin(np.bitwise_count(np.arange(1 << n_qubits)), list(weights)))
+
+
+def spin_basis(sites, sectors):
+    """The Hubbard basis states whose (N_up, N_down) is in sectors; up on the low qubits, down on the high ones."""
+    index = np.arange(1 << (2 * sites))
+    spins = zip(np.bitwise_count(index & ((1 << sites) - 1)).tolist(), np.bitwise_count(index >> sites).tolist())
+    return np.flatnonzero([spin in sectors for spin in spins])
+
+
+def sector_state(n_qubits, basis, seed):
+    """Random normalized amplitudes on the given basis states."""
     rng = np.random.default_rng(seed)
-    index = np.arange(1 << n_qubits)
-    inside = np.isin(sum((index >> q) & 1 for q in range(n_qubits)), list(weights))
-    amps = (rng.normal(size=index.size) + 1j * rng.normal(size=index.size)) * inside
+    inside = np.isin(np.arange(1 << n_qubits), basis)
+    amps = (rng.normal(size=inside.size) + 1j * rng.normal(size=inside.size)) * inside
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
@@ -437,7 +470,7 @@ POWER_MODELS = {
 @example("hubbard-3", 2.0, 2000, {2, 3}, 1)
 def test_step_power_matches_step_walk(label, t, n_steps, weights, seed):
     model = POWER_MODELS[label]
-    state = sector_state(model.n_qubits, weights, seed)
+    state = sector_state(model.n_qubits, weight_basis(model.n_qubits, weights), seed)
     out = evolve(state, model, t, n_steps)
     assert np.abs(out.amplitudes - sector_walk(state, model, t, n_steps)).max() < 1e-12
 
@@ -449,6 +482,22 @@ def test_step_power_is_not_reused_across_equal_step_sizes():
     for t, n_steps in ((0.5, 2), (1.0, 4), (0.5, 2)):
         out = evolve(state, model, t, n_steps)
         assert np.abs(out.amplitudes - gate_level(state, model, t, n_steps).amplitudes).max() < 1e-12
+
+
+def check_walk_then_power(model, basis, n_steps, powered):
+    """Calls at one (t, n_steps) on one sector, as mixture members make them; powered[k] says if call k takes the power."""
+    t = 0.9
+    step = _sector_step(*_step_gates(model, t / n_steps), basis)
+    trotter._last_step = None
+    for seed, want in enumerate(powered):
+        state = sector_state(model.n_qubits, basis, seed)
+        expected = state.amplitudes[basis]
+        for _ in range(n_steps):
+            expected = expected @ step
+        out = evolve(state, model, t, n_steps)
+        assert np.array_equal(trotter._last_step.basis, basis)
+        assert (trotter._last_step.power is not None) == want
+        assert np.abs(out.amplitudes[basis] - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -464,17 +513,60 @@ def test_step_power_is_not_reused_across_equal_step_sizes():
     ],
 )
 def test_walk_until_the_power_pays(model, n_steps, powered):
-    # calls at one (t, n_steps) on one sector, as mixture members make them
-    t = 0.9
-    weight = model.n_qubits // 2
-    basis = np.flatnonzero(trotter._hamming_weights(np.arange(1 << model.n_qubits), model.n_qubits) == weight)
-    step = _sector_step(*_step_gates(model, t / n_steps), basis)
+    # the whole Hamming-weight sector at half filling
+    check_walk_then_power(model, weight_basis(model.n_qubits, {model.n_qubits // 2}), n_steps, powered)
+
+
+def test_walk_until_the_power_pays_on_a_spin_sector():
+    # d = 36, Hubbard-4's (2, 2) sector: 5 products cost 180 row products, two
+    # 20-step walks cost 160 and the third call takes the power (on the 70
+    # states of weight 4 the fifth would)
+    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
+    check_walk_then_power(model, spin_basis(4, {(2, 2)}), 20, [False, False, True, True])
+
+
+# Spin-resolved sectors: Hubbard evolves on (N_up, N_down), not on the weight ---
+
+
+def hubbard_case(model, sectors, seed):
+    basis = spin_basis(model.sites, sectors)
+    return model, basis, sector_state(model.n_qubits, basis, seed)
+
+
+@st.composite
+def hubbard_sector_states(draw):
+    """A Hubbard model and a random state on one (N_up, N_down) sector or on the union of two."""
+    sites = draw(st.integers(2, 4))
+    model = HubbardModel(sites=sites, hopping=draw(coefficients), onsite=draw(coefficients))
+    spins = st.tuples(st.integers(0, sites), st.integers(0, sites))
+    return hubbard_case(model, draw(st.sets(spins, min_size=1, max_size=2)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hubbard_sector_states(), st.floats(0.01, 3.0), st.integers(1, 4))
+@example(hubbard_case(HubbardModel(4, 1.0, 1.0), {(2, 2)}, 0), 1.0, 3)
+@example(hubbard_case(HubbardModel(3, 1.0, 1.3), {(1, 2), (2, 1)}, 1), 0.7, 2)
+def test_spin_sector_kernel_matches_gate_level(drawn, t, n_steps):
+    model, basis, state = drawn
+    expected = gate_level(state, model, t, n_steps).amplitudes
+    out = evolve(state, model, t, n_steps)
+    assert trotter._last_step.basis.size == basis.size
+    assert np.abs(out.amplitudes - expected).max() < 1e-12
+    # ancilla |0> half left alone, |1> half evolved
+    ancilla = model.n_qubits
+    both = StateVector(ancilla + 1, np.concatenate([state.amplitudes, state.amplitudes]) / np.sqrt(2.0))
+    out = controlled_evolve(both, model, t, n_steps, ancilla).amplitudes
+    assert trotter._last_step.basis.size == basis.size
+    assert np.array_equal(out[: state.amplitudes.size], both.amplitudes[: state.amplitudes.size])
+    assert np.abs(out[state.amplitudes.size :] - expected / np.sqrt(2.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, size",
+    [(HubbardModel(sites=4, hopping=1.0, onsite=1.0), 36), (PairingModel.uniform(8, 4, 1.0, 1.0), 70)],
+)
+def test_default_states_evolve_on_their_conserved_sector(model, size):
+    # Hubbard-4's mixture lies in (2, 2), 36 of the 70 states of weight 4
     trotter._last_step = None
-    for seed, want in enumerate(powered):
-        state = sector_state(model.n_qubits, {weight}, seed)
-        expected = state.amplitudes[basis]
-        for _ in range(n_steps):
-            expected = expected @ step
-        out = evolve(state, model, t, n_steps)
-        assert (trotter._last_step.power is not None) == want
-        assert np.abs(out.amplitudes[basis] - expected).max() < 1e-12
+    gf_series(model, initial_state(model), [0.0, 0.5])
+    assert trotter._last_step.basis.size == size
