@@ -484,8 +484,44 @@ def test_step_power_is_not_reused_across_equal_step_sizes():
         assert np.abs(out.amplitudes - gate_level(state, model, t, n_steps).amplitudes).max() < 1e-12
 
 
-def check_walk_then_power(model, basis, n_steps, powered):
-    """Calls at one (t, n_steps) on one sector, as mixture members make them; powered[k] says if call k takes the power."""
+@pytest.mark.parametrize(
+    "model, basis, n_steps, powered",
+    [
+        # d = 20: the power's 4 products cost 80 row products, so two 10-step
+        # calls walk and the third takes the power
+        pytest.param(
+            HubbardModel(sites=3, hopping=1.0, onsite=1.3),
+            weight_basis(6, {3}),
+            10,
+            [False, False, True],
+            id="model0-10-powered0",
+        ),
+        # d = 70: 14 products cost 245 row products, less than one 1000-step walk
+        pytest.param(
+            PairingModel.uniform(8, 4, 1.0, 1.0), weight_basis(8, {4}), 1000, [True, True], id="model1-1000-powered1"
+        ),
+        # d = 252: 12 products cost 756 row products, three 250-step walks
+        pytest.param(
+            PairingModel.uniform(10, 5, 1.0, 1.0),
+            weight_basis(10, {5}),
+            250,
+            [False, False, False, True],
+            id="model2-250-powered2",
+        ),
+        # d = 36, Hubbard-4's (2, 2) sector: 5 products cost 180 row products,
+        # two 20-step walks cost 160 and the third call takes the power (on the
+        # 70 states of weight 4 the fifth would)
+        pytest.param(
+            HubbardModel(sites=4, hopping=1.0, onsite=1.0),
+            spin_basis(4, {(2, 2)}),
+            20,
+            [False, False, True, True],
+            id="hubbard4-spin22-20-powered3",
+        ),
+    ],
+)
+def test_walk_until_the_power_pays(model, basis, n_steps, powered):
+    # calls at one (t, n_steps) on one sector, as mixture members make them
     t = 0.9
     step = _sector_step(*_step_gates(model, t / n_steps), basis)
     trotter._last_step = None
@@ -498,31 +534,6 @@ def check_walk_then_power(model, basis, n_steps, powered):
         assert np.array_equal(trotter._last_step.basis, basis)
         assert (trotter._last_step.power is not None) == want
         assert np.abs(out.amplitudes[basis] - expected).max() < 1e-12
-
-
-@pytest.mark.parametrize(
-    "model, n_steps, powered",
-    [
-        # d = 20: the power's 4 products cost 80 row products, so two 10-step
-        # calls walk and the third takes the power
-        (HubbardModel(sites=3, hopping=1.0, onsite=1.3), 10, [False, False, True]),
-        # d = 70: 14 products cost 245 row products, less than one 1000-step walk
-        (PairingModel.uniform(8, 4, 1.0, 1.0), 1000, [True, True]),
-        # d = 252: 12 products cost 756 row products, three 250-step walks
-        (PairingModel.uniform(10, 5, 1.0, 1.0), 250, [False, False, False, True]),
-    ],
-)
-def test_walk_until_the_power_pays(model, n_steps, powered):
-    # the whole Hamming-weight sector at half filling
-    check_walk_then_power(model, weight_basis(model.n_qubits, {model.n_qubits // 2}), n_steps, powered)
-
-
-def test_walk_until_the_power_pays_on_a_spin_sector():
-    # d = 36, Hubbard-4's (2, 2) sector: 5 products cost 180 row products, two
-    # 20-step walks cost 160 and the third call takes the power (on the 70
-    # states of weight 4 the fifth would)
-    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
-    check_walk_then_power(model, spin_basis(4, {(2, 2)}), 20, [False, False, True, True])
 
 
 # Spin-resolved sectors: Hubbard evolves on (N_up, N_down), not on the weight ---

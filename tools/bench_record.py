@@ -1,13 +1,14 @@
 """Record a parent/change benchmark comparison as BENCH_<n>.json.
 
-    python3 tools/bench_record.py PARENT CHANGE --out BENCH_16.json [--seeds 10] [--seconds 5]
+    python3 tools/bench_record.py PARENT CHANGE --out BENCH_16.json
 
 PARENT and CHANGE are two checkouts of this repository, each with its own
 perfbench/ and src/.  For every workload in CHANGE's BENCHMARK.json and every
-seed 1..--seeds, the recorder runs `python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0` once in each checkout, one after the other,
-with the side that runs first alternating from seed to seed.  It then times
-one Tier-1 run (`python -m pytest -q`) in each checkout.
+seed 1..10, the recorder runs `python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0` once in each checkout, one after the other, with the
+side that runs first alternating from seed to seed; T is BENCHMARK.json's
+`run_seconds`.  It then times one Tier-1 run (`python -m pytest -q`) in each
+checkout.
 
 Per side and workload the file holds the median and interquartile range of
 every end-to-end metric, the accuracy fingerprints and `fail_frac` that
@@ -28,6 +29,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+SEEDS = list(range(1, 11))
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -86,21 +89,19 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     end_to_end = spec["end_to_end"]
-    seeds = list(range(1, args.seeds + 1))
+    seconds = spec["run_seconds"]
 
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for seed in seeds:
+        for seed in SEEDS:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(perfbench(sides[side], workload, seed, args.seconds))
+                runs[side].append(perfbench(sides[side], workload, seed, seconds))
                 wall = runs[side][-1][0]["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed={seed} {side}: wall_s {wall:.4f}", flush=True)
         better = {}
@@ -110,15 +111,15 @@ def main(argv=None) -> int:
             values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for (p, _), (c, _) in pairs]
             better[name] = sum(sign * (p - c) > 0 for p, c in values)
         workloads[workload] = {
-            "seeds": seeds,
-            "first_side": ["parent" if seed % 2 else "change" for seed in seeds],
+            "seeds": SEEDS,
+            "first_side": ["parent" if seed % 2 else "change" for seed in SEEDS],
             "parent": side_summary(runs["parent"], end_to_end),
             "change": side_summary(runs["change"], end_to_end),
             "change_better_pairs": better,
         }
 
     record = {
-        "harness": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, each checkout's own copy",
+        "harness": f"perfbench/run.py --seconds {seconds:g} --trace 0, each checkout's own copy",
         "order": "per seed one run on each side; the parent runs first on odd seeds, the change on even ones",
         "workloads": workloads,
         "tier1": {side: tier1(path) for side, path in sides.items()},
