@@ -198,6 +198,9 @@ def cmd_noise(args) -> int:
         raise ConfigError("noise command needs a noise block in the config")
     if not isinstance(cfg.trotter_policy, int):
         raise ConfigError('noise command needs a fixed Trotter step count: {"policy": "fixed", "n_steps": N}')
+    members = len(cfg.init)
+    if cfg.shots < members:
+        raise ConfigError(f"noise command needs shots >= {members}, one per mixture member, got {cfg.shots}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -207,9 +210,7 @@ def cmd_noise(args) -> int:
     exact = gf_exact(dense, cfg.init, cfg.t_grid, model=model.fingerprint())
 
     n_steps = cfg.trotter_policy
-    shots = cfg.shots or 10**6
-    members = len(cfg.init)
-    per_member = shots // members
+    per_member = cfg.shots // members
     re = np.zeros(cfg.t_grid.size)
     im = np.zeros(cfg.t_grid.size)
     for k, t in enumerate(cfg.t_grid):

@@ -153,7 +153,7 @@ def _string(n: int, letters: dict[int, str]) -> str:
 # Models --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingModel:
     """Pairing model with M doubly degenerate levels and N pairs (one qubit per level)."""
 
@@ -163,7 +163,8 @@ class PairingModel:
 
     def __post_init__(self):
         # read-only copies: a model object then always means the same numbers,
-        # which lets the Trotter kernel reuse a step matrix by model identity
+        # which lets the Trotter kernel's propagator memo key on model identity
+        # (eq=False: equality and hash are by identity)
         eps = np.array(self.eps, dtype=float)
         g = np.array(self.g, dtype=float)
         for name, value in (("eps", eps), ("g", g)):

@@ -14,12 +14,11 @@ builds the step as one stack of 4x4 matrices and target pairs; `trotter_step`
 wraps the same stack as a gate-level `Circuit`, whose gates each check their
 own unitarity, and `_sector_step` checks the whole stack at once.
 
-`evolve` and `controlled_evolve` multiply the stack out into a step matrix on
-the conserved sectors the input occupies and apply it n_steps times, either by
-walking (n_steps products of the rows with the step) or by raising it to the
-n_steps-th power by repeated squaring and applying that once.  The sectors are
-those of `models.sector_labels`: the Hamming weight for pairing, and N_up and
-N_down separately for Hubbard, whose hopping blocks each move one fermion
+`evolve` and `controlled_evolve` multiply the stack out into a step matrix S on
+the conserved sectors the input occupies, raise it to the n_steps-th power by
+repeated squaring, and apply the one propagator U(t) = S^n_steps.  The sectors
+are those of `models.sector_labels`: the Hamming weight for pairing, and N_up
+and N_down separately for Hubbard, whose hopping blocks each move one fermion
 within its own spin chain.  Every gate of both factorizations is diagonal or
 acts only inside {|01>, |10>}, so the amplitudes outside those sectors are
 zero and stay exactly zero; Hubbard-4's mixture, for one, evolves on the 36
@@ -30,14 +29,10 @@ differs on the two targets.  A gate that couples local states of different
 weight, or a sector state to a partner outside the sectors, raises
 `SimulationError` instead of leaking amplitude.
 
-Walk or power is chosen from the sector dimension d and n_steps: the power
-costs about log2(n_steps) d x d products, the walk n_steps row products, and
-one d x d product costs about d/4 row products.  So small sectors at many
-steps take the power, and a big sector (pairing-12's 924 states) walks.  The
-last build is kept, keyed by the model object, t, n_steps and the occupied
-sectors, so the members of a mixture evaluated at one time point share one
-step matrix, and share its power once the rows they walked would have paid
-for it.
+The propagator is memoized for one (model, t, n_steps, occupied sectors) key
+by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
+one time point share one build.  A `PairingModel` is keyed by identity (its
+arrays are read-only copies), a `HubbardModel` by value.
 
 Controlled evolution evolves only the ancilla-|1> half, which is exact for the
 block-diagonal [[I, 0], [0, U]].
@@ -50,6 +45,7 @@ is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -235,53 +231,27 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     return cols.T
 
 
-@dataclass
-class _Built:
-    """The step matrix on the occupied sectors for one (model, t, n_steps), and its n_steps-th power once paid for."""
+@functools.lru_cache(maxsize=1)
+def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of the given conserved sectors and U(t) = S^n_steps on it, S the step of size t/n_steps.
 
-    model: object
-    t: float
-    n_steps: int
-    occupied: np.ndarray  # flags by sector label
-    basis: np.ndarray
-    step: np.ndarray
-    power: np.ndarray | None = None
-    walked: int = 0  # row products spent on walking this step so far
-
-
-# The last build; the model is matched by identity, which is safe because its
-# fields are immutable
-_last_step: _Built | None = None
+    The memo holds the model, so an identity-keyed model cannot be collected
+    and its id reused while its entry lives; both arrays are read-only, as
+    every caller with this key gets the same ones.
+    """
+    basis = np.flatnonzero(np.isin(sector_labels(model, np.arange(1 << model.n_qubits)), sectors))
+    power = np.linalg.matrix_power(_sector_step(*_step_gates(model, t / n_steps), basis), n_steps)
+    basis.setflags(write=False)
+    power.setflags(write=False)
+    return basis, power
 
 
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
     """Evolve each row of system amplitudes by n_steps steps, on the union of the conserved sectors the rows occupy."""
-    global _last_step
     labels = sector_labels(model, np.arange(1 << model.n_qubits))
-    occupied = np.zeros(labels.max() + 1, dtype=bool)
-    occupied[labels[rows.any(axis=0)]] = True
-    last = _last_step
-    same = last is not None and last.model is model and (last.t, last.n_steps) == (t, n_steps)
-    if not (same and np.array_equal(last.occupied, occupied)):
-        basis = np.flatnonzero(occupied[labels])
-        step = _sector_step(*_step_gates(model, t / n_steps), basis)
-        last = _last_step = _Built(model, t, n_steps, occupied, basis, step)
-    block = rows[:, last.basis]
-    # matrix_power takes bit_length + popcount - 2 d x d products, each about d/4
-    # row products (numpy with OpenBLAS, 2 vCPU, d from 20 to 924); walk until
-    # the rows walked with this step would have paid for them
-    cost = n_steps * len(rows)
-    products = n_steps.bit_length() + n_steps.bit_count() - 2
-    if last.power is None and 4 * (last.walked + cost) > products * last.basis.size:
-        last.power = np.linalg.matrix_power(last.step, n_steps)
-    if last.power is not None:
-        block = block @ last.power
-    else:
-        for _ in range(n_steps):
-            block = block @ last.step
-        last.walked += cost
+    basis, power = _propagator(model, t, n_steps, tuple(np.unique(labels[rows.any(axis=0)]).tolist()))
     out = np.zeros_like(rows)
-    out[:, last.basis] = block
+    out[:, basis] = rows[:, basis] @ power
     return out
 
 

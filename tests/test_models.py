@@ -59,6 +59,14 @@ def test_pairing_sector_eigenvalues():
     assert np.allclose(evals, [3.0 - SQRT2, 3.0 + SQRT2])
 
 
+def test_pairing_model_equality_and_hash_are_by_identity():
+    # array fields make value equality ambiguous; a model is equal only to itself
+    model, twin = PairingModel.uniform(4, 2), PairingModel.uniform(4, 2)
+    assert model == model and hash(model) == hash(model)
+    assert model != twin
+    assert len({model, twin, model}) == 2
+
+
 def test_hubbard_hopping_links_skip_spin_boundary():
     h = hubbard_to_qubits(HubbardModel(sites=2, hopping=1.0, onsite=0.0))
     xx = {t.ops for t in h if "X" in t.ops}

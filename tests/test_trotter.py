@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,6 +324,8 @@ def test_step_reuse_never_crosses_models():
 
 
 def test_mixture_members_share_one_step_build(monkeypatch):
+    # Hubbard models are value-equal, so an earlier test may have left this key in the memo
+    trotter._propagator.cache_clear()
     model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
     init = initial_state(model)
     grid = np.arange(0.0, 2.0001, 0.0625)
@@ -419,7 +423,7 @@ def test_interaction_gates_build_on_every_spin_sector(sites):
         assert np.abs(_sector_step(*stack, basis) - full[np.ix_(basis, basis)]).max() < 1e-15
 
 
-# One power of the step matrix per (model, t, n_steps, occupied sectors) -------
+# One propagator S^n per (model, t, n_steps, occupied sectors) -----------------
 
 
 def sector_walk(state, model, t, n_steps):
@@ -484,59 +488,22 @@ def test_step_power_is_not_reused_across_equal_step_sizes():
         assert np.abs(out.amplitudes - gate_level(state, model, t, n_steps).amplitudes).max() < 1e-12
 
 
-@pytest.mark.parametrize(
-    "model, basis, n_steps, powered",
-    [
-        # d = 20: the power's 4 products cost 80 row products, so two 10-step
-        # calls walk and the third takes the power
-        pytest.param(
-            HubbardModel(sites=3, hopping=1.0, onsite=1.3),
-            weight_basis(6, {3}),
-            10,
-            [False, False, True],
-            id="model0-10-powered0",
-        ),
-        # d = 70: 14 products cost 245 row products, less than one 1000-step walk
-        pytest.param(
-            PairingModel.uniform(8, 4, 1.0, 1.0), weight_basis(8, {4}), 1000, [True, True], id="model1-1000-powered1"
-        ),
-        # d = 252: 12 products cost 756 row products, three 250-step walks
-        pytest.param(
-            PairingModel.uniform(10, 5, 1.0, 1.0),
-            weight_basis(10, {5}),
-            250,
-            [False, False, False, True],
-            id="model2-250-powered2",
-        ),
-        # d = 36, Hubbard-4's (2, 2) sector: 5 products cost 180 row products,
-        # two 20-step walks cost 160 and the third call takes the power (on the
-        # 70 states of weight 4 the fifth would)
-        pytest.param(
-            HubbardModel(sites=4, hopping=1.0, onsite=1.0),
-            spin_basis(4, {(2, 2)}),
-            20,
-            [False, False, True, True],
-            id="hubbard4-spin22-20-powered3",
-        ),
-    ],
-)
-def test_walk_until_the_power_pays(model, basis, n_steps, powered):
-    # calls at one (t, n_steps) on one sector, as mixture members make them
-    t = 0.9
-    step = _sector_step(*_step_gates(model, t / n_steps), basis)
-    trotter._last_step = None
-    for seed, want in enumerate(powered):
-        state = sector_state(model.n_qubits, basis, seed)
-        expected = state.amplitudes[basis]
-        for _ in range(n_steps):
-            expected = expected @ step
-        out = evolve(state, model, t, n_steps)
-        assert np.array_equal(trotter._last_step.basis, basis)
-        assert (trotter._last_step.power is not None) == want
-        assert np.abs(out.amplitudes[basis] - expected).max() < 1e-12
-
-
 # Spin-resolved sectors: Hubbard evolves on (N_up, N_down), not on the weight ---
+
+
+@contextlib.contextmanager
+def recorded_bases():
+    """Record the basis of every propagator the kernel looks up inside the block."""
+    bases = []
+    lookup = trotter._propagator
+
+    def record(*key):
+        basis, power = lookup(*key)
+        bases.append(basis)
+        return basis, power
+
+    with mock.patch.object(trotter, "_propagator", record):
+        yield bases
 
 
 def hubbard_case(model, sectors, seed):
@@ -560,14 +527,16 @@ def hubbard_sector_states(draw):
 def test_spin_sector_kernel_matches_gate_level(drawn, t, n_steps):
     model, basis, state = drawn
     expected = gate_level(state, model, t, n_steps).amplitudes
-    out = evolve(state, model, t, n_steps)
-    assert trotter._last_step.basis.size == basis.size
+    with recorded_bases() as bases:
+        out = evolve(state, model, t, n_steps)
+    assert [b.size for b in bases] == [basis.size]
     assert np.abs(out.amplitudes - expected).max() < 1e-12
     # ancilla |0> half left alone, |1> half evolved
     ancilla = model.n_qubits
     both = StateVector(ancilla + 1, np.concatenate([state.amplitudes, state.amplitudes]) / np.sqrt(2.0))
-    out = controlled_evolve(both, model, t, n_steps, ancilla).amplitudes
-    assert trotter._last_step.basis.size == basis.size
+    with recorded_bases() as bases:
+        out = controlled_evolve(both, model, t, n_steps, ancilla).amplitudes
+    assert [b.size for b in bases] == [basis.size]
     assert np.array_equal(out[: state.amplitudes.size], both.amplitudes[: state.amplitudes.size])
     assert np.abs(out[state.amplitudes.size :] - expected / np.sqrt(2.0)).max() < 1e-12
 
@@ -578,6 +547,6 @@ def test_spin_sector_kernel_matches_gate_level(drawn, t, n_steps):
 )
 def test_default_states_evolve_on_their_conserved_sector(model, size):
     # Hubbard-4's mixture lies in (2, 2), 36 of the 70 states of weight 4
-    trotter._last_step = None
-    gf_series(model, initial_state(model), [0.0, 0.5])
-    assert trotter._last_step.basis.size == size
+    with recorded_bases() as bases:
+        gf_series(model, initial_state(model), [0.0, 0.5])
+    assert {b.size for b in bases} == {size}

@@ -7,15 +7,18 @@ perfbench/ and src/.  For every workload in CHANGE's BENCHMARK.json and every
 seed 1..10, the recorder runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once in each checkout, one after the other, with the
 side that runs first alternating from seed to seed; T is BENCHMARK.json's
-`run_seconds`.  It then times one Tier-1 run (`python -m pytest -q`) in each
-checkout.
+`run_seconds`.  It then times one Tier-1 run (`python -m pytest -q -p
+no:cacheprovider --continue-on-collection-errors`) in each checkout.
 
 Per side and workload the file holds the median and interquartile range of
 every end-to-end metric, the accuracy fingerprints and `fail_frac` that
 run.py reports, whether each run was correct, and the `provenance` block of
 the first run.  Per workload it holds, for each end-to-end metric, the number
-of seeds on which the change read better than the parent.  Runs go one at a
-time, so the machine's load is the only other contender.
+of seeds on which the change read better than the parent.  A run that exits
+non-zero is recorded under `failed` with its seed, exit code and the tail of
+its stderr, counts as not correct, and leaves its seed's pair out of the
+counts; the recording goes on.  Runs go one at a time, so the machine's load
+is the only other contender.
 """
 
 from __future__ import annotations
@@ -33,15 +36,16 @@ from pathlib import Path
 SEEDS = list(range(1, 11))
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced run.py: its last-line result and its report line."""
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
+    """One untraced run.py: its last-line result and its report line, or its failure and None if it exited non-zero."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout,
         capture_output=True,
         text=True,
-        check=True,
     )
+    if proc.returncode:
+        return {"seed": seed, "exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}, None
     lines = proc.stdout.splitlines()
     report = next(json.loads(line[len("report ") :]) for line in lines if line.startswith("report "))
     return json.loads(lines[-1]), report
@@ -64,13 +68,15 @@ def tier1(checkout: Path) -> dict:
 
 
 def spread(values: list[float]) -> dict:
+    if len(values) < 2:  # too few runs succeeded for quartiles
+        return {"values": values}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1, "q1": q1, "q3": q3, "values": values}
 
 
-def side_summary(runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
-    results = [result for result, _ in runs]
-    reports = [report for _, report in runs]
+def side_summary(runs: list[tuple[dict, dict | None]], end_to_end: list[dict]) -> dict:
+    results = [result for result, report in runs if report is not None]
+    reports = [report for _, report in runs if report is not None]
     accuracy = {}
     for report in reports:
         for name, item in report["accuracy"].items():
@@ -79,8 +85,9 @@ def side_summary(runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         **{m["name"]: spread([r["metrics"][m["name"]]["value"] for r in results]) for m in end_to_end},
         "accuracy": {name: {"median": statistics.median(v), "values": v} for name, v in accuracy.items()},
         "fail_frac": [report["fail_frac"]["value"] for report in reports],
-        "correct": [result["correct"] for result in results],
-        "provenance": reports[0]["provenance"],
+        "correct": [report is not None and result["correct"] for result, report in runs],
+        "failed": [result for result, report in runs if report is None],
+        "provenance": reports[0]["provenance"] if reports else None,
     }
 
 
@@ -101,14 +108,18 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(perfbench(sides[side], workload, seed, seconds))
-                wall = runs[side][-1][0]["metrics"]["wall_s"]["value"]
-                print(f"{workload} seed={seed} {side}: wall_s {wall:.4f}", flush=True)
+                result, report = perfbench(sides[side], workload, seed, seconds)
+                runs[side].append((result, report))
+                if report is None:
+                    print(f"{workload} seed={seed} {side}: exit {result['exit_code']}", flush=True)
+                else:
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed={seed} {side}: wall_s {wall:.4f}", flush=True)
         better = {}
         for m in end_to_end:
             name, sign = m["name"], (1 if m["better"] == "lower" else -1)
-            pairs = zip(runs["parent"], runs["change"])
-            values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for (p, _), (c, _) in pairs]
+            pairs = [(p, c) for (p, p_ok), (c, c_ok) in zip(runs["parent"], runs["change"]) if p_ok and c_ok]
+            values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
             better[name] = sum(sign * (p - c) > 0 for p, c in values)
         workloads[workload] = {
             "seeds": SEEDS,
