@@ -1,10 +1,17 @@
 """Batch command-line front end.
 
 Subcommands: gf, moments, texpand, krylov, noise.  Every run writes its CSV
-outputs plus a manifest (resolved config, tool version, seeds, output hashes,
-timings); re-running a command from its manifest reproduces the CSVs byte for
-byte.  Exit codes: 0 success, 1 runtime failure, 2 invalid configuration,
-3 no admissible rational approximant.
+outputs plus a manifest (resolved config, tool version, seeds, input and
+output hashes, timings); re-running a command from its manifest reproduces
+the CSVs byte for byte.  Exit codes: 0 success, 1 runtime failure, 2 invalid
+configuration, 3 no admissible rational approximant.
+
+`main` does the steps every command shares: it starts the clock, loads the
+config (--config, else the command's preset; --seed goes through the same
+schema), creates the output directory, runs the command, writes the manifest
+and prints the command's message.  Each `cmd_*(args, cfg, out_dir)` only
+computes and writes its outputs, and returns (outputs, manifest extras,
+message).  A configuration error writes no manifest.
 """
 
 from __future__ import annotations
@@ -58,25 +65,17 @@ def _write_manifest(
     return path
 
 
-def _load_config(args, preset: dict | None = None) -> RunConfig:
+def _load_config(args) -> RunConfig:
     """Config from --config, else a copy of the command's preset if it has one; --seed overrides the seed."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.config is not None:
-        cfg = RunConfig.from_file(args.config)
-    elif preset is not None:
-        cfg = RunConfig(json.loads(json.dumps(preset)))
-    else:
+        return RunConfig.from_file(args.config, **overrides)
+    if args.preset is None:
         raise ConfigError("--config is required for this command")
-    if args.seed is not None:
-        cfg.raw["seed"] = args.seed
-        cfg.seed = args.seed
-    return cfg
+    return RunConfig({**json.loads(json.dumps(args.preset)), **overrides})
 
 
-def cmd_gf(args) -> int:
-    t_start = time.time()
-    cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_gf(args, cfg: RunConfig, out_dir: Path):
     series = gf_series(cfg.model, cfg.init, cfg.t_grid, cfg.trotter_policy, shots=cfg.shots, seed=cfg.seed)
     if cfg.overlay_exact:
         dense = build_dense(to_qubits(cfg.model))
@@ -85,9 +84,7 @@ def cmd_gf(args) -> int:
         series.extra["im_exact"] = exact.im
     out = out_dir / "gf.csv"
     series.to_csv(out)
-    _write_manifest(out_dir, "gf", cfg, [out], t_start)
-    print(f"wrote {out} ({series.route}, {series.t.size} points, shots={series.shots})")
-    return 0
+    return [out], None, f"wrote {out} ({series.route}, {series.t.size} points, shots={series.shots})"
 
 
 def _moments_from_config(cfg: RunConfig, series_path: str | None) -> MomentSet:
@@ -110,24 +107,14 @@ def _moments_from_config(cfg: RunConfig, series_path: str | None) -> MomentSet:
     return mom
 
 
-def cmd_moments(args) -> int:
-    t_start = time.time()
-    cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_moments(args, cfg: RunConfig, out_dir: Path):
     mom = _moments_from_config(cfg, args.series)
     out = out_dir / "moments.csv"
     mom.to_csv(out)
-    _write_manifest(out_dir, "moments", cfg, [out], t_start, inputs=[args.series])
-    print(f"wrote {out} (route={mom.route}, order={mom.order})")
-    return 0
+    return [out], None, f"wrote {out} (route={mom.route}, order={mom.order})"
 
 
-def cmd_texpand(args) -> int:
-    t_start = time.time()
-    cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_texpand(args, cfg: RunConfig, out_dir: Path):
     if args.moments is not None:
         mom = MomentSet.from_csv(args.moments)
     else:
@@ -140,24 +127,19 @@ def cmd_texpand(args) -> int:
         fh.write(selection_report(log, approx))
         fh.write(f"asymptote {curve.asymptote!r}\n")
         fh.write(f"asymptote_grid_end {curve.asymptote_grid_end!r}\n")
-    extra = {}
-    if "model" in cfg.raw:
-        dense = build_dense(to_qubits(cfg.model))
-        oracle = imaginary_time_oracle(dense, cfg.init, curve.tau)
-        e_gs = dense.ground_energy(cfg.init)
-        extra = {"oracle_ground_energy": e_gs, "asymptote_abs_error": abs(curve.asymptote - e_gs)}
-        extra["oracle_curve_max_abs_error"] = float(np.abs(curve.energy - oracle.energy).max())
-    _write_manifest(out_dir, "texpand", cfg, [out, report], t_start, extra=extra, inputs=[args.moments])
+    dense = build_dense(to_qubits(cfg.model))
+    oracle = imaginary_time_oracle(dense, cfg.init, curve.tau)
+    e_gs = dense.ground_energy(cfg.init)
+    extra = {
+        "oracle_ground_energy": e_gs,
+        "asymptote_abs_error": abs(curve.asymptote - e_gs),
+        "oracle_curve_max_abs_error": float(np.abs(curve.energy - oracle.energy).max()),
+    }
     orders = approx.orders if approx is not None else None
-    print(f"wrote {out} (pade={orders}, asymptote={curve.asymptote:.8g})")
-    return 0
+    return [out, report], extra, f"wrote {out} (pade={orders}, asymptote={curve.asymptote:.8g})"
 
 
-def cmd_krylov(args) -> int:
-    t_start = time.time()
-    cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_krylov(args, cfg: RunConfig, out_dir: Path):
     needed = 2 * max(cfg.krylov_orders) + 1
     if args.moments is not None:
         mom = MomentSet.from_csv(args.moments)
@@ -181,9 +163,7 @@ def cmd_krylov(args) -> int:
     p_approx = survival_probability(solutions[best], t_grid)
     survival_out = out_dir / "survival.csv"
     survival_csv(survival_out, t_grid, p_approx, p_exact)
-    _write_manifest(out_dir, "krylov", cfg, [eigen_out, survival_out], t_start, inputs=[args.moments])
-    print(f"wrote {eigen_out} and {survival_out} (orders {cfg.krylov_orders})")
-    return 0
+    return [eigen_out, survival_out], None, f"wrote {eigen_out} and {survival_out} (orders {cfg.krylov_orders})"
 
 
 def _noise_rms(series: GfSeries, exact: GfSeries) -> float:
@@ -191,9 +171,7 @@ def _noise_rms(series: GfSeries, exact: GfSeries) -> float:
     return float(np.sqrt(np.mean(dev**2)))
 
 
-def cmd_noise(args) -> int:
-    t_start = time.time()
-    cfg = _load_config(args, NOISE_PRESET)
+def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     if cfg.noise is None:
         raise ConfigError("noise command needs a noise block in the config")
     if not isinstance(cfg.trotter_policy, int):
@@ -201,8 +179,6 @@ def cmd_noise(args) -> int:
     members = len(cfg.init)
     if cfg.shots < members:
         raise ConfigError(f"noise command needs shots >= {members}, one per mixture member, got {cfg.shots}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     model = cfg.model
     ancilla = model.n_qubits
@@ -248,9 +224,7 @@ def cmd_noise(args) -> int:
     rms_raw = _noise_rms(raw, exact)
     rms_mit = _noise_rms(mitigated, exact)
     extra = {"rms_raw": rms_raw, "rms_mitigated": rms_mit, "calibration_clipped": clipped}
-    _write_manifest(out_dir, "noise", cfg, paths, t_start, extra=extra)
-    print(f"rms raw={rms_raw:.6f} mitigated={rms_mit:.6f} ratio={rms_mit / rms_raw:.3f}")
-    return 0
+    return paths, extra, f"rms raw={rms_raw:.6f} mitigated={rms_mit:.6f} ratio={rms_mit / rms_raw:.3f}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration (a run manifest is also accepted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default=".", help="output directory")
+        p.set_defaults(preset=None)
 
     p_gf = sub.add_parser("gf", help="generating-function trace")
     common(p_gf)
@@ -287,15 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noi = sub.add_parser("noise", help="noisy run with readout + reference mitigation")
     common(p_noi)
-    p_noi.set_defaults(func=cmd_noise)
+    p_noi.set_defaults(func=cmd_noise, preset=NOISE_PRESET)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t_start = time.time()
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs, extra, message = args.func(args, cfg, out_dir)
+        inputs = [getattr(args, name, None) for name in ("series", "moments")]
+        _write_manifest(out_dir, args.command, cfg, outputs, t_start, extra=extra, inputs=inputs)
+        print(message)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

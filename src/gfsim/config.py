@@ -166,7 +166,7 @@ class RunConfig:
         except SimulationError as exc:  # a model, state or grid the config cannot build is a config error
             raise ConfigError(str(exc)) from exc
         self.shots = _number(self.raw, "shots", "config", default=0, minimum=0, integer=True)
-        self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, integer=True)
+        self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, maximum=2**32 - 1, integer=True)
         self.trotter_policy = build_trotter_policy(self.raw.get("trotter"))
         self.overlay_exact = bool(self.raw.get("overlay_exact", False))
 
@@ -190,8 +190,8 @@ class RunConfig:
         kry = self.raw.get("krylov", {})
         _require_keys(kry, {"orders", "t_max", "dt"}, "krylov")
         orders = kry.get("orders", [0, 1, 2, 3, 4, 5, 6])
-        if not isinstance(orders, list) or not all(isinstance(m, int) and m >= 0 for m in orders):
-            raise ConfigError("krylov.orders must be a list of nonnegative integers")
+        if not (isinstance(orders, list) and orders and all(type(m) is int and m >= 0 for m in orders)):
+            raise ConfigError(f"krylov.orders must be a nonempty list of nonnegative integers, got {orders!r}")
         self.krylov_orders = orders
         self.krylov_t_max = _number(kry, "t_max", "krylov", default=8.0, minimum=0.0)
         self.krylov_dt = _number(kry, "dt", "krylov", default=0.01, minimum=1e-9)
@@ -201,12 +201,15 @@ class RunConfig:
             self.noise = build_noise(self.raw["noise"])
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, **overrides) -> "RunConfig":
+        """Config (or a manifest's config) from a JSON file, with top-level keys replaced by `overrides`."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         # a manifest file can be fed back in place of its config
         if isinstance(data, dict) and "config" in data and "tool_version" in data:
             data = data["config"]
+        if overrides and isinstance(data, dict):
+            data = {**data, **overrides}
         return cls(data)
 
     def resolved(self) -> dict:

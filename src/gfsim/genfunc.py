@@ -16,10 +16,15 @@ circuit).  The sampled route draws each circuit's shots from that
 probability.  Mixtures are averaged member by member with the shot budget
 split evenly.
 
-The CSV format written here is the contract between the quantum-side and
-classical-side modules: `# model=`, `# shots=`, `# seed=`, `# route=` header
-lines, then named columns t,re,im,re_err,im_err rendered with 17 significant
-digits.
+Every CSV the package writes or reads is one table format, written by
+`write_table` and read by `read_table` here: `# key=value` header lines, one
+line of comma-separated column names, then one line per row, floats rendered
+with 17 significant digits.  A row whose cell count differs from the header's,
+a missing required column, or a table without data rows raises
+SimulationError naming the file (and the line).  The GfSeries table is the
+contract between the quantum-side and classical-side modules: `# model=`,
+`# shots=`, `# seed=`, `# route=` header lines, then columns
+t,re,im,re_err,im_err and any extra overlay columns.
 """
 
 from __future__ import annotations
@@ -35,12 +40,59 @@ from .statevector import SimulationError, StateVector, derive_seed, hadamard, ph
 from .trotter import AppliedGate, Circuit, controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
+GF_COLUMNS = ("t", "re", "im", "re_err", "im_err")
 
 _QUAD_RE, _QUAD_IM = 0, 1
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
+
+
+def write_table(path, meta: dict, names, rows):
+    """One `# key=value` line per meta item, the column names, then one line per row.
+
+    Strings and integers are written as they are, every other cell as a float
+    with 17 significant digits.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            cells = (x if isinstance(x, str) else str(x) if isinstance(x, (int, np.integer)) else _fmt(x) for x in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def read_table(path, required=()) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Meta, column names and rows (cells as strings) of a write_table file; blank lines are skipped."""
+    meta: dict[str, str] = {}
+    names: list[str] | None = None
+    rows: list[list[str]] = []
+    lineno = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                meta[key.strip()] = value.strip()
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if names is None:
+                names = cells
+                missing = [c for c in required if c not in names]
+                if missing:
+                    raise SimulationError(f"{path}, line {lineno}: missing column(s) {', '.join(missing)}")
+            elif len(cells) != len(names):
+                raise SimulationError(f"{path}, line {lineno}: {len(cells)} cells under a {len(names)}-column header")
+            else:
+                rows.append(cells)
+    if not rows:
+        problem = "no data rows after the header" if names else "no column header"
+        raise SimulationError(f"{path}, line {lineno}: {problem}")
+    return meta, names, rows
 
 
 @dataclass
@@ -94,47 +146,21 @@ class GfSeries:
         return float(steps[0])
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# model={self.model}\n")
-            fh.write(f"# shots={self.shots}\n")
-            fh.write(f"# seed={self.seed}\n")
-            fh.write(f"# route={self.route}\n")
-            names = ["t", "re", "im", "re_err", "im_err"] + list(self.extra)
-            fh.write(",".join(names) + "\n")
-            cols = [self.t, self.re, self.im, self.re_err, self.im_err]
-            cols += [np.asarray(self.extra[name], dtype=float) for name in self.extra]
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        meta = {"model": self.model, "shots": self.shots, "seed": self.seed, "route": self.route}
+        cols = [getattr(self, name) for name in GF_COLUMNS] + [np.asarray(c, dtype=float) for c in self.extra.values()]
+        write_table(path, meta, [*GF_COLUMNS, *self.extra], zip(*cols))
 
     @classmethod
     def from_csv(cls, path) -> "GfSeries":
-        meta = {"model": "", "shots": "0", "seed": "0", "route": "exact"}
-        rows: list[list[float]] = []
-        names: list[str] | None = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value.strip()
-                elif names is None:
-                    names = [c.strip() for c in line.split(",")]
-                else:
-                    rows.append([float(x) for x in line.split(",")])
-        if names is None or not rows:
-            raise SimulationError(f"no data rows in {path}")
-        data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(names)}
-        core = {k: data[k] for k in ("t", "re", "im", "re_err", "im_err")}
-        extra = {k: v for k, v in data.items() if k not in core}
+        meta, names, rows = read_table(path, required=GF_COLUMNS)
+        data = {name: np.array(col, dtype=float) for name, col in zip(names, zip(*rows))}
         return cls(
-            **core,
-            shots=int(meta["shots"]),
-            route=meta["route"],
-            model=meta["model"],
-            seed=int(meta["seed"]),
-            extra=extra,
+            **{name: data.pop(name) for name in GF_COLUMNS},
+            shots=int(meta.get("shots", 0)),
+            route=meta.get("route", "exact"),
+            model=meta.get("model", ""),
+            seed=int(meta.get("seed", 0)),
+            extra=data,
         )
 
 

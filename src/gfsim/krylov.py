@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .genfunc import _fmt
+from .genfunc import write_table
 from .models import Spectrum
 from .moments import MomentSet
 from .statevector import SimulationError
@@ -174,16 +174,14 @@ def tdce_integrate(k: KrylovMatrices, t_grid) -> TdceCoefficients:
 
 def eigen_table_csv(path, solutions: dict[int, KrylovSolution]):
     """Per-order eigenvalue table: M,alpha,E,weight,retained_dim."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("M,alpha,E,weight,retained_dim\n")
-        for order in sorted(solutions):
-            sol = solutions[order]
-            for alpha, (energy, weight) in enumerate(zip(sol.energies, sol.weights)):
-                fh.write(f"{order},{alpha},{_fmt(energy)},{_fmt(weight)},{sol.retained_dim}\n")
+    rows = (
+        (order, alpha, energy, weight, sol.retained_dim)
+        for order, sol in sorted(solutions.items())
+        for alpha, (energy, weight) in enumerate(zip(sol.energies, sol.weights))
+    )
+    write_table(path, {}, ("M", "alpha", "E", "weight", "retained_dim"), rows)
 
 
 def survival_csv(path, t_grid, approx: np.ndarray, exact: np.ndarray):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,P0_approx,P0_exact\n")
-        for row in zip(t_grid, approx, exact):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    columns = (np.asarray(c, dtype=float) for c in (t_grid, approx, exact))
+    write_table(path, {}, ("t", "P0_approx", "P0_exact"), zip(*columns))

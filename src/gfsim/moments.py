@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .genfunc import GfSeries, _fmt
+from .genfunc import GfSeries, read_table, write_table
 from .models import DenseHamiltonian, InitialState, Spectrum
 from .statevector import SimulationError
 
@@ -71,35 +71,16 @@ class MomentSet:
         return self.values.size - 1
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# source={self.source}\n")
-            for key, value in sorted(self.diagnostics.items()):
-                fh.write(f"# {key}={value}\n")
-            fh.write("K,value,err,route\n")
-            for k in range(self.values.size):
-                fh.write(f"{k},{_fmt(self.values[k])},{_fmt(self.errors[k])},{self.route}\n")
+        meta = {"source": self.source, **dict(sorted(self.diagnostics.items()))}
+        rows = ((k, v, e, self.route) for k, (v, e) in enumerate(zip(self.values, self.errors)))
+        write_table(path, meta, ("K", "value", "err", "route"), rows)
 
     @classmethod
     def from_csv(cls, path) -> "MomentSet":
-        values, errors, routes = [], [], []
-        source = ""
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("K,"):
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    if key.strip() == "source":
-                        source = val.strip()
-                    continue
-                k, value, err, route = line.split(",")
-                values.append(float(value))
-                errors.append(float(err))
-                routes.append(route)
-        if not values:
-            raise SimulationError(f"no moment rows in {path}")
-        return cls(np.array(values), np.array(errors), routes[0], source=source)
+        meta, names, rows = read_table(path, required=("value", "err", "route"))
+        cols = dict(zip(names, zip(*rows)))
+        values, errors = (np.array(cols[name], dtype=float) for name in ("value", "err"))
+        return cls(values, errors, cols["route"][0], source=meta.get("source", ""))
 
 
 def moments_exact(dense: DenseHamiltonian, init: InitialState, order: int) -> MomentSet:

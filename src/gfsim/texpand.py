@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genfunc import _fmt
+from .genfunc import _fmt, write_table
 from .models import DenseHamiltonian, InitialState
 from .moments import MomentSet
 from .statevector import SimulationError
@@ -260,12 +260,8 @@ class EnergyCurve:
                 raise SimulationError(f"dE/dtau reaches {self.dEdtau.max():.3e} > 0")
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# asymptote={_fmt(self.asymptote)}\n")
-            fh.write(f"# asymptote_grid_end={_fmt(self.asymptote_grid_end)}\n")
-            fh.write("tau,E,dEdtau\n")
-            for row in zip(self.tau, self.energy, self.dEdtau):
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        meta = {"asymptote": _fmt(self.asymptote), "asymptote_grid_end": _fmt(self.asymptote_grid_end)}
+        write_table(path, meta, ("tau", "E", "dEdtau"), zip(self.tau, self.energy, self.dEdtau))
 
 
 def default_tau_max(kappa_2: float, factor: float = 20.0) -> float:

@@ -7,8 +7,10 @@ perfbench/ and src/.  For every workload in CHANGE's BENCHMARK.json and every
 seed 1..10, the recorder runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once in each checkout, one after the other, with the
 side that runs first alternating from seed to seed; T is BENCHMARK.json's
-`run_seconds`.  It then times one Tier-1 run (`python -m pytest -q -p
-no:cacheprovider --continue-on-collection-errors`) in each checkout.
+`run_seconds`.  It then times the Tier-1 suite (`python -m pytest -q -p
+no:cacheprovider --continue-on-collection-errors`) in two alternating pairs,
+parent first in the first pair and the change first in the second, and
+records every run and the median wall time per side.
 
 Per side and workload the file holds the median and interquartile range of
 every end-to-end metric, the accuracy fingerprints and `fail_frac` that
@@ -34,6 +36,7 @@ import time
 from pathlib import Path
 
 SEEDS = list(range(1, 11))
+TIER1_PAIRS = 2
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
@@ -65,6 +68,16 @@ def tier1(checkout: Path) -> dict:
     wall = time.perf_counter() - start
     summary = re.findall(r"^=*\s*(\d+ (?:passed|failed).*?)\s*=*$", proc.stdout, re.MULTILINE)
     return {"wall_s": wall, "summary": summary[-1] if summary else None, "returncode": proc.returncode}
+
+
+def tier1_pairs(sides: dict[str, Path]) -> dict:
+    """Tier-1 runs in alternating pairs (parent first in even pairs): every run, and the median wall time per side."""
+    runs = {side: [] for side in sides}
+    for pair in range(TIER1_PAIRS):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            runs[side].append(tier1(sides[side]))
+            print(f"tier1 pair={pair} {side}: {runs[side][-1]['wall_s']:.2f} s", flush=True)
+    return {side: {"median_wall_s": statistics.median(r["wall_s"] for r in rs), "runs": rs} for side, rs in runs.items()}
 
 
 def spread(values: list[float]) -> dict:
@@ -133,7 +146,7 @@ def main(argv=None) -> int:
         "harness": f"perfbench/run.py --seconds {seconds:g} --trace 0, each checkout's own copy",
         "order": "per seed one run on each side; the parent runs first on odd seeds, the change on even ones",
         "workloads": workloads,
-        "tier1": {side: tier1(path) for side, path in sides.items()},
+        "tier1": tier1_pairs(sides),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
