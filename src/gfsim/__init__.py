@@ -76,7 +76,6 @@ from .krylov import (  # noqa: F401
 from .noise import (  # noqa: F401
     NoiseConfig,
     ReadoutModel,
-    ReferenceCorrection,
     calibrate_reference,
     mitigate_readout,
     mitigate_series,

@@ -210,9 +210,9 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
         ref = calibrate_reference(1.0, 0.0)
         clipped = False
     else:
-        re0, clipped_re = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout)
-        im0, clipped_im = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout)
-        ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
+        re0, clipped_re = mitigate_readout(raw.re[0], readout)
+        im0, clipped_im = mitigate_readout(raw.im[0], readout)
+        ref = calibrate_reference(re0, im0)
         clipped = clipped_re or clipped_im
     mitigated = mitigate_series(raw, readout, ref)
 

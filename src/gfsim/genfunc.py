@@ -20,11 +20,11 @@ Every CSV the package writes or reads is one table format, written by
 `write_table` and read by `read_table` here: `# key=value` header lines, one
 line of comma-separated column names, then one line per row, floats rendered
 with 17 significant digits.  A row whose cell count differs from the header's,
-a missing required column, or a table without data rows raises
-SimulationError naming the file (and the line).  The GfSeries table is the
-contract between the quantum-side and classical-side modules: `# model=`,
-`# shots=`, `# seed=`, `# route=` header lines, then columns
-t,re,im,re_err,im_err and any extra overlay columns.
+a missing required column, a cell that should be a number and is not, or a
+table without data rows raises SimulationError naming the file (and the
+line).  The GfSeries table is the contract between the quantum-side and
+classical-side modules: `# model=`, `# shots=`, `# seed=`, `# route=` header
+lines, then columns t,re,im,re_err,im_err and any extra overlay columns.
 """
 
 from __future__ import annotations
@@ -64,8 +64,11 @@ def write_table(path, meta: dict, names, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def read_table(path, required=()) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Meta, column names and rows (cells as strings) of a write_table file; blank lines are skipped."""
+def read_table(path, required=(), numeric=()) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Meta, column names and rows (cells as strings) of a write_table file; blank lines are skipped.
+
+    Cells of the `numeric` columns (True: of every column) must parse as floats.
+    """
     meta: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[str]] = []
@@ -85,9 +88,16 @@ def read_table(path, required=()) -> tuple[dict[str, str], list[str], list[list[
                 missing = [c for c in required if c not in names]
                 if missing:
                     raise SimulationError(f"{path}, line {lineno}: missing column(s) {', '.join(missing)}")
+                checked = [i for i, name in enumerate(names) if numeric is True or name in numeric]
             elif len(cells) != len(names):
                 raise SimulationError(f"{path}, line {lineno}: {len(cells)} cells under a {len(names)}-column header")
             else:
+                for i in checked:
+                    try:
+                        float(cells[i])
+                    except ValueError:
+                        message = f"{names[i]} cell {cells[i]!r} is not a number"
+                        raise SimulationError(f"{path}, line {lineno}: {message}") from None
                 rows.append(cells)
     if not rows:
         problem = "no data rows after the header" if names else "no column header"
@@ -152,7 +162,7 @@ class GfSeries:
 
     @classmethod
     def from_csv(cls, path) -> "GfSeries":
-        meta, names, rows = read_table(path, required=GF_COLUMNS)
+        meta, names, rows = read_table(path, required=GF_COLUMNS, numeric=True)
         data = {name: np.array(col, dtype=float) for name, col in zip(names, zip(*rows))}
         return cls(
             **{name: data.pop(name) for name in GF_COLUMNS},
@@ -230,6 +240,8 @@ def gf_series(
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) < 0):
         raise SimulationError("t_grid must be monotone and start at 0")
+    if not 0 <= seed <= 2**32 - 1:  # derive_seed keeps 32 bits of it: a wider seed aliases another
+        raise SimulationError(f"seed must lie in [0, 2**32 - 1], got {seed}")
 
     results = [
         gf_hadamard(model, init, float(tk), steps_for(model, tk, n_steps_policy), shots, derive_seed(seed, k))

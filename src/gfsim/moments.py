@@ -77,7 +77,7 @@ class MomentSet:
 
     @classmethod
     def from_csv(cls, path) -> "MomentSet":
-        meta, names, rows = read_table(path, required=("value", "err", "route"))
+        meta, names, rows = read_table(path, required=("value", "err", "route"), numeric=("value", "err"))
         cols = dict(zip(names, zip(*rows)))
         values, errors = (np.array(cols[name], dtype=float) for name in ("value", "err"))
         return cls(values, errors, cols["route"][0], source=meta.get("source", ""))
@@ -91,28 +91,15 @@ def moments_exact(dense: DenseHamiltonian, init: InitialState, order: int) -> Mo
 # Finite differences ----------------------------------------------------------
 
 
-def _solve_fractions(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial pivoting over the rationals."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise SimulationError("singular stencil system")
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col] / a[col][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Central-stencil offsets and weights for d^deriv/dt^deriv, exact rationals.
 
     The stencil uses 2*floor((deriv+1)/2) - 1 + accuracy points and satisfies
     sum_j c_j j^m = deriv! * delta_{m,deriv} for all representable monomials.
+    That makes c_j the deriv-th derivative at 0 of the Lagrange basis
+    polynomial prod_{k != j} (x - k) / (j - k): deriv! times its x^deriv
+    coefficient, in Python ints, over the integer denominator.
     """
     if deriv < 0:
         raise SimulationError(f"derivative order must be >= 0, got {deriv}")
@@ -121,13 +108,16 @@ def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[in
     if deriv == 0:
         return (0,), (1.0,)
     half = (deriv + 1) // 2 + accuracy // 2 - 1
-    offsets = list(range(-half, half + 1))
-    n = len(offsets)
-    matrix = [[Fraction(j) ** m for j in offsets] for m in range(n)]
-    rhs = [Fraction(0)] * n
-    rhs[deriv] = Fraction(math.factorial(deriv))
-    coeffs = _solve_fractions(matrix, rhs)
-    return tuple(offsets), tuple(float(c) for c in coeffs)
+    offsets = range(-half, half + 1)
+    coeffs = []
+    for j in offsets:
+        poly = [1]  # ascending coefficients of prod_{k != j} (x - k)
+        for k in offsets:
+            if k != j:
+                poly = [hi - k * lo for hi, lo in zip([0] + poly, poly + [0])]
+        denom = math.prod(j - k for k in offsets if k != j)
+        coeffs.append(float(Fraction(math.factorial(deriv) * poly[deriv], denom)))
+    return tuple(offsets), tuple(coeffs)
 
 
 def _rms_energy(values: np.ndarray, dt: float) -> float:

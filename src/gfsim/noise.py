@@ -11,18 +11,20 @@ a gate, and the channel's closed form, one 4x4 map, for a slot.
 `_run_with_errors` (one fixed error pattern on a pure state) is the reference
 the channel is tested against.
 
-Mitigation: (1) readout inversion applies the inverse confusion matrix to
-outcome probabilities; (2) reference correction builds one 2x2 matrix from
-the t = 0 data of both Hadamard-test circuits, where the ideal outcomes are
-known exactly -- the Re circuit's ideal (1, 0) pins its first column and the
-Im circuit's ideal (1/2, 1/2) pins the column average -- and applies the
-stored inverse at every later time.  On a series the two inverses compose to
-one affine map of the bias, applied to all points at once.
+Mitigation works on the one number each Hadamard test reads, the bias
+b = p0 - p1.  A confused readout sends a true bias b to a + s b, with
+a = C[0,0] + C[0,1] - 1 and s = C[0,0] - C[0,1] = det C (`ReadoutModel.bias_map`);
+(1) readout inversion applies (b - a) / s and clips to [-1, 1].  (2) The
+reference correction is calibrated on the t = 0 data of both circuits, where
+the ideal biases are known exactly (1 for Re, 0 for Im): a map o + r b that
+sends them to the observed f0_re and f0_im has o = f0_im and r = f0_re - f0_im.
+On a series the two inverses compose to b -> ((b - a) / s - o) / r, applied
+to both quadratures at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +69,12 @@ class ReadoutModel:
 
     def is_identity(self) -> bool:
         return bool(np.allclose(self.confusion, np.eye(2), atol=1e-15))
+
+    @property
+    def bias_map(self) -> tuple[float, float]:
+        """(a, s): shots of true bias b read bias a + s b.  For a column-stochastic C, s = det C."""
+        c = self.confusion
+        return float(c[0, 0] + c[0, 1] - 1.0), float(c[0, 0] - c[0, 1])
 
 
 @dataclass(frozen=True)
@@ -159,83 +167,57 @@ def noisy_sample(
 # Mitigation -------------------------------------------------------------------
 
 
-def _to_probs(counts_or_probs) -> np.ndarray:
-    if isinstance(counts_or_probs, ShotCounts):
-        total = counts_or_probs.shots
-        return np.array([counts_or_probs.n0 / total, counts_or_probs.n1 / total])
-    probs = np.asarray(counts_or_probs, dtype=float)
-    if probs.shape != (2,):
-        raise SimulationError(f"expected a probability pair, got shape {probs.shape}")
-    return probs
+def _readout_inverse(readout: ReadoutModel) -> tuple[float, float]:
+    offset, slope = readout.bias_map
+    if abs(slope) < 1e-9:
+        raise SimulationError(f"confusion matrix is singular (det = {slope:.3e})")
+    return offset, slope
 
 
-def mitigate_readout(counts_or_probs, readout: ReadoutModel) -> tuple[np.ndarray, bool]:
-    """Invert the confusion matrix; clip + renormalize off-simplex results.
+def mitigate_readout(bias: float, readout: ReadoutModel) -> tuple[float, bool]:
+    """Invert the readout's bias map; clip results outside [-1, 1].
 
-    Returns (corrected probabilities, clipped flag).
+    Returns (corrected bias, clipped flag).  The clip is the probability
+    pair's clip-and-renormalize: the pair ((1 + b)/2, (1 - b)/2) leaves the
+    simplex iff |b| > 1, and renormalizing it gives bias +-1.
     """
-    probs = _to_probs(counts_or_probs)
-    confusion = readout.confusion
-    det = float(np.linalg.det(confusion))
-    if abs(det) < 1e-9:
-        raise SimulationError(f"confusion matrix is singular (det = {det:.3e})")
-    corrected = np.linalg.solve(confusion, probs)
-    clipped = bool(np.any(corrected < 0.0) or np.any(corrected > 1.0))
-    if clipped:
-        corrected = np.clip(corrected, 0.0, None)
-        total = corrected.sum()
-        corrected = corrected / total if total > 0 else np.array([0.5, 0.5])
-    return corrected, clipped
+    offset, slope = _readout_inverse(readout)
+    corrected = (float(bias) - offset) / slope
+    return min(1.0, max(-1.0, corrected)), abs(corrected) > 1.0
 
 
-@dataclass(frozen=True)
-class ReferenceCorrection:
-    """2x2 map from ideal to observed outcome probabilities, calibrated at t = 0."""
+def calibrate_reference(f0_re: float, f0_im: float) -> tuple[float, float]:
+    """(offset, slope) of the t = 0 reference map from observed Re/Im biases.
 
-    matrix: np.ndarray
-    inverse: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        det = float(np.linalg.det(mat))
-        if abs(det) < 1e-6:
-            raise SimulationError(f"reference calibration not invertible (det = {det:.3e})")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "inverse", np.linalg.inv(mat))
-
-
-def calibrate_reference(f0_re: float, f0_im: float) -> ReferenceCorrection:
-    """Build the t = 0 calibration matrix from observed Re/Im bias estimates.
-
-    Ideal outcome probabilities are known exactly at t = 0: (1, 0) for the Re
-    circuit and (1/2, 1/2) for the Im circuit.  The observed Re pair is the
-    matrix's action on (1, 0) (column 0); the observed Im pair is its action
-    on (1/2, 1/2) (the column average), which yields column 1.  With pure
-    readout noise the result is exactly the measured qubit's confusion matrix.
+    The ideal t = 0 biases are 1 (Re) and 0 (Im), so the map o + r b that
+    reproduces the observations has o = f0_im and r = f0_re - f0_im.  As a
+    2x2 map of outcome probabilities its determinant is r, so |r| < 1e-6
+    is rejected as not invertible.  With pure readout noise (o, r) is the
+    measured qubit's bias map.
     """
-    obs_re = np.array([(1.0 + f0_re) / 2.0, (1.0 - f0_re) / 2.0])
-    obs_im = np.array([(1.0 + f0_im) / 2.0, (1.0 - f0_im) / 2.0])
-    col0 = obs_re
-    col1 = 2.0 * obs_im - col0
-    return ReferenceCorrection(np.column_stack([col0, col1]))
+    slope = float(f0_re) - float(f0_im)
+    if abs(slope) < 1e-6:
+        raise SimulationError(f"reference calibration not invertible (det = {slope:.3e})")
+    return float(f0_im), slope
 
 
-def mitigate_series(noisy: GfSeries, readout: ReadoutModel, ref: ReferenceCorrection) -> GfSeries:
-    """Readout inversion then reference correction, as one affine map of the bias.
+def mitigate_series(noisy: GfSeries, readout: ReadoutModel, ref: tuple[float, float]) -> GfSeries:
+    """Readout inversion then reference correction: b -> ((b - a)/s - o)/r on both quadratures.
 
-    The combined inverse c = ref.inverse @ inv(C) sends the pair
-    ((1 + b)/2, (1 - b)/2) to one whose bias is offset + slope b, with
-    slope = (c00 - c10 - c01 + c11)/2 and offset = (c00 - c10 + c01 - c11)/2.
-    Both quadratures go through that map, and their error bars scale by |slope|.
+    (a, s) is the readout's bias map and (o, r) the reference's; the error
+    bars scale by 1/|s r|.  No clipping: a series point may leave [-1, 1].
     """
-    c = ref.inverse @ np.linalg.inv(readout.confusion)
-    slope = (c[0, 0] - c[1, 0] - c[0, 1] + c[1, 1]) / 2.0
-    offset = (c[0, 0] - c[1, 0] + c[0, 1] - c[1, 1]) / 2.0
+    a, s = _readout_inverse(readout)
+    o, r = ref
+
+    def unmap(b):
+        return ((b - a) / s - o) / r
+
     return replace(
         noisy,
-        re=offset + slope * noisy.re,
-        im=offset + slope * noisy.im,
-        re_err=noisy.re_err * abs(slope),
-        im_err=noisy.im_err * abs(slope),
+        re=unmap(noisy.re),
+        im=unmap(noisy.im),
+        re_err=noisy.re_err / abs(s * r),
+        im_err=noisy.im_err / abs(s * r),
         route="mitigated",
     )

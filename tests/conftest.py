@@ -7,8 +7,8 @@ basis state, so the moments <H^K> are integers; cumulants, Taylor coefficients
 and Pade coefficients follow as Fractions, a Sturm sequence decides exactly
 whether a denominator has a real root on tau >= 0, and the integral of the
 approximant over [0, inf) is a 50-digit mpmath quadrature.  None of this
-shares code with ``gfsim.texpand``; the rational linear solve is the one the
-exact finite-difference stencils use.
+shares code with ``gfsim.texpand``: the Pade denominators come from
+``_solve_fractions``, exact Gaussian elimination over the rationals.
 """
 
 import math
@@ -18,9 +18,25 @@ import numpy as np
 import pytest
 
 from gfsim.models import PairingModel, initial_state, pairing_to_qubits
-from gfsim.moments import _solve_fractions
+from gfsim.statevector import SimulationError
 
 EXACT_ORDER = 10
+
+
+def _solve_fractions(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact Gaussian elimination with partial pivoting over the rationals."""
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            raise SimulationError("singular stencil system")
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def integer_moments(matrix, start: int, order: int) -> list[int]:

@@ -245,6 +245,14 @@ def test_gf_series_requires_grid_from_zero():
         gf_series(model, init, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_gf_series_rejects_seed_outside_32_bits(seed):
+    # derive_seed keeps 32 bits of the seed, so 2**32 would sample as 0 and -1 as 2**32 - 1
+    model, _, init = two_level()
+    with pytest.raises(SimulationError, match="seed must lie in"):
+        gf_series(model, init, [0.0, 0.5], shots=1000, seed=seed)
+
+
 def test_series_magnitude_validation():
     with pytest.raises(SimulationError):
         GfSeries(

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gfsim import noise
 from gfsim.genfunc import GfSeries, gf_exact, hadamard_test_circuit
@@ -10,7 +12,6 @@ from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state,
 from gfsim.noise import (
     NoiseConfig,
     ReadoutModel,
-    ReferenceCorrection,
     _channel_p0,
     _run_with_errors,
     calibrate_reference,
@@ -21,6 +22,36 @@ from gfsim.noise import (
 from gfsim.statevector import SimulationError, StateVector, ancilla_probability, controlled_matrix, sample_ancilla
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
+
+
+# The probability-pair pipeline, the independent oracle for the bias-space
+# mitigation: a bias b is the pair ((1 + b)/2, (1 - b)/2), readout inversion
+# solves the confusion system and clips + renormalizes off-simplex pairs, and
+# the reference correction is the 2x2 matrix whose first column is the Re
+# circuit's observed t = 0 pair and whose column average is the Im circuit's.
+
+
+def _pair(b):
+    return np.array([(1.0 + b) / 2.0, (1.0 - b) / 2.0])
+
+
+def _pair_readout(b, confusion):
+    probs = np.linalg.solve(confusion, _pair(b))
+    clipped = bool(np.any(probs < 0.0) or np.any(probs > 1.0))
+    if clipped:
+        probs = np.clip(probs, 0.0, None)
+        probs = probs / probs.sum()
+    return probs[0] - probs[1], clipped
+
+
+def _pair_reference(f0_re, f0_im):
+    col0 = _pair(f0_re)
+    return np.column_stack([col0, 2.0 * _pair(f0_im) - col0])
+
+
+def _pair_mitigate(b, confusion, reference):
+    probs = np.linalg.inv(reference) @ np.linalg.solve(confusion, _pair(b))
+    return probs[0] - probs[1]
 
 
 def preset_model():
@@ -229,15 +260,23 @@ def test_noisy_sample_is_one_binomial_draw():
 
 
 def test_mitigate_readout_identity():
-    probs, clipped = mitigate_readout(np.array([0.7, 0.3]), ReadoutModel.identity())
-    assert np.allclose(probs, [0.7, 0.3])
+    bias, clipped = mitigate_readout(0.4, ReadoutModel.identity())
+    assert bias == pytest.approx(0.4, abs=1e-15)
     assert not clipped
+
+
+def test_readout_bias_map_is_the_confusion_on_pairs():
+    offset, slope = ReadoutModel(CONFUSION).bias_map
+    for b in (-1.0, -0.3, 0.0, 0.6, 1.0):
+        reported = CONFUSION @ _pair(b)
+        assert offset + slope * b == pytest.approx(reported[0] - reported[1], abs=1e-15)
+    assert slope == pytest.approx(np.linalg.det(CONFUSION), abs=1e-15)
 
 
 def test_mitigate_readout_exact_inverse():
     reported = CONFUSION @ np.array([1.0, 0.0])
-    probs, clipped = mitigate_readout(reported, ReadoutModel(CONFUSION))
-    assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
+    bias, clipped = mitigate_readout(reported[0] - reported[1], ReadoutModel(CONFUSION))
+    assert bias == pytest.approx(1.0, abs=1e-12)
     assert not clipped
 
 
@@ -246,15 +285,16 @@ def test_mitigate_readout_forward_inverse_identity():
     model = ReadoutModel(CONFUSION)
     for _ in range(25):
         p0 = rng.random()
-        truth = np.array([p0, 1.0 - p0])
-        probs, _ = mitigate_readout(CONFUSION @ truth, model)
-        assert np.abs(probs - truth).max() < 1e-12
+        reported = CONFUSION @ np.array([p0, 1.0 - p0])
+        bias, _ = mitigate_readout(reported[0] - reported[1], model)
+        assert abs(bias - (2.0 * p0 - 1.0)) < 1e-12
 
 
 def test_mitigate_readout_clips_off_simplex():
-    probs, clipped = mitigate_readout(np.array([0.99, 0.01]), ReadoutModel(CONFUSION))
-    assert clipped
-    assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0)
+    # the reported pair (0.99, 0.01) inverts off the simplex; the pair oracle renormalizes it to bias 1
+    bias, clipped = mitigate_readout(0.98, ReadoutModel(CONFUSION))
+    assert clipped and bias == 1.0
+    assert _pair_readout(0.98, CONFUSION) == (pytest.approx(1.0, abs=1e-15), True)
 
 
 def test_readout_recovery_improves_with_shots():
@@ -268,34 +308,41 @@ def test_readout_recovery_improves_with_shots():
         recovered = []
         for seed in range(20):
             counts = noisy_sample(init, circuit, 2, shots, cfg, seed=seed)
-            probs, _ = mitigate_readout(counts, readout)
-            recovered.append(probs[0] - probs[1])
+            bias, _ = mitigate_readout(counts.bias, readout)
+            recovered.append(bias)
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
     assert errors[1] < errors[0] / 3.0
 
 
 def test_calibration_identity_on_clean_input():
-    ref = calibrate_reference(1.0, 0.0)
-    assert np.allclose(ref.matrix, np.eye(2), atol=1e-12)
+    assert calibrate_reference(1.0, 0.0) == (0.0, 1.0)
 
 
 def test_calibration_reproduces_confusion_matrix():
     # oracle: compose the known confusion with the known ideal t=0 probabilities
     re_obs = CONFUSION @ np.array([1.0, 0.0])
     im_obs = CONFUSION @ np.array([0.5, 0.5])
-    ref = calibrate_reference(float(re_obs[0] - re_obs[1]), float(im_obs[0] - im_obs[1]))
-    assert np.allclose(ref.matrix, CONFUSION, atol=1e-12)
+    f0_re, f0_im = (float(obs[0] - obs[1]) for obs in (re_obs, im_obs))
+    assert np.allclose(calibrate_reference(f0_re, f0_im), ReadoutModel(CONFUSION).bias_map, atol=1e-12)
+    assert np.allclose(_pair_reference(f0_re, f0_im), CONFUSION, atol=1e-12)
 
 
 def test_calibration_self_consistency():
-    ref = calibrate_reference(0.83, 0.06)
-    corrected = ref.inverse @ np.array([(1 + 0.83) / 2, (1 - 0.83) / 2])
-    assert corrected[0] - corrected[1] == pytest.approx(1.0, abs=1e-12)
+    # the calibrated map sends the observed t = 0 biases back to the ideal 1 and 0
+    offset, slope = calibrate_reference(0.83, 0.06)
+    assert (0.83 - offset) / slope == pytest.approx(1.0, abs=1e-12)
+    assert (0.06 - offset) / slope == pytest.approx(0.0, abs=1e-12)
+    oracle = _pair_mitigate(0.83, np.eye(2), _pair_reference(0.83, 0.06))
+    assert oracle == pytest.approx(1.0, abs=1e-12)
 
 
 def test_calibration_rejects_singular_map():
-    with pytest.raises(SimulationError):
-        ReferenceCorrection(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    # the pair oracle's matrix [[0.5, 0.5], [0.5, 0.5]]: both t = 0 biases read 0
+    assert np.linalg.det(_pair_reference(0.0, 0.0)) == 0.0
+    with pytest.raises(SimulationError, match="not invertible"):
+        calibrate_reference(0.0, 0.0)
+    with pytest.raises(SimulationError, match="singular"):
+        mitigate_readout(0.1, ReadoutModel(np.array([[0.5, 0.5], [0.5, 0.5]])))
 
 
 def _noisy_series(model, init, t_grid, cfg, shots, seed):
@@ -338,10 +385,9 @@ def test_mitigated_series_beats_raw_on_preset():
     cfg = NoiseConfig(readout, p_dep=0.0)
     raw = _noisy_series(model, init, t, cfg, shots=10**5, seed=2)
 
-    re0, _ = mitigate_readout(np.array([(1 + raw.re[0]) / 2, (1 - raw.re[0]) / 2]), readout)
-    im0, _ = mitigate_readout(np.array([(1 + raw.im[0]) / 2, (1 - raw.im[0]) / 2]), readout)
-    ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
-    mitigated = mitigate_series(raw, readout, ref)
+    re0, _ = mitigate_readout(raw.re[0], readout)
+    im0, _ = mitigate_readout(raw.im[0], readout)
+    mitigated = mitigate_series(raw, readout, calibrate_reference(re0, im0))
 
     rms = lambda s: np.sqrt(np.mean(np.concatenate([s.re - exact.re, s.im - exact.im]) ** 2))
     assert rms(mitigated) <= 0.3 * rms(raw)
@@ -365,12 +411,15 @@ def test_error_bars_scaled_by_inverse_maps():
     )
     readout = ReadoutModel(CONFUSION)
     # reference calibrated on readout-corrected t=0 values (the pipeline order)
-    re0, _ = mitigate_readout(np.array([(1 + 0.85) / 2, (1 - 0.85) / 2]), readout)
-    im0, _ = mitigate_readout(np.array([(1 + 0.05) / 2, (1 - 0.05) / 2]), readout)
-    ref = calibrate_reference(float(re0[0] - re0[1]), float(im0[0] - im0[1]))
-    out = mitigate_series(raw, readout, ref)
+    re0, _ = mitigate_readout(0.85, readout)
+    im0, _ = mitigate_readout(0.05, readout)
+    out = mitigate_series(raw, readout, calibrate_reference(re0, im0))
     assert out.re[0] == pytest.approx(1.0, abs=1e-9)
     assert out.re_err[0] > raw.re_err[0]  # inversion amplifies shot noise
+    # the combined map's slope, read off the pair oracle
+    reference = _pair_reference(*(_pair_readout(b, CONFUSION)[0] for b in (0.85, 0.05)))
+    slope = (_pair_mitigate(1.0, CONFUSION, reference) - _pair_mitigate(-1.0, CONFUSION, reference)) / 2
+    assert out.re_err[0] == pytest.approx(raw.re_err[0] * abs(slope), rel=1e-13)
 
 
 def test_mitigate_series_matches_per_point_inverse():
@@ -387,15 +436,54 @@ def test_mitigate_series_matches_per_point_inverse():
         shots=10**5,
         route="noisy",
     )
-    ref = calibrate_reference(0.95, 0.02)
-    out = mitigate_series(raw, ReadoutModel(CONFUSION), ref)
+    out = mitigate_series(raw, ReadoutModel(CONFUSION), calibrate_reference(0.95, 0.02))
+    reference = _pair_reference(0.95, 0.02)
 
     def bias(b):
-        probs = ref.inverse @ np.linalg.solve(CONFUSION, np.array([(1 + b) / 2, (1 - b) / 2]))
-        return probs[0] - probs[1]
+        return _pair_mitigate(b, CONFUSION, reference)
 
     assert np.abs(out.re - [bias(b) for b in raw.re]).max() <= 1e-14
     assert np.abs(out.im - [bias(b) for b in raw.im]).max() <= 1e-14
     slope = abs(bias(1.0) - bias(-1.0)) / 2
+    assert np.allclose(out.re_err, raw.re_err * slope, rtol=1e-13, atol=0)
+    assert np.allclose(out.im_err, raw.im_err * slope, rtol=1e-13, atol=0)
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+_bias = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit, _unit, _bias, _bias, st.lists(st.tuples(_bias, _bias), min_size=1, max_size=8))
+def test_bias_space_mitigation_matches_the_pair_pipeline(c00, c01, f0_re, f0_im, series):
+    # the noise command's chain in bias space against the pair oracle: readout-invert the
+    # t = 0 biases, calibrate on them, mitigate a series.  Rounding in either path grows
+    # with the inverse maps' gain, and a rounding of the calibrated slope moves each
+    # point in proportion to its size, so the 1e-14 is taken relative to both.
+    confusion = np.array([[c00, c01], [1.0 - c00, 1.0 - c01]])
+    readout = ReadoutModel(confusion)
+    assume(abs(c00 - c01) >= 0.05)
+    gain = 1.0 / abs(c00 - c01)
+    t0 = []
+    for b in (f0_re, f0_im):
+        corrected, clipped = mitigate_readout(b, readout)
+        oracle, oracle_clipped = _pair_readout(b, confusion)
+        assert abs(corrected - oracle) <= 1e-14 * gain
+        unclipped = np.linalg.solve(confusion, _pair(b))
+        if abs(abs(unclipped[0] - unclipped[1]) - 1.0) > 1e-9:
+            assert clipped == oracle_clipped
+        t0.append((corrected, oracle))
+    (re0, pair_re0), (im0, pair_im0) = t0
+    assume(abs(pair_re0 - pair_im0) >= 0.05)
+    gain /= abs(pair_re0 - pair_im0)
+    re, im = np.array(series).T
+    # error bars wide enough for GfSeries' |F| <= 1 check whatever the maps do
+    raw = GfSeries(np.arange(re.size) * 0.1, re, im, np.full(re.size, 2.0), np.full(re.size, 3.0), route="noisy")
+    out = mitigate_series(raw, readout, calibrate_reference(re0, im0))
+    reference = _pair_reference(pair_re0, pair_im0)
+    for got, values in ((out.re, re), (out.im, im)):
+        expected = np.array([_pair_mitigate(b, confusion, reference) for b in values])
+        assert np.all(np.abs(got - expected) <= 1e-14 * gain * (1.0 + np.abs(expected)))
+    slope = abs(_pair_mitigate(1.0, confusion, reference) - _pair_mitigate(-1.0, confusion, reference)) / 2
     assert np.allclose(out.re_err, raw.re_err * slope, rtol=1e-13, atol=0)
     assert np.allclose(out.im_err, raw.im_err * slope, rtol=1e-13, atol=0)

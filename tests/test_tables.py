@@ -116,6 +116,7 @@ MALFORMED = {
     "long-row": (lambda head, row, rename: head + row + row.strip() + ",7\n", 4, "cells under a"),
     "header-only": (lambda head, row, rename: head, 2, "no data rows"),
     "missing-core-column": (lambda head, row, rename: head.replace(*rename) + row, 2, "missing column(s)"),
+    "non-numeric-cell": (lambda head, row, rename: head + row.replace("1.0", "x"), 3, "'x' is not a number"),
 }
 
 

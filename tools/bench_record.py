@@ -16,10 +16,21 @@ Per side and workload the file holds the median and interquartile range of
 every end-to-end metric, the accuracy fingerprints and `fail_frac` that
 run.py reports, whether each run was correct, and the `provenance` block of
 the first run.  Per workload it holds, for each end-to-end metric, the number
-of seeds on which the change read better than the parent.  A run that exits
-non-zero is recorded under `failed` with its seed, exit code and the tail of
-its stderr, counts as not correct, and leaves its seed's pair out of the
-counts; the recording goes on.  Runs go one at a time, so the machine's load
+of seeds on which the change read better than the parent, the relative change
+of the median, (change - parent) / parent, and a verdict against the metric's
+BENCHMARK.json `bound` (a fraction of the parent's median):
+
+* `better` when every change run beats every parent run, or when the change
+  wins at least 9 in 10 pairs and its median beats the parent's by more than
+  the parent's IQR;
+* otherwise `unresolved` when the parent's IQR exceeds the bound, since a
+  regression that size could not be seen;
+* otherwise `worse` when the median is worse by more than the bound, and
+  `within bound` when it is not.
+
+A run that exits non-zero is recorded under `failed` with its seed, exit code
+and the tail of its stderr, counts as not correct, and leaves its seed's pair
+out of the counts; the recording goes on.  Runs go one at a time, so the machine's load
 is the only other contender.
 """
 
@@ -87,6 +98,20 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(parent: dict, change: dict, bound: float, lower_is_better: bool, better_pairs: int, pairs: int) -> str:
+    """The verdict of one end-to-end metric from both sides' spreads (see the module docstring)."""
+    if "median" not in parent or "median" not in change:
+        return "unresolved"
+    sign = 1.0 if lower_is_better else -1.0  # sign * value is lower when better
+    gain = sign * (parent["median"] - change["median"])
+    every_run_better = max(sign * v for v in change["values"]) < min(sign * v for v in parent["values"])
+    if every_run_better or (better_pairs >= 0.9 * pairs and gain > parent["iqr"]):
+        return "better"
+    if parent["iqr"] > bound * abs(parent["median"]):
+        return "unresolved"
+    return "worse" if -gain > bound * abs(parent["median"]) else "within bound"
+
+
 def side_summary(runs: list[tuple[dict, dict | None]], end_to_end: list[dict]) -> dict:
     results = [result for result, report in runs if report is not None]
     reports = [report for _, report in runs if report is not None]
@@ -128,19 +153,26 @@ def main(argv=None) -> int:
                 else:
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed={seed} {side}: wall_s {wall:.4f}", flush=True)
-        better = {}
+        summary = {side: side_summary(runs[side], end_to_end) for side in ("parent", "change")}
+        better, relative, verdicts = {}, {}, {}
         for m in end_to_end:
             name, sign = m["name"], (1 if m["better"] == "lower" else -1)
             pairs = [(p, c) for (p, p_ok), (c, c_ok) in zip(runs["parent"], runs["change"]) if p_ok and c_ok]
             values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
             better[name] = sum(sign * (p - c) > 0 for p, c in values)
+            parent, change = summary["parent"][name], summary["change"][name]
+            if "median" in parent and "median" in change:
+                relative[name] = (change["median"] - parent["median"]) / parent["median"]
+            verdicts[name] = verdict(parent, change, m["bound"], m["better"] == "lower", better[name], len(pairs))
         workloads[workload] = {
             "seeds": SEEDS,
             "first_side": ["parent" if seed % 2 else "change" for seed in SEEDS],
-            "parent": side_summary(runs["parent"], end_to_end),
-            "change": side_summary(runs["change"], end_to_end),
+            **summary,
             "change_better_pairs": better,
+            "relative_change": relative,
+            "verdict": verdicts,
         }
+        print(f"{workload}: {verdicts}", flush=True)
 
     record = {
         "harness": f"perfbench/run.py --seconds {seconds:g} --trace 0, each checkout's own copy",
