@@ -27,13 +27,15 @@ import numpy as np
 
 from . import __version__
 from .config import NOISE_PRESET, ConfigError, RunConfig
-from .genfunc import GfSeries, gf_exact, gf_series, hadamard_test_circuit
+from .genfunc import GfSeries, gf_exact, gf_series
+from .genfunc import hadamard_test_circuit  # noqa: F401  perfbench wraps this name until ROADMAP item 1
 from .krylov import build_krylov_matrices, eigen_table_csv, solve_generalized, survival_csv, survival_probability
 from .models import build_dense, to_qubits
 from .moments import MomentSet, moments_exact, moments_fdm, moments_fourier, spectral_peaks
 from .noise import calibrate_reference, mitigate_readout, mitigate_series, noisy_sample
 from .statevector import SimulationError, derive_seed
 from .texpand import PadeRejection, extrapolate_ground_energy, imaginary_time_oracle, selection_report
+from .trotter import Circuit, trotter_step
 
 
 def _sha256(path: Path) -> str:
@@ -181,7 +183,6 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
         raise ConfigError(f"noise command needs shots >= {members}, one per mixture member, got {cfg.shots}")
 
     model = cfg.model
-    ancilla = model.n_qubits
     dense = build_dense(to_qubits(model))
     exact = gf_exact(dense, cfg.init, cfg.t_grid, model=model.fingerprint())
 
@@ -190,12 +191,13 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     re = np.zeros(cfg.t_grid.size)
     im = np.zeros(cfg.t_grid.size)
     for k, t in enumerate(cfg.t_grid):
-        for quad, sink in (("re", re), ("im", im)):
-            circuit = hadamard_test_circuit(model, float(t), n_steps, quad)
-            for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
-                seed = derive_seed(cfg.seed, k, 0 if quad == "re" else 1, m_idx)
-                counts = noisy_sample(member.tensor_with_ancilla(), circuit, ancilla, per_member, cfg.noise, seed)
-                sink[k] += weight * counts.bias
+        # the gates both circuits control on the ancilla: n_steps copies of one step, none at t = 0
+        steps = Circuit((trotter_step(model, t / n_steps).gates if t else ()) * n_steps, model.n_qubits)
+        for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
+            seeds = (derive_seed(cfg.seed, k, 0, m_idx), derive_seed(cfg.seed, k, 1, m_idx))
+            counts_re, counts_im = noisy_sample(member, steps, cfg.noise, per_member, seeds)
+            re[k] += weight * counts_re.bias
+            im[k] += weight * counts_im.bias
     total = per_member * members
     err = np.sqrt(np.maximum(0.0, 1.0 - re**2) / total)
     err_im = np.sqrt(np.maximum(0.0, 1.0 - im**2) / total)

@@ -264,7 +264,7 @@ def gf_series(
 
 
 def hadamard_test_circuit(model, t: float, n_steps: int, quadrature: str):
-    """Full gate sequence of one Hadamard-test circuit (for the noise channel).
+    """Full gate sequence of one Hadamard-test circuit (the gate-level oracle of the noise route).
 
     quadrature is "re" or "im"; the ancilla is qubit model.n_qubits.
     """

@@ -77,8 +77,10 @@ class MomentSet:
 
     @classmethod
     def from_csv(cls, path) -> "MomentSet":
-        meta, names, rows = read_table(path, required=("value", "err", "route"), numeric=("value", "err"))
+        meta, names, rows = read_table(path, required=("K", "value", "err", "route"), numeric=("K", "value", "err"))
         cols = dict(zip(names, zip(*rows)))
+        if [float(k) for k in cols["K"]] != list(range(len(rows))):
+            raise SimulationError(f"{path}: column K must read 0, 1, ..., {len(rows) - 1} in order")
         values, errors = (np.array(cols[name], dtype=float) for name in ("value", "err"))
         return cls(values, errors, cols["route"][0], source=meta.get("source", ""))
 

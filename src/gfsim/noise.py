@@ -1,15 +1,19 @@
 """Synthetic readout + depolarizing noise and the two mitigation techniques.
 
-Noise model: after every applied gate, each touched qubit independently
-suffers a uniform Pauli error (X, Y, Z each with probability p_dep/3), and
-the measured qubit's outcome passes through a column-stochastic 2x2
-confusion matrix before counting.  `noisy_sample` samples this exactly: the
-density matrix through the equivalent depolarizing channel, then one binomial
-draw.  The channel acts on vec(rho), a state of twice as many qubits, so each
-gate and each depolarizing slot is one `_apply_matrix` call: kron(G, G*) for
-a gate, and the channel's closed form, one 4x4 map, for a slot.
-`_run_with_errors` (one fixed error pattern on a pure state) is the reference
-the channel is tested against.
+Noise model: after every gate of a Hadamard-test circuit, each touched qubit
+independently suffers a uniform Pauli error (X, Y, Z each with probability
+p_dep/3), and the ancilla's outcome passes through a column-stochastic 2x2
+confusion matrix.  `noisy_sample` draws each circuit's shots in one binomial
+draw from the exact outcome probability under the equivalent depolarizing
+channel.  That comes from the off-diagonal ancilla block X = <0|rho|1>, a
+2^n x 2^n matrix on the system, which evolves by itself (Nielsen & Chuang,
+section 8.3): the opening Hadamard and its slot give X = (1 - 4p/3) psi psi^H / 2,
+each controlled step gate G sends X to (1 - 4p/3) X G^H (the factor is its
+ancilla slot), and each touched system qubit gets the channel's 4x4 map.  The
+closing Hadamard and its slot read the Re circuit's bias as (1 - 4p/3) 2 Re tr X;
+the Im circuit's R(-pi/2) and its slot multiply X by i (1 - 4p/3), so one
+evolution gives both quadratures.  `_run_with_errors` (one fixed error
+pattern on a pure state) is the reference the channel is tested against.
 
 Mitigation works on the one number each Hadamard test reads, the bias
 b = p0 - p1.  A confused readout sends a true bias b to a + s b, with
@@ -37,7 +41,6 @@ from .statevector import (
     _apply_matrix,
     apply_controlled,
     apply_gate,
-    controlled_matrix,
     sample_ancilla,
 )
 from .trotter import Circuit
@@ -112,56 +115,47 @@ def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[i
     return state
 
 
-def _channel_p0(init: StateVector, circuit: Circuit, ancilla: int, p_dep: float) -> float:
-    """Exact ancilla-0 probability after the circuit under the depolarizing channel.
+def _coherence_p0(member: StateVector, steps: Circuit, p_dep: float) -> tuple[float, float]:
+    """Exact ancilla-0 probabilities of the noisy Re and Im Hadamard tests controlling the steps' gates.
 
-    rho is held as vec(rho), a state of 2n qubits with the row bits above the
-    column bits, so that a gate G on the targets is kron(G, G*) on the row
-    targets followed by the column targets.  After every gate each touched
-    qubit q passes through rho -> (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z)
-    = (1 - 4p/3) rho + (2p/3) Tr_q rho (x) I, the average over the independent
-    per-slot Pauli errors that `_run_with_errors` inserts: one 4x4 map on
+    X is held as a vector of 2n qubits with the row bits above the column
+    bits, so X G^H is conj(G) on the column targets, and a slot on system
+    qubit q, X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, is one 4x4 map on
     (row q, column q) that mixes the two diagonal entries and damps the two
     coherences.
     """
-    n = init.n_qubits
-    if circuit.n_qubits > n or not 0 <= ancilla < n:
-        raise SimulationError(f"circuit on {circuit.n_qubits} qubits, ancilla {ancilla}, state of {n} qubits")
+    n = member.n_qubits
+    if n != steps.n_qubits:
+        raise SimulationError(f"{n}-qubit member for steps on {steps.n_qubits} qubits")
     keep, damp = 1.0 - 2.0 * p_dep / 3.0, 1.0 - 4.0 * p_dep / 3.0
     depolarize = np.diag([keep, damp, damp, keep]).astype(complex)
     depolarize[0, 3] = depolarize[3, 0] = 2.0 * p_dep / 3.0
-    rho = np.outer(init.amplitudes, init.amplitudes.conj()).reshape(-1)
-    for item in circuit.gates:
-        gate = item.gate.matrix if item.control is None else controlled_matrix(item.gate)
-        rows = tuple(n + q for q in item.touched)
-        rho = _apply_matrix(rho, 2 * n, np.kron(gate, gate.conj()), rows + item.touched)
-        for qubit in item.touched:
-            rho = _apply_matrix(rho, 2 * n, depolarize, (n + qubit, qubit))
-    diag = rho.reshape(1 << n, 1 << n).diagonal().real
-    bit = (np.arange(diag.size) >> ancilla) & 1
-    return float(diag[bit == 0].sum() / diag.sum())
+    block = damp / 2.0 * np.outer(member.amplitudes, member.amplitudes.conj()).reshape(-1)
+    for item in steps.gates:
+        block = damp * _apply_matrix(block, 2 * n, item.gate.matrix.conj(), item.gate.targets)
+        for qubit in item.gate.targets:
+            block = _apply_matrix(block, 2 * n, depolarize, (n + qubit, qubit))
+    trace = block.reshape(1 << n, 1 << n).trace()  # p0 = (1 + b) / 2 with the biases of the module docstring
+    return 0.5 + damp * trace.real, 0.5 - damp**2 * trace.imag
 
 
 def noisy_sample(
-    init: StateVector,
-    circuit: Circuit,
-    ancilla: int,
-    shots: int,
-    cfg: NoiseConfig,
-    seed: int,
-) -> ShotCounts:
-    """Noisy execution of a circuit with confused readout: one binomial draw.
+    member: StateVector, steps: Circuit, cfg: NoiseConfig, shots: int, seeds: tuple[int, int]
+) -> tuple[ShotCounts, ShotCounts]:
+    """Noisy Re and Im Hadamard tests of one member with confused readout: one binomial draw each.
 
-    Shots are iid, so each reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
-    where p0 is the depolarized circuit's exact ancilla-0 probability and C the
-    readout's confusion matrix.  With p_dep = 0 and an identity confusion
-    matrix this is the same single draw as sample_ancilla on the clean state's p0.
+    Each shot reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0), p0 the
+    circuit's exact ancilla-0 probability; seeds are the Re and Im draws'.
+    With p_dep = 0 and an identity C each draw is sample_ancilla's on the
+    clean circuit's p0.
     """
-    if shots < 1:  # before the density evolution, not after it
+    if shots < 1:  # before the block evolution, not after it
         raise SimulationError(f"shots must be >= 1, got {shots}")
     confusion = cfg.readout.confusion
-    p0 = _channel_p0(init, circuit, ancilla, cfg.p_dep)
-    return sample_ancilla(confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0), shots, seed)
+    return tuple(
+        sample_ancilla(confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0), shots, seed)
+        for p0, seed in zip(_coherence_p0(member, steps, cfg.p_dep), seeds, strict=True)
+    )
 
 
 # Mitigation -------------------------------------------------------------------

@@ -38,9 +38,8 @@ Controlled evolution evolves only the ancilla-|1> half, which is exact for the
 block-diagonal [[I, 0], [0, U]].
 
 The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
-ancilla-controlled 3-qubit matrix) is kept for the noise study, which applies a
-depolarizing channel after every gate, and as the oracle the fused evolution
-is tested against.
+ancilla-controlled 3-qubit matrix) is the oracle the fused evolution is tested
+against; the noise route takes its gates from `trotter_step`.
 """
 
 from __future__ import annotations

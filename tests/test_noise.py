@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, product
 from math import comb
 
@@ -7,19 +8,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfsim import noise
+from gfsim.cli import main
+from gfsim.config import NOISE_PRESET, RunConfig
 from gfsim.genfunc import GfSeries, gf_exact, hadamard_test_circuit
 from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.noise import (
     NoiseConfig,
     ReadoutModel,
-    _channel_p0,
+    _coherence_p0,
     _run_with_errors,
     calibrate_reference,
     mitigate_readout,
     mitigate_series,
     noisy_sample,
 )
-from gfsim.statevector import SimulationError, StateVector, ancilla_probability, controlled_matrix, sample_ancilla
+from gfsim.statevector import (
+    SimulationError,
+    StateVector,
+    ancilla_probability,
+    controlled_matrix,
+    derive_seed,
+    sample_ancilla,
+)
+from gfsim.trotter import Circuit, trotter_step
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
 
@@ -56,8 +67,17 @@ def _pair_mitigate(b, confusion, reference):
 
 def preset_model():
     model = PairingModel.uniform(2, 1, 1.0, 1.0)
-    init = initial_state(model)
-    return model, init.members[0].tensor_with_ancilla()
+    return model, initial_state(model).members[0]
+
+
+def _steps(model, t, n_steps):
+    """The gates hadamard_test_circuit(model, t, n_steps, quad) controls, as noisy_sample takes them."""
+    return Circuit(trotter_step(model, t / n_steps).gates * n_steps if t else (), model.n_qubits)
+
+
+def _block_p0(member, model, t, n_steps, quad, p):
+    """The block route's ancilla-0 probability of one quadrature's circuit."""
+    return _coherence_p0(member, _steps(model, t, n_steps), p)[("re", "im").index(quad)]
 
 
 def test_confusion_columns_validated():
@@ -72,39 +92,36 @@ def test_p_dep_range_checked():
 
 def test_noise_free_sampling_matches_clean_seed_path():
     # identity confusion + p_dep = 0 must reproduce sample_ancilla on the clean p0 exactly
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.3, 1, "re")
+    model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.0)
-    noisy = noisy_sample(init, circuit, 2, 5000, cfg, seed=21)
-    clean_final = circuit.apply(init)
-    clean = sample_ancilla(ancilla_probability(clean_final, 2), 5000, seed=21)
-    assert (noisy.n0, noisy.n1) == (clean.n0, clean.n1)
+    both = noisy_sample(member, _steps(model, 0.3, 1), cfg, 5000, seeds=(21, 22))
+    for quad, noisy, seed in zip(("re", "im"), both, (21, 22)):
+        clean_final = hadamard_test_circuit(model, 0.3, 1, quad).apply(member.tensor_with_ancilla())
+        clean = sample_ancilla(ancilla_probability(clean_final, 2), 5000, seed=seed)
+        assert (noisy.n0, noisy.n1) == (clean.n0, clean.n1)
 
 
 def test_readout_only_shifts_reported_probabilities():
     # p0 = 1 truth under the documented confusion gives reported p0 ~= 0.95
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.0, 1, "re")
+    model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.0)
-    counts = noisy_sample(init, circuit, 2, 10**5, cfg, seed=3)
+    counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, 10**5, seeds=(3, 4))
     assert counts.n0 / counts.shots == pytest.approx(0.95, abs=0.01)
 
 
 def test_full_depolarization_kills_the_signal():
     # t > 0 so every gate of the controlled step contributes error slots;
     # composed uniform-Pauli errors scramble the ancilla coherence
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.5, 1, "re")
+    model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=1.0)
-    counts = noisy_sample(init, circuit, 2, 4000, cfg, seed=5)
+    counts, _ = noisy_sample(member, _steps(model, 0.5, 1), cfg, 4000, seeds=(5, 6))
     assert abs(counts.bias) < 0.05
 
 
 def test_mild_depolarization_damps_towards_zero():
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.0, 1, "re")
+    model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.05)
-    counts = noisy_sample(init, circuit, 2, 10**5, cfg, seed=7)
+    counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, 10**5, seeds=(7, 8))
     assert 0.7 < counts.bias < 0.999
 
 
@@ -117,7 +134,8 @@ def test_channel_matches_error_pattern_sum(quad):
     # oracle: average the pure-state replay of every error pattern of weight
     # <= 2 with its probability (p/3)^k (1-p)^(n-k); the patterns left out
     # carry the remaining probability, which bounds the difference
-    model, init = preset_model()
+    model, member = preset_model()
+    init = member.tensor_with_ancilla()
     circuit = hadamard_test_circuit(model, 0.4, 1, quad)
     p, n = 0.002, _n_slots(circuit)
     expected = 0.0
@@ -128,7 +146,7 @@ def test_channel_matches_error_pattern_sum(quad):
                 final = _run_with_errors(init, circuit, tuple(zip(slots, paulis)))
                 expected += weight * ancilla_probability(final, 2)
     dropped = 1.0 - sum(comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(3))
-    assert abs(_channel_p0(init, circuit, 2, p) - expected) <= dropped
+    assert abs(_block_p0(member, model, 0.4, 1, quad, p) - expected) <= dropped
 
 
 def _embed(matrix, targets, n):
@@ -171,9 +189,11 @@ def _dense_channel_p0(init, circuit, ancilla, p):
 def _random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps)).tensor_with_ancilla()
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
+# each id names the quadrature of the circuit its case is built around; the
+# block route returns both quadratures from one call, so every case checks both
 _ORACLE_CASES = [
     ("preset-re", PairingModel.uniform(2, 1, 1.0, 1.0), 0.4, 1, "re"),
     ("preset-im", PairingModel.uniform(2, 1, 1.0, 1.0), 0.4, 1, "im"),
@@ -186,14 +206,15 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("case", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
 def test_channel_matches_dense_density_matrix(case, p):
     # exact at every p, unlike the weight-<=2 pattern sum (small p) and the trajectory test (statistical)
-    name, model, t, n_steps, quad = case
+    name, model, t, n_steps, _ = case
     if name.startswith("preset"):
-        init = initial_state(model).members[0].tensor_with_ancilla()
+        member = initial_state(model).members[0]
     else:
-        init = _random_state(model.n_qubits, seed=model.n_qubits)
-    circuit = hadamard_test_circuit(model, t, n_steps, quad)
-    ancilla = model.n_qubits
-    assert abs(_channel_p0(init, circuit, ancilla, p) - _dense_channel_p0(init, circuit, ancilla, p)) <= 1e-13
+        member = _random_state(model.n_qubits, seed=model.n_qubits)
+    both = _coherence_p0(member, _steps(model, t, n_steps), p)
+    for quad, p0 in zip(("re", "im"), both):
+        circuit = hadamard_test_circuit(model, t, n_steps, quad)
+        assert abs(p0 - _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, p)) <= 1e-13
 
 
 def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
@@ -221,42 +242,73 @@ def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
 def test_channel_binomial_matches_trajectory_sampling(t, n_steps, quad, p_dep):
     # the trajectory count must look like one Binomial(shots, q) draw, with
     # q the probability noisy_sample draws from
-    model, init = preset_model()
+    model, member = preset_model()
     circuit = hadamard_test_circuit(model, t, n_steps, quad)
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=p_dep)
     shots = 20000
-    p0 = _channel_p0(init, circuit, 2, p_dep)
+    p0 = _block_p0(member, model, t, n_steps, quad, p_dep)
     q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
-    n0 = _trajectory_count(init, circuit, 2, shots, cfg, seed=17)
+    n0 = _trajectory_count(member.tensor_with_ancilla(), circuit, 2, shots, cfg, seed=17)
     z = (n0 - shots * q) / np.sqrt(shots * q * (1 - q))
     assert abs(z) < 4.0
 
 
 def test_noisy_sample_rejects_state_smaller_than_circuit():
-    model, _ = preset_model()
-    circuit = hadamard_test_circuit(model, 0.4, 1, "re")
-    system_only = initial_state(model).members[0]
-    with pytest.raises(SimulationError):
-        noisy_sample(system_only, circuit, 1, 100, NoiseConfig(ReadoutModel.identity()), seed=1)
+    # a member must live on the model's qubits: one qubit short, or with an ancilla already attached
+    model, member = preset_model()
+    cfg = NoiseConfig(ReadoutModel.identity())
+    for t in (0.0, 0.4):
+        for state in (StateVector(1, [1.0, 0.0]), member.tensor_with_ancilla()):
+            with pytest.raises(SimulationError, match="2 qubits"):
+                noisy_sample(state, _steps(model, t, 1), cfg, 100, seeds=(1, 2))
 
 
 def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.4, 1, "re")
-    monkeypatch.setattr(noise, "_channel_p0", lambda *args: pytest.fail("evolved before checking shots"))
+    model, member = preset_model()
+    monkeypatch.setattr(noise, "_coherence_p0", lambda *args: pytest.fail("evolved before checking shots"))
     with pytest.raises(SimulationError, match="shots must be >= 1"):
-        noisy_sample(init, circuit, 2, 0, NoiseConfig(ReadoutModel.identity()), seed=1)
+        noisy_sample(member, _steps(model, 0.4, 1), NoiseConfig(ReadoutModel.identity()), 0, seeds=(1, 2))
 
 
 def test_noisy_sample_is_one_binomial_draw():
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.4, 1, "im")
+    model, member = preset_model()
+    steps = _steps(model, 0.4, 1)
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.002)
-    p0 = _channel_p0(init, circuit, 2, cfg.p_dep)
-    q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
-    counts = noisy_sample(init, circuit, 2, 10**6, cfg, seed=9)
-    assert counts.n0 == np.random.default_rng(9).binomial(10**6, q)
-    assert counts.shots == 10**6 and counts.seed == 9
+    both = noisy_sample(member, steps, cfg, 10**6, seeds=(9, 10))
+    for p0, counts, seed in zip(_coherence_p0(member, steps, cfg.p_dep), both, (9, 10)):
+        q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
+        assert counts.n0 == np.random.default_rng(seed).binomial(10**6, q)
+        assert counts.shots == 10**6 and counts.seed == seed
+
+
+def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
+    # gfsim noise against the loop it replaced: per point, quadrature and member, the dense
+    # density matrix of hadamard_test_circuit and one sample_ancilla draw on the same sub-seed
+    cfg = {
+        "model": {"kind": "hubbard", "sites": 3, "hopping": 1.0, "onsite": 2.0},
+        "time_grid": {"t_max": 0.4, "dt": 0.2},
+        "shots": 3000,
+        "seed": 5,
+        "trotter": {"policy": "fixed", "n_steps": 2},
+        "noise": {"readout": NOISE_PRESET["noise"]["readout"], "p_dep": 0.01},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["noise", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    raw = GfSeries.from_csv(tmp_path / "gf_raw.csv")
+
+    run = RunConfig.from_file(path)
+    model, init, confusion = run.model, run.init, run.noise.readout.confusion
+    assert (len(init.members), run.t_grid.size) == (3, 3)
+    expected = np.zeros((2, run.t_grid.size))
+    for k, t in enumerate(run.t_grid):
+        for quad, name in enumerate(("re", "im")):
+            circuit = hadamard_test_circuit(model, float(t), 2, name)
+            for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
+                p0 = _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, 0.01)
+                q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
+                expected[quad, k] += weight * sample_ancilla(q, 1000, derive_seed(5, k, quad, m_idx)).bias
+    assert np.array_equal(raw.re, expected[0]) and np.array_equal(raw.im, expected[1])
 
 
 def test_mitigate_readout_identity():
@@ -299,15 +351,14 @@ def test_mitigate_readout_clips_off_simplex():
 
 def test_readout_recovery_improves_with_shots():
     # shot-level recovery error shrinks like 1/sqrt(shots)
-    model, init = preset_model()
-    circuit = hadamard_test_circuit(model, 0.0, 1, "re")
+    model, member = preset_model()
     readout = ReadoutModel(CONFUSION)
     cfg = NoiseConfig(readout, p_dep=0.0)
     errors = []
     for shots in (10**3, 10**5):
         recovered = []
         for seed in range(20):
-            counts = noisy_sample(init, circuit, 2, shots, cfg, seed=seed)
+            counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, shots, seeds=(seed, seed + 20))
             bias, _ = mitigate_readout(counts.bias, readout)
             recovered.append(bias)
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
@@ -346,16 +397,12 @@ def test_calibration_rejects_singular_map():
 
 
 def _noisy_series(model, init, t_grid, cfg, shots, seed):
-    ancilla = model.n_qubits
     re = np.zeros(t_grid.size)
     im = np.zeros(t_grid.size)
     for k, t in enumerate(t_grid):
-        for quad, sink in (("re", re), ("im", im)):
-            circuit = hadamard_test_circuit(model, float(t), 1, quad)
-            counts = noisy_sample(
-                init.members[0].tensor_with_ancilla(), circuit, ancilla, shots, cfg, seed + 101 * k + (quad == "im")
-            )
-            sink[k] = counts.bias
+        seeds = (seed + 101 * k, seed + 101 * k + 1)
+        counts_re, counts_im = noisy_sample(init.members[0], _steps(model, float(t), 1), cfg, shots, seeds)
+        re[k], im[k] = counts_re.bias, counts_im.bias
     err = np.sqrt(np.maximum(0.0, 1 - re**2) / shots)
     err_im = np.sqrt(np.maximum(0.0, 1 - im**2) / shots)
     return GfSeries(t_grid, re, im, err, err_im, shots=shots, route="noisy", model=model.fingerprint(), seed=seed)

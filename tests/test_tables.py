@@ -1,6 +1,7 @@
 """The one table format: golden text of every writer, and malformed tables rejected with file and line."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_read_table_returns_what_write_table_wrote(tmp_path):
     assert meta == {"a": "x", "b": "2"}
     assert names == ["n", "v", "s"]
     assert rows == [["1", "5.0000000000000000e-01", "p"], ["2", "-1.0000000000000000e+00", "q"]]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.0,0.0,exact\n2,5.0,0.0,exact\n1,2.0,0.0,exact\n", "column K must read 0, 1, ..., 2 in order"),
+        ("0,1.0,0.0,exact\nx,2.0,0.0,exact\n", "K cell 'x' is not a number"),
+    ],
+    ids=["K-out-of-order", "K-not-a-number"],
+)
+def test_moment_table_rows_follow_the_K_column(tmp_path, rows, message):
+    # rows are moments <H^K> only in the order K = 0, 1, ..., L: a table in another order is refused, not reordered
+    path = tmp_path / "moments.csv"
+    path.write_text("K,value,err,route\n" + rows)
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        MomentSet.from_csv(path)
 
 
 # per reader: a two-line head (one meta line, the header), a good row, and one
