@@ -174,14 +174,14 @@ def _dense_channel_p0(init, circuit, ancilla, p):
     """Density-matrix oracle: each gate as a dense 2^n x 2^n unitary, then on every
     touched qubit rho -> (1 - p) rho + (p/3) sum_P P rho P over P = X, Y, Z."""
     n = init.n_qubits
+    paulis = [[_embed(pauli, (qubit,), n) for pauli in noise._PAULIS] for qubit in range(n)]
     rho = np.outer(init.amplitudes, init.amplitudes.conj())
     for item in circuit.gates:
         gate = item.gate.matrix if item.control is None else controlled_matrix(item.gate)
         full = _embed(gate, item.touched, n)
         rho = full @ rho @ full.conj().T
         for qubit in item.touched:
-            paulis = [_embed(pauli, (qubit,), n) for pauli in noise._PAULIS]
-            rho = (1 - p) * rho + (p / 3) * sum(pauli @ rho @ pauli for pauli in paulis)
+            rho = (1 - p) * rho + (p / 3) * sum(pauli @ rho @ pauli for pauli in paulis[qubit])
     diag = rho.diagonal().real
     return diag[((np.arange(diag.size) >> ancilla) & 1) == 0].sum() / diag.sum()
 
