@@ -152,7 +152,10 @@ def cmd_krylov(args, cfg: RunConfig, out_dir: Path):
     if mom.order < needed:
         raise SimulationError(f"need moments through {needed} for the requested subspace orders")
     if mom.route == "fdm" and np.any(mom.errors[: needed + 1] > 1e-6 * np.abs(mom.values[: needed + 1])):
-        print("warning: finite-difference moments exceed 1e-6 relative error; Krylov output may be unreliable")
+        print(
+            "warning: finite-difference moments exceed 1e-6 relative error; Krylov output may be unreliable",
+            file=sys.stderr,
+        )
 
     solutions = {m: solve_generalized(build_krylov_matrices(mom, m)) for m in cfg.krylov_orders}
     eigen_out = out_dir / "krylov_eigs.csv"

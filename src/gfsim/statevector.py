@@ -19,6 +19,7 @@ in the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,13 @@ class ShotCounts:
         return (self.n0 - self.n1) / self.shots
 
 
+@lru_cache(maxsize=None)
+def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that brings `axes` to the front in their order, the rest after in theirs, and its inverse."""
+    order = axes + tuple(a for a in range(ndim) if a not in axes)
+    return order, tuple(order.index(a) for a in range(ndim))
+
+
 def _apply_matrix(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the given target qubits of dense states.
 
@@ -124,15 +132,12 @@ def _apply_matrix(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: 
     that all receive the gate.  targets[0] is the most significant bit of the
     matrix index.
     """
-    k = len(targets)
     lead = amps.ndim - 1
-    axes = [lead + n_qubits - 1 - q for q in targets]
-    psi = amps.reshape(amps.shape[:lead] + (2,) * n_qubits)
-    psi = np.moveaxis(psi, axes, range(k))
+    order, inverse = _axis_orders(lead + n_qubits, tuple(lead + n_qubits - 1 - q for q in targets))
+    psi = amps.reshape(amps.shape[:lead] + (2,) * n_qubits).transpose(order)
     shape = psi.shape
-    psi = matrix @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(psi).reshape(amps.shape)
+    psi = matrix @ psi.reshape(1 << len(targets), -1)
+    return np.ascontiguousarray(psi.reshape(shape).transpose(inverse)).reshape(amps.shape)
 
 
 def _check_targets(state: StateVector, targets: tuple[int, ...]):

@@ -12,7 +12,7 @@ from gfsim.cli import main
 from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
 from gfsim.genfunc import GfSeries, gf_series
 from gfsim.models import build_dense, to_qubits
-from gfsim.moments import MomentSet, moments_fourier, spectral_peaks
+from gfsim.moments import MomentSet, moments_exact, moments_fourier, spectral_peaks
 from gfsim.texpand import imaginary_time_oracle
 
 
@@ -314,6 +314,22 @@ def test_cmd_krylov(tmp_path):
     # exact survival column present and starting at 1
     first = surv_lines[1].split(",")
     assert float(first[2]) == pytest.approx(1.0)
+
+
+def test_cmd_krylov_warns_on_stderr(tmp_path, capsys):
+    # exact moments relabelled as finite-difference ones with 1e-3 relative errors:
+    # the warning goes to stderr, and stdout keeps only the command's result
+    cfg = base_config(krylov={"orders": [0, 1], "t_max": 1.0, "dt": 0.1})
+    run = RunConfig(cfg)
+    exact = moments_exact(build_dense(to_qubits(run.model)), run.init, 3)
+    mom_path = tmp_path / "mom.csv"
+    MomentSet(exact.values, 1e-3 * np.abs(exact.values), route="fdm").to_csv(mom_path)
+    argv = ["krylov", "--config", write_config(tmp_path, cfg), "--moments", str(mom_path), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "finite-difference moments exceed 1e-6 relative error" in captured.err
+    assert "finite-difference" not in captured.out
+    assert "wrote" in captured.out
 
 
 def test_cmd_noise_builtin_preset_smoke(tmp_path):

@@ -10,6 +10,8 @@ from gfsim.genfunc import GfSeries, gf_exact
 from gfsim.krylov import build_krylov_matrices
 from gfsim.models import PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
+    FOLD_LEAF,
+    HANKEL_COLS,
     MomentSet,
     _hankel_r,
     central_difference_coefficients,
@@ -169,14 +171,31 @@ def baseband_peaks(model, series):
     return spectral_peaks(series, energy_bound=radius, center=center)
 
 
-def test_spectral_peaks_benchmark_weight_capture():
+@pytest.fixture(scope="module")
+def benchmark_peaks():
+    """The benchmark's noiseless trace on its auto grid (4,001 points) and the baseband Spectrum of it."""
     model, dense, init = benchmark()
     _, radius = pairing_to_qubits(model).spectral_window
     series = gf_exact(dense, init, fourier_grid(radius))
-    spec = baseband_peaks(model, series)
+    return dense, init, baseband_peaks(model, series)
+
+
+def test_spectral_peaks_benchmark_weight_capture(benchmark_peaks):
+    _, _, spec = benchmark_peaks
     assert spec.diagnostics["center"] == 36.0 and spec.diagnostics["cols"] == 300
     assert spec.weights.sum() >= 0.999
     assert spec.diagnostics["residual_power"] < 1e-10
+
+
+def test_spectral_peaks_benchmark_moments_through_k21(benchmark_peaks):
+    # measured 4.2e-10 (4.3e-10 folding blocks of cols rows, 3.8e-10 to 4.5e-10 over
+    # the fold layouts tried); 2e-9 sees a fold that loses a digit, which the 1e-5
+    # gate of criterion 3 cannot
+    dense, init, spec = benchmark_peaks
+    oracle = moments_exact(dense, init, 21)
+    rel = np.abs(moments_fourier(spec, 21).values - oracle.values) / np.abs(oracle.values)
+    assert spec.diagnostics["rank"] == 43
+    assert rel.max() < 2e-9
 
 
 def tone_series(t, energies, weights):
@@ -216,9 +235,9 @@ def test_spectral_peaks_recovers_drawn_tones(tones):
 
 
 def test_spectral_peaks_leaves_its_input_intact():
-    # 200 points: a 101 x 100 Hankel, so the last block folded into R has one
-    # row, a contiguous slice of the trace that the QR update must not overwrite
-    t = 0.1 * np.arange(200)
+    # 2,100 points: a 1,801 x 300 Hankel, so the last leaf has one row, a
+    # contiguous slice of the trace that its QR must not overwrite
+    t = 0.1 * np.arange(2100)
     energies, weights = np.array([-1.3, 0.4, 2.1]), np.array([0.5, 0.3, 0.2])
     series = tone_series(t, energies, weights)
     before = [a.copy() for a in (series.t, series.re, series.im, series.re_err, series.im_err)]
@@ -235,9 +254,44 @@ def test_blocked_r_keeps_the_singular_values(cols, extra_rows, seed):
     rng = np.random.default_rng(seed)
     n = 2 * cols - 1 + extra_rows  # at least as many Hankel rows as columns
     data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    expected = np.linalg.svd(sliding_window_view(data, cols), compute_uv=False)
-    got = np.linalg.svd(_hankel_r(data, cols), compute_uv=False)
+    hankel = sliding_window_view(data, cols)
+    expected = np.linalg.svd(hankel, compute_uv=False)
+    r = _hankel_r(data, cols)
+    got = np.linalg.svd(r, compute_uv=False)
     assert np.abs(got - expected).max() <= 1e-12 * expected[0]
+    assert np.abs(r.conj().T @ r - hankel.conj().T @ hankel).max() <= 1e-12 * expected[0] ** 2
+
+
+@pytest.mark.parametrize(
+    "cols, rows",
+    [
+        (7, FOLD_LEAF * 7 - 1),
+        (7, 3 * FOLD_LEAF * 7),
+        (7, 3 * FOLD_LEAF * 7 + 3),
+        (HANKEL_COLS, 3702),
+    ],
+    ids=["under-one-leaf", "whole-leaves", "last-leaf-under-cols", "pairing-8-chain"],
+)
+def test_blocked_r_on_every_fold_path(cols, rows, monkeypatch):
+    # oracles: the singular values and Gram matrix of the whole Hankel view, and
+    # the shapes of the QRs: each leaf's own, then after the first leaf the merge
+    # of R (cols rows) with the leaf's R (at most cols rows)
+    rng = np.random.default_rng(rows)
+    data = rng.standard_normal(rows + cols - 1) + 1j * rng.standard_normal(rows + cols - 1)
+    hankel = sliding_window_view(data, cols)
+    qr, shapes = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
+    r = _hankel_r(data, cols)
+    leaf = FOLD_LEAF * cols
+    expected_shapes = [(min(leaf, rows), cols)]
+    for start in range(leaf, rows, leaf):
+        height = min(leaf, rows - start)
+        expected_shapes += [(height, cols), (cols + min(height, cols), cols)]
+    assert shapes == expected_shapes
+    assert r.shape == (cols, cols) and np.array_equal(r, np.triu(r))
+    expected = np.linalg.svd(hankel, compute_uv=False)
+    assert np.abs(np.linalg.svd(r, compute_uv=False) - expected).max() <= 1e-12 * expected[0]
+    assert np.abs(r.conj().T @ r - hankel.conj().T @ hankel).max() <= 1e-12 * expected[0] ** 2
 
 
 def test_spectral_peaks_rank_ceiling_raises():

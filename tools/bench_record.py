@@ -31,7 +31,13 @@ BENCHMARK.json `bound` (a fraction of the parent's median):
 A run that exits non-zero is recorded under `failed` with its seed, exit code
 and the tail of its stderr, counts as not correct, and leaves its seed's pair
 out of the counts; the recording goes on.  Runs go one at a time, so the machine's load
-is the only other contender.
+is the only other contender: `os.getloadavg()` is recorded just before and just
+after every run, perfbench and Tier-1 alike.
+
+The file says which commits it compares through each side's `provenance.git_sha`,
+which run.py reads with `git rev-parse` in its checkout.  So both checkouts must be
+git clones, not exported trees: when either side's first successful run has no
+commit id, the recorder stops after that workload and writes nothing.
 """
 
 from __future__ import annotations
@@ -51,23 +57,29 @@ TIER1_PAIRS = 2
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
-    """One untraced run.py: its last-line result and its report line, or its failure and None if it exited non-zero."""
+    """One untraced run.py: its last-line result and its report line, or its failure and None if it exited non-zero.
+
+    Either way the result carries the machine's load averages from just before and just after the run.
+    """
+    load = {"before": os.getloadavg()}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout,
         capture_output=True,
         text=True,
     )
+    load["after"] = os.getloadavg()
     if proc.returncode:
-        return {"seed": seed, "exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}, None
+        return {"seed": seed, "exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:], "loadavg": load}, None
     lines = proc.stdout.splitlines()
     report = next(json.loads(line[len("report ") :]) for line in lines if line.startswith("report "))
-    return json.loads(lines[-1]), report
+    return {**json.loads(lines[-1]), "loadavg": load}, report
 
 
 def tier1(checkout: Path) -> dict:
-    """Wall time and summary line of one Tier-1 run."""
+    """Wall time, summary line and load averages before and after of one Tier-1 run."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    load = {"before": os.getloadavg()}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
@@ -77,8 +89,9 @@ def tier1(checkout: Path) -> dict:
         env=env,
     )
     wall = time.perf_counter() - start
+    load["after"] = os.getloadavg()
     summary = re.findall(r"^=*\s*(\d+ (?:passed|failed).*?)\s*=*$", proc.stdout, re.MULTILINE)
-    return {"wall_s": wall, "summary": summary[-1] if summary else None, "returncode": proc.returncode}
+    return {"wall_s": wall, "summary": summary[-1] if summary else None, "returncode": proc.returncode, "loadavg": load}
 
 
 def tier1_pairs(sides: dict[str, Path]) -> dict:
@@ -125,6 +138,7 @@ def side_summary(runs: list[tuple[dict, dict | None]], end_to_end: list[dict]) -
         "fail_frac": [report["fail_frac"]["value"] for report in reports],
         "correct": [report is not None and result["correct"] for result, report in runs],
         "failed": [result for result, report in runs if report is None],
+        "loadavg": [result["loadavg"] for result, _ in runs],
         "provenance": reports[0]["provenance"] if reports else None,
     }
 
@@ -154,6 +168,11 @@ def main(argv=None) -> int:
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed={seed} {side}: wall_s {wall:.4f}", flush=True)
         summary = {side: side_summary(runs[side], end_to_end) for side in ("parent", "change")}
+        unknown = [side for side in summary if not (summary[side]["provenance"] or {}).get("git_sha")]
+        if unknown:
+            names = " and ".join(unknown)
+            print(f"{workload}: no git_sha in the provenance of {names}; not writing {args.out}", file=sys.stderr)
+            return 1
         better, relative, verdicts = {}, {}, {}
         for m in end_to_end:
             name, sign = m["name"], (1 if m["better"] == "lower" else -1)
