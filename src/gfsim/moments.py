@@ -46,9 +46,9 @@ HANKEL_COLS = 300
 # rows of each Hankel leaf that _hankel_r factors on its own, in multiples of
 # the columns.  On pairing-8's 3,702 x 300 Hankel, leaves of 6 * cols take the
 # fold from 13 QRs (11 of 600 x 300) to 5 (two leaves of 1,800 x 300 and two
-# merges), about 40% less time, for about 4 MB more peak memory in the CLI
-# chain.  Folding R into blocks of 2 * cols rows cost 1.5 MB but saved only
-# 30%; measured peaks do not follow the leaf size (4 * cols cost 5 MB)
+# merges), about 40% less time, for 4.5 MB (7%) more peak memory in the
+# benchmark's CLI chain.  Folding R into blocks of 2 * cols rows cost 2 MB but
+# saved only 30%; measured peaks do not follow the leaf size (4 * cols cost 5 MB)
 FOLD_LEAF = 6
 RANK_TOL = 1e-13  # singular values below RANK_TOL * s_0 are roundoff on a noiseless trace
 RENORMALIZE_WINDOW = (0.98, 1.02)  # spectral_peaks rescales weight sums inside to 1 and raises above

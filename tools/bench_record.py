@@ -57,10 +57,7 @@ TIER1_PAIRS = 2
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
-    """One untraced run.py: its last-line result and its report line, or its failure and None if it exited non-zero.
-
-    Either way the result carries the machine's load averages from just before and just after the run.
-    """
+    """One untraced run.py: its last-line result and its report line, or its failure and None if it exited non-zero."""
     load = {"before": os.getloadavg()}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
