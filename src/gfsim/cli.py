@@ -35,7 +35,6 @@ from .moments import MomentSet, moments_exact, moments_fdm, moments_fourier, spe
 from .noise import calibrate_reference, mitigate_readout, mitigate_series, noisy_sample
 from .statevector import SimulationError, derive_seed
 from .texpand import PadeRejection, extrapolate_ground_energy, imaginary_time_oracle, selection_report
-from .trotter import Circuit, trotter_step
 
 
 def _sha256(path: Path) -> str:
@@ -193,14 +192,11 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     per_member = cfg.shots // members
     re = np.zeros(cfg.t_grid.size)
     im = np.zeros(cfg.t_grid.size)
-    for k, t in enumerate(cfg.t_grid):
-        # the gates both circuits control on the ancilla: n_steps copies of one step, none at t = 0
-        steps = Circuit((trotter_step(model, t / n_steps).gates if t else ()) * n_steps, model.n_qubits)
-        for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
-            seeds = (derive_seed(cfg.seed, k, 0, m_idx), derive_seed(cfg.seed, k, 1, m_idx))
-            counts_re, counts_im = noisy_sample(member, steps, cfg.noise, per_member, seeds)
-            re[k] += weight * counts_re.bias
-            im[k] += weight * counts_im.bias
+    for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
+        seeds = [(derive_seed(cfg.seed, k, 0, m_idx), derive_seed(cfg.seed, k, 1, m_idx)) for k in range(re.size)]
+        counts = noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=n_steps, noise=cfg.noise)
+        re += weight * np.array([counts_re.bias for counts_re, _ in counts])
+        im += weight * np.array([counts_im.bias for _, counts_im in counts])
     total = per_member * members
     err = np.sqrt(np.maximum(0.0, 1.0 - re**2) / total)
     err_im = np.sqrt(np.maximum(0.0, 1.0 - im**2) / total)

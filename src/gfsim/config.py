@@ -46,6 +46,14 @@ def _number(block: dict, key: str, context: str, default=None, minimum=None, max
     return int(value) if integer else float(value)
 
 
+def _flag(block: dict, key: str, context: str) -> bool:
+    """A JSON true or false (default false); a string such as "false" would otherwise read as true."""
+    value = block.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_model(block: dict):
     kind = block.get("kind")
     if kind == "pairing":
@@ -85,7 +93,7 @@ def build_time_grid(block: dict | None, model) -> np.ndarray:
     """Explicit {t_max, dt} grid, or {auto: true} for the spectral grid rule."""
     if block is None:
         block = {"auto": True}
-    if block.get("auto"):
+    if _flag(block, "auto", "time_grid"):
         _require_keys(block, {"auto", "gap_target"}, "time_grid with auto")
         gap_target = _number(block, "gap_target", "time_grid", default=0.02, minimum=1e-6)
         _, radius = to_qubits(model).spectral_window
@@ -168,7 +176,7 @@ class RunConfig:
         self.shots = _number(self.raw, "shots", "config", default=0, minimum=0, integer=True)
         self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, maximum=2**32 - 1, integer=True)
         self.trotter_policy = build_trotter_policy(self.raw.get("trotter"))
-        self.overlay_exact = bool(self.raw.get("overlay_exact", False))
+        self.overlay_exact = _flag(self.raw, "overlay_exact", "config")
 
         mom = self.raw.get("moments", {})
         _require_keys(mom, {"route", "order", "accuracy"}, "moments")

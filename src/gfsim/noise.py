@@ -12,8 +12,11 @@ each controlled step gate G sends X to (1 - 4p/3) X G^H (the factor is its
 ancilla slot), and each touched system qubit gets the channel's 4x4 map.  The
 closing Hadamard and its slot read the Re circuit's bias as (1 - 4p/3) 2 Re tr X;
 the Im circuit's R(-pi/2) and its slot multiply X by i (1 - 4p/3), so one
-evolution gives both quadratures.  `_run_with_errors` (one fixed error
-pattern on a pure state) is the reference the channel is tested against.
+evolution gives both quadratures.  One pass over the gate sequence evolves a
+member's blocks at every nonzero time point together, as the rows of one
+stack of P 4^n complex numbers (`_coherence_p0`), and `noisy_sample` draws
+all their shots.  `_run_with_errors` (one fixed error pattern on a pure
+state) is the reference the channel is tested against.
 
 Mitigation works on the one number each Hadamard test reads, the bias
 b = p0 - p1.  A confused readout sends a true bias b to a + s b, with
@@ -43,7 +46,7 @@ from .statevector import (
     apply_gate,
     sample_ancilla,
 )
-from .trotter import Circuit
+from .trotter import Circuit, _check_unitary, _step_gates
 
 
 @dataclass(frozen=True)
@@ -115,47 +118,68 @@ def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[i
     return state
 
 
-def _coherence_p0(member: StateVector, steps: Circuit, p_dep: float) -> tuple[float, float]:
-    """Exact ancilla-0 probabilities of the noisy Re and Im Hadamard tests controlling the steps' gates.
+def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ancilla-0 probabilities of the noisy Re and Im Hadamard tests at each time, by n_steps steps of t / n_steps.
 
     X is held as a vector of 2n qubits with the row bits above the column
     bits, so X G^H is conj(G) on the column targets, and a slot on system
     qubit q, X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, is one 4x4 map on
     (row q, column q) that mixes the two diagonal entries and damps the two
-    coherences.
+    coherences.  The P nonzero times evolve together as the rows of one
+    (P, 4^n) stack: each gate is one batched product with every row's own
+    matrix (`_step_gates` on all P step sizes, checked once), and each slot
+    one call on the whole stack.  A t = 0 test controls no gates.  The stack
+    holds P 4^n complex numbers, 16 P 4^n bytes (1 MB per point on 8 qubits),
+    and each call makes one or two copies of it.
     """
     n = member.n_qubits
-    if n != steps.n_qubits:
-        raise SimulationError(f"{n}-qubit member for steps on {steps.n_qubits} qubits")
+    if n != model.n_qubits:
+        raise SimulationError(f"{n}-qubit member for a model on {model.n_qubits} qubits")
+    if n_steps < 1:
+        raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
+    times = np.asarray(times, dtype=float)
+    moving = times != 0
+    matrices, pairs = _step_gates(model, times[moving] / n_steps)
+    _check_unitary(matrices, pairs)
+    # the column side takes conj(G); a 1-qubit gate on q sits on (q, q) at rows and columns 0 and 3
+    gates = [
+        (g[:, ::3, ::3], (a,)) if a == b else (g, (a, b))
+        for g, (a, b) in zip(np.moveaxis(matrices.conj(), 1, 0), pairs.tolist())
+    ]
     keep, damp = 1.0 - 2.0 * p_dep / 3.0, 1.0 - 4.0 * p_dep / 3.0
     depolarize = np.diag([keep, damp, damp, keep]).astype(complex)
     depolarize[0, 3] = depolarize[3, 0] = 2.0 * p_dep / 3.0
-    block = damp / 2.0 * np.outer(member.amplitudes, member.amplitudes.conj()).reshape(-1)
-    for item in steps.gates:
-        block = damp * _apply_matrix(block, 2 * n, item.gate.matrix.conj(), item.gate.targets)
-        for qubit in item.gate.targets:
-            block = _apply_matrix(block, 2 * n, depolarize, (n + qubit, qubit))
-    trace = block.reshape(1 << n, 1 << n).trace()  # p0 = (1 + b) / 2 with the biases of the module docstring
-    return 0.5 + damp * trace.real, 0.5 - damp**2 * trace.imag
+    start = damp / 2.0 * np.outer(member.amplitudes, member.amplitudes.conj()).reshape(-1)
+    block = np.tile(start, (np.count_nonzero(moving), 1))
+    for _ in range(n_steps if moving.any() else 0):  # an empty stack has nothing to evolve
+        for matrix, targets in gates:
+            block = damp * _apply_matrix(block, 2 * n, matrix, targets)
+            for qubit in targets:
+                block = _apply_matrix(block, 2 * n, depolarize, (n + qubit, qubit))
+    traces = np.full(times.size, start.reshape(1 << n, 1 << n).trace())
+    traces[moving] = block.reshape(-1, 1 << n, 1 << n).trace(axis1=1, axis2=2)
+    return 0.5 + damp * traces.real, 0.5 - damp**2 * traces.imag  # p0 = (1 + b) / 2, b as in the module docstring
 
 
 def noisy_sample(
-    member: StateVector, steps: Circuit, cfg: NoiseConfig, shots: int, seeds: tuple[int, int]
-) -> tuple[ShotCounts, ShotCounts]:
-    """Noisy Re and Im Hadamard tests of one member with confused readout: one binomial draw each.
+    member: StateVector, model, times, shots: int, seeds, *, n_steps: int, noise: NoiseConfig
+) -> list[tuple[ShotCounts, ShotCounts]]:
+    """Noisy Re and Im Hadamard tests of one member at each time with confused readout: one binomial draw each.
 
-    Each shot reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0), p0 the
-    circuit's exact ancilla-0 probability; seeds are the Re and Im draws'.
-    With p_dep = 0 and an identity C each draw is sample_ancilla's on the
-    clean circuit's p0.
+    seeds holds one (Re, Im) seed pair per time, and the result one (Re, Im)
+    count pair.  Each shot reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
+    p0 the circuit's exact ancilla-0 probability.  With p_dep = 0 and an
+    identity C each draw is sample_ancilla's on the clean circuit's p0.
     """
     if shots < 1:  # before the block evolution, not after it
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    confusion = cfg.readout.confusion
-    return tuple(
-        sample_ancilla(confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0), shots, seed)
-        for p0, seed in zip(_coherence_p0(member, steps, cfg.p_dep), seeds, strict=True)
-    )
+    confusion = noise.readout.confusion
+    p0_re, p0_im = _coherence_p0(member, model, times, n_steps, noise.p_dep)
+    q_re, q_im = (confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0) for p0 in (p0_re, p0_im))
+    return [
+        (sample_ancilla(re, shots, seed_re), sample_ancilla(im, shots, seed_im))
+        for re, im, (seed_re, seed_im) in zip(q_re, q_im, seeds, strict=True)
+    ]
 
 
 # Mitigation -------------------------------------------------------------------

@@ -129,14 +129,16 @@ def _apply_matrix(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: 
     """Apply a 2^k x 2^k matrix to the given target qubits of dense states.
 
     amps is one state of 2^n amplitudes, or a (batch, 2^n) stack of states
-    that all receive the gate.  targets[0] is the most significant bit of the
+    that all receive the matrix, or each their own one when matrix is a
+    (batch, 2^k, 2^k) stack.  targets[0] is the most significant bit of the
     matrix index.
     """
     lead = amps.ndim - 1
-    order, inverse = _axis_orders(lead + n_qubits, tuple(lead + n_qubits - 1 - q for q in targets))
+    own = matrix.ndim - 2  # 1 if each state of the stack has its own matrix: the batch axis stays in front
+    order, inverse = _axis_orders(lead + n_qubits, (0,) * own + tuple(lead + n_qubits - 1 - q for q in targets))
     psi = amps.reshape(amps.shape[:lead] + (2,) * n_qubits).transpose(order)
     shape = psi.shape
-    psi = matrix @ psi.reshape(1 << len(targets), -1)
+    psi = matrix @ psi.reshape(shape[:own] + (1 << len(targets), -1))
     return np.ascontiguousarray(psi.reshape(shape).transpose(inverse)).reshape(amps.shape)
 
 
@@ -192,7 +194,7 @@ def sample_ancilla(p0: float, shots: int, seed: int) -> ShotCounts:
 
 def derive_seed(*path: int) -> int:
     """Deterministic child seed from a master seed and index path (PCG64 SeedSequence)."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in path])
+    ss = np.random.SeedSequence(np.array([int(p) & 0xFFFFFFFF for p in path], dtype=np.uint32))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

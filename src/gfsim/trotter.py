@@ -10,9 +10,11 @@ explicit 1- and 2-qubit blocks:
 
 Within each part gates are applied in ascending qubit order; the order is
 frozen here because any fixed order is valid at first order.  `_step_gates`
-builds the step as one stack of 4x4 matrices and target pairs; `trotter_step`
-wraps the same stack as a gate-level `Circuit`, whose gates each check their
-own unitarity, and `_sector_step` checks the whole stack at once.
+builds the step as one stack of 4x4 matrices and target pairs, for one step
+size or for an array of them; `trotter_step` wraps the same stack as a
+gate-level `Circuit`, whose gates each check their own unitarity, while
+`_sector_step` and the noise route check a whole stack at once
+(`_check_unitary`).
 
 `evolve` and `controlled_evolve` multiply the stack out into a step matrix S on
 the conserved sectors the input occupies, raise it to the n_steps-th power by
@@ -39,7 +41,7 @@ block-diagonal [[I, 0], [0, U]].
 
 The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
 ancilla-controlled 3-qubit matrix) is the oracle the fused evolution is tested
-against; the noise route takes its gates from `trotter_step`.
+against.
 """
 
 from __future__ import annotations
@@ -105,15 +107,19 @@ class Circuit:
 # the identity.
 
 
-def _step_gates(model, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _step_gates(model, dt) -> tuple[np.ndarray, np.ndarray]:
     """One first-order step as a gate stack: (G, 4, 4) matrices and (G, 2) target pairs, in step order.
 
-    Each gate is the identity but for a phase e^{i phase} on |11> (a phase,
+    dt is one step size or an array of them; the matrices then carry dt's
+    shape in front, one step's stack per size on the same target pairs.  Each
+    gate is the identity but for a phase e^{i phase} on |11> (a phase,
     interaction or 1-qubit R gate) or for cos(lam) on |01>, |10> and
     off * sin(lam) between them (a pair-coupling or hopping block).
     """
-    if dt <= 0:
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0):
         raise SimulationError(f"dt must be > 0, got {dt}")
+    dt = dt[..., None]  # one row of each part's gate parameters per step size
     if isinstance(model, PairingModel):
         # level phase gates R(-2 eps_p dt), then the pair-coupling blocks on (q, p) for p > q
         m = model.n_levels
@@ -126,14 +132,14 @@ def _step_gates(model, dt: float) -> tuple[np.ndarray, np.ndarray]:
         m = model.sites
         pairs = np.array([(a, a + 1) for a in range(2 * m - 1) if a != m - 1] + [(a, a + m) for a in range(m)])
         coupled, phased = slice(0, 2 * m - 2), slice(2 * m - 2, None)
-        phases = np.full(m, -dt * model.onsite)
-        lam, off = np.full(2 * m - 2, dt * model.hopping), -1j
+        phases = -dt * model.onsite * np.ones(m)
+        lam, off = dt * model.hopping * np.ones(2 * m - 2), -1j
     else:
         raise SimulationError(f"unsupported model type {type(model).__name__}")
-    matrices = np.eye(4, dtype=complex)[None].repeat(len(pairs), axis=0)
-    matrices[phased, 3, 3] = np.exp(1j * phases)
-    matrices[coupled, 1, 1] = matrices[coupled, 2, 2] = np.cos(lam)
-    matrices[coupled, 1, 2] = matrices[coupled, 2, 1] = off * np.sin(lam)
+    matrices = np.broadcast_to(np.eye(4, dtype=complex), dt.shape[:-1] + (len(pairs), 4, 4)).copy()
+    matrices[..., phased, 3, 3] = np.exp(1j * phases)
+    matrices[..., coupled, 1, 1] = matrices[..., coupled, 2, 2] = np.cos(lam)
+    matrices[..., coupled, 1, 2] = matrices[..., coupled, 2, 1] = off * np.sin(lam)
     return matrices, pairs
 
 
@@ -183,6 +189,15 @@ _LOCAL_WEIGHT = np.array([0, 1, 1, 2])
 _WEIGHT_CHANGING = np.not_equal.outer(_LOCAL_WEIGHT, _LOCAL_WEIGHT)
 
 
+def _check_unitary(matrices: np.ndarray, pairs: np.ndarray):
+    """Raise `SimulationError` for the first gate of a (..., G, 4, 4) stack on G target pairs that is not unitary."""
+    err = np.abs(np.swapaxes(matrices, -1, -2).conj() @ matrices - np.eye(4)).max(axis=(-2, -1), initial=0.0)
+    err = err.max(axis=tuple(range(err.ndim - 1)), initial=0.0)  # the worst over the leading step sizes
+    if np.any(err > UNITARITY_TOL):
+        g = int(np.argmax(err))
+        raise SimulationError(f"gate {g} on {tuple(pairs[g].tolist())} is not unitary: |U^H U - I| = {err[g]:.3e}")
+
+
 def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
@@ -195,10 +210,7 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     A gate whose nonzero G[v, v ^ 3] reaches a partner outside the basis
     raises `SimulationError`.
     """
-    err = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - np.eye(4)).max(axis=(1, 2), initial=0.0)
-    if np.any(err > UNITARITY_TOL):
-        g = int(np.argmax(err))
-        raise SimulationError(f"gate {g} on {tuple(pairs[g].tolist())} is not unitary: |U^H U - I| = {err[g]:.3e}")
+    _check_unitary(matrices, pairs)
     leak = np.abs(matrices[:, _WEIGHT_CHANGING]).max(axis=1, initial=0.0)
     if np.any(leak > UNITARITY_TOL):
         g = int(np.argmax(leak))

@@ -13,6 +13,7 @@ SPEC = {
     "workloads": [{"name": "chain"}],
     "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
 }
+PASSES = {"parent": 4, "change": 6}  # each stubbed run's pass count, different per side
 
 
 @pytest.fixture
@@ -32,8 +33,13 @@ def checkouts(tmp_path, recorder, monkeypatch, shas):
     def run(cmd, cwd, **kwargs):
         if "pytest" in cmd:
             return subprocess.CompletedProcess(cmd, 0, stdout="3 passed in 0.01s\n", stderr="")
-        report = {"accuracy": {}, "fail_frac": {"value": 0.0}, "provenance": {"git_sha": shas[Path(cwd).name]}}
-        result = {"correct": True, "metrics": {"wall_s": {"value": 0.5}}}
+        report = {
+            "accuracy": {},
+            "fail_frac": {"value": 0.0},
+            "passes": PASSES[Path(cwd).name],
+            "provenance": {"git_sha": shas[Path(cwd).name]},
+        }
+        result = {"correct": True, "attempted": 3 * report["passes"], "metrics": {"wall_s": {"value": 0.5}}}
         return subprocess.CompletedProcess(cmd, 0, stdout=f"report {json.dumps(report)}\n{json.dumps(result)}\n", stderr="")
 
     monkeypatch.setattr(recorder.subprocess, "run", run)
@@ -51,6 +57,16 @@ def test_records_load_averages_around_every_run(tmp_path, recorder, monkeypatch)
     loads += [run["loadavg"] for side in ("parent", "change") for run in record["tier1"][side]["runs"]]
     assert len(loads) == 2 * len(recorder.SEEDS) + 2 * recorder.TIER1_PAIRS
     assert all(len(load["before"]) == len(load["after"]) == 3 for load in loads)
+
+
+def test_keeps_the_pass_and_op_counts_of_every_run(tmp_path, recorder, monkeypatch):
+    argv = checkouts(tmp_path, recorder, monkeypatch, {"parent": "aaa", "change": "bbb"})
+    out = tmp_path / "BENCH.json"
+    assert recorder.main([*argv, "--out", str(out)]) == 0
+    chain = json.loads(out.read_text())["workloads"]["chain"]
+    for side, passes in PASSES.items():
+        assert chain[side]["passes"] == [passes] * len(recorder.SEEDS)
+        assert chain[side]["attempted"] == [3 * passes] * len(recorder.SEEDS)
 
 
 @pytest.mark.parametrize("missing", ["parent", "change"])

@@ -89,6 +89,19 @@ def test_time_grid_keys_the_grid_rule_ignores_rejected(grid):
         RunConfig(base_config(time_grid=grid))
 
 
+@pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "integer", "null"])
+@pytest.mark.parametrize("where", ["overlay_exact", "time_grid.auto"])
+def test_flags_must_be_json_booleans(tmp_path, where, value):
+    # "false" is truthy, so reading the flag by truthiness would turn the overlay or the auto grid on
+    if where == "overlay_exact":
+        cfg = base_config(overlay_exact=value)
+    else:
+        cfg = base_config(time_grid={"auto": value, "t_max": 0.5, "dt": 0.1})
+    with pytest.raises(ConfigError, match="must be true or false"):
+        RunConfig(cfg)
+    assert main(["gf", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+
+
 def test_n_steps_under_reference_policy_rejected():
     with pytest.raises(ConfigError):
         RunConfig(base_config(trotter={"policy": "reference", "n_steps": 8}))

@@ -30,7 +30,6 @@ from gfsim.statevector import (
     derive_seed,
     sample_ancilla,
 )
-from gfsim.trotter import Circuit, trotter_step
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
 
@@ -70,14 +69,15 @@ def preset_model():
     return model, initial_state(model).members[0]
 
 
-def _steps(model, t, n_steps):
-    """The gates hadamard_test_circuit(model, t, n_steps, quad) controls, as noisy_sample takes them."""
-    return Circuit(trotter_step(model, t / n_steps).gates * n_steps if t else (), model.n_qubits)
+def _sample(member, model, t, cfg, shots, seeds, n_steps=1):
+    """noisy_sample at the one time t: its (Re, Im) counts."""
+    (both,) = noisy_sample(member, model, [t], shots, [seeds], n_steps=n_steps, noise=cfg)
+    return both
 
 
 def _block_p0(member, model, t, n_steps, quad, p):
     """The block route's ancilla-0 probability of one quadrature's circuit."""
-    return _coherence_p0(member, _steps(model, t, n_steps), p)[("re", "im").index(quad)]
+    return _coherence_p0(member, model, [t], n_steps, p)[("re", "im").index(quad)][0]
 
 
 def test_confusion_columns_validated():
@@ -94,7 +94,7 @@ def test_noise_free_sampling_matches_clean_seed_path():
     # identity confusion + p_dep = 0 must reproduce sample_ancilla on the clean p0 exactly
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.0)
-    both = noisy_sample(member, _steps(model, 0.3, 1), cfg, 5000, seeds=(21, 22))
+    both = _sample(member, model, 0.3, cfg, 5000, (21, 22))
     for quad, noisy, seed in zip(("re", "im"), both, (21, 22)):
         clean_final = hadamard_test_circuit(model, 0.3, 1, quad).apply(member.tensor_with_ancilla())
         clean = sample_ancilla(ancilla_probability(clean_final, 2), 5000, seed=seed)
@@ -105,7 +105,7 @@ def test_readout_only_shifts_reported_probabilities():
     # p0 = 1 truth under the documented confusion gives reported p0 ~= 0.95
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.0)
-    counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, 10**5, seeds=(3, 4))
+    counts, _ = _sample(member, model, 0.0, cfg, 10**5, (3, 4))
     assert counts.n0 / counts.shots == pytest.approx(0.95, abs=0.01)
 
 
@@ -114,14 +114,14 @@ def test_full_depolarization_kills_the_signal():
     # composed uniform-Pauli errors scramble the ancilla coherence
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=1.0)
-    counts, _ = noisy_sample(member, _steps(model, 0.5, 1), cfg, 4000, seeds=(5, 6))
+    counts, _ = _sample(member, model, 0.5, cfg, 4000, (5, 6))
     assert abs(counts.bias) < 0.05
 
 
 def test_mild_depolarization_damps_towards_zero():
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.05)
-    counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, 10**5, seeds=(7, 8))
+    counts, _ = _sample(member, model, 0.0, cfg, 10**5, (7, 8))
     assert 0.7 < counts.bias < 0.999
 
 
@@ -211,10 +211,36 @@ def test_channel_matches_dense_density_matrix(case, p):
         member = initial_state(model).members[0]
     else:
         member = _random_state(model.n_qubits, seed=model.n_qubits)
-    both = _coherence_p0(member, _steps(model, t, n_steps), p)
-    for quad, p0 in zip(("re", "im"), both):
+    both = _coherence_p0(member, model, [t], n_steps, p)
+    for quad, (p0,) in zip(("re", "im"), both):
         circuit = hadamard_test_circuit(model, t, n_steps, quad)
         assert abs(p0 - _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, p)) <= 1e-13
+
+
+_GRID_CASES = [
+    ("hubbard-2-member", HubbardModel(sites=2, hopping=1.0, onsite=2.0)),
+    ("pairing-4", PairingModel.uniform(4, 2, 1.0, 0.7)),
+]
+
+
+@pytest.mark.parametrize("case", _GRID_CASES, ids=[c[0] for c in _GRID_CASES])
+def test_batched_blocks_match_dense_density_matrix_at_every_point(case):
+    # one pass over a grid whose step size t / n_steps differs from point to point, t = 0
+    # included: a gate stack indexed by the wrong point lands on another point's probability
+    name, model = case
+    if name.startswith("hubbard"):
+        # a member of a mixture off the default: the default's one member |1111> is an eigenstate
+        member = initial_state(model, ["1001", "0110"]).members[0]
+    else:
+        member = _random_state(model.n_qubits, seed=7)
+    times, n_steps, p = np.linspace(0.0, 0.6, 7), 3, 0.05
+    both = _coherence_p0(member, model, times, n_steps, p)
+    for quad, p0 in zip(("re", "im"), both):
+        assert p0.shape == times.shape
+        for t, got in zip(times, p0):
+            circuit = hadamard_test_circuit(model, float(t), n_steps, quad)
+            expected = _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, p)
+            assert abs(got - expected) <= 1e-13
 
 
 def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
@@ -260,25 +286,29 @@ def test_noisy_sample_rejects_state_smaller_than_circuit():
     for t in (0.0, 0.4):
         for state in (StateVector(1, [1.0, 0.0]), member.tensor_with_ancilla()):
             with pytest.raises(SimulationError, match="2 qubits"):
-                noisy_sample(state, _steps(model, t, 1), cfg, 100, seeds=(1, 2))
+                _sample(state, model, t, cfg, 100, (1, 2))
 
 
 def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
     model, member = preset_model()
     monkeypatch.setattr(noise, "_coherence_p0", lambda *args: pytest.fail("evolved before checking shots"))
     with pytest.raises(SimulationError, match="shots must be >= 1"):
-        noisy_sample(member, _steps(model, 0.4, 1), NoiseConfig(ReadoutModel.identity()), 0, seeds=(1, 2))
+        _sample(member, model, 0.4, NoiseConfig(ReadoutModel.identity()), 0, (1, 2))
 
 
 def test_noisy_sample_is_one_binomial_draw():
+    # one draw per point and quadrature, on that point's own seed
     model, member = preset_model()
-    steps = _steps(model, 0.4, 1)
+    times, seeds = [0.0, 0.2, 0.4], [(9, 10), (11, 12), (13, 14)]
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.002)
-    both = noisy_sample(member, steps, cfg, 10**6, seeds=(9, 10))
-    for p0, counts, seed in zip(_coherence_p0(member, steps, cfg.p_dep), both, (9, 10)):
-        q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
-        assert counts.n0 == np.random.default_rng(seed).binomial(10**6, q)
-        assert counts.shots == 10**6 and counts.seed == seed
+    counts = noisy_sample(member, model, times, 10**6, seeds, n_steps=2, noise=cfg)
+    p0 = np.transpose(_coherence_p0(member, model, times, 2, cfg.p_dep))
+    assert len(counts) == len(times)
+    for point_p0, point_counts, point_seeds in zip(p0, counts, seeds):
+        for p, quad_counts, seed in zip(point_p0, point_counts, point_seeds):
+            q = CONFUSION[0, 0] * p + CONFUSION[0, 1] * (1 - p)
+            assert quad_counts.n0 == np.random.default_rng(seed).binomial(10**6, q)
+            assert quad_counts.shots == 10**6 and quad_counts.seed == seed
 
 
 def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
@@ -358,7 +388,7 @@ def test_readout_recovery_improves_with_shots():
     for shots in (10**3, 10**5):
         recovered = []
         for seed in range(20):
-            counts, _ = noisy_sample(member, _steps(model, 0.0, 1), cfg, shots, seeds=(seed, seed + 20))
+            counts, _ = _sample(member, model, 0.0, cfg, shots, (seed, seed + 20))
             bias, _ = mitigate_readout(counts.bias, readout)
             recovered.append(bias)
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
@@ -397,12 +427,9 @@ def test_calibration_rejects_singular_map():
 
 
 def _noisy_series(model, init, t_grid, cfg, shots, seed):
-    re = np.zeros(t_grid.size)
-    im = np.zeros(t_grid.size)
-    for k, t in enumerate(t_grid):
-        seeds = (seed + 101 * k, seed + 101 * k + 1)
-        counts_re, counts_im = noisy_sample(init.members[0], _steps(model, float(t), 1), cfg, shots, seeds)
-        re[k], im[k] = counts_re.bias, counts_im.bias
+    seeds = [(seed + 101 * k, seed + 101 * k + 1) for k in range(t_grid.size)]
+    counts = noisy_sample(init.members[0], model, t_grid, shots, seeds, n_steps=1, noise=cfg)
+    re, im = np.array([[counts_re.bias, counts_im.bias] for counts_re, counts_im in counts]).T
     err = np.sqrt(np.maximum(0.0, 1 - re**2) / shots)
     err_im = np.sqrt(np.maximum(0.0, 1 - im**2) / shots)
     return GfSeries(t_grid, re, im, err, err_im, shots=shots, route="noisy", model=model.fingerprint(), seed=seed)

@@ -9,6 +9,7 @@ from gfsim.statevector import (
     apply_controlled,
     apply_gate,
     controlled_matrix,
+    derive_seed,
     hadamard,
     pauli_x,
     phase_gate,
@@ -167,3 +168,12 @@ def test_sampling_converges_to_expectation():
     counts = sample_ancilla(p0, shots, seed=17)
     exact = 2.0 * p0 - 1.0
     assert abs(counts.bias - exact) < 5.0 / np.sqrt(shots)
+
+
+@pytest.mark.parametrize("path", [(0,), (2**32 - 1, 0, 1), (7, 2**40 + 3, 2**64 + 5)], ids=["zero", "top", "wide"])
+def test_derive_seed_equals_the_masked_int_list(path):
+    # a uint32 array and the list of masked Python ints are the same SeedSequence entropy,
+    # each int below 2^32 one word, so every sub-seed stays what it was
+    entropy = [p & 0xFFFFFFFF for p in path]
+    expected = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    assert derive_seed(*path) == expected

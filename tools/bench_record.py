@@ -13,9 +13,9 @@ parent first in the first pair and the change first in the second, and
 records every run and the median wall time per side.
 
 Per side and workload the file holds the median and interquartile range of
-every end-to-end metric, the accuracy fingerprints and `fail_frac` that
-run.py reports, whether each run was correct, and the `provenance` block of
-the first run.  Per workload it holds, for each end-to-end metric, the number
+every end-to-end metric, the accuracy fingerprints, `fail_frac`, and the
+`passes` and ops `attempted` of every run that run.py reports, whether each
+run was correct, and the `provenance` block of the first run.  Per workload it holds, for each end-to-end metric, the number
 of seeds on which the change read better than the parent, the relative change
 of the median, (change - parent) / parent, and a verdict against the metric's
 BENCHMARK.json `bound` (a fraction of the parent's median):
@@ -133,6 +133,9 @@ def side_summary(runs: list[tuple[dict, dict | None]], end_to_end: list[dict]) -
         **{m["name"]: spread([r["metrics"][m["name"]]["value"] for r in results]) for m in end_to_end},
         "accuracy": {name: {"median": statistics.median(v), "values": v} for name, v in accuracy.items()},
         "fail_frac": [report["fail_frac"]["value"] for report in reports],
+        # peak_rss_mb grows with the passes a run fits in its window, so each run's count goes beside it
+        "passes": [report["passes"] for report in reports],
+        "attempted": [result["attempted"] for result in results],
         "correct": [report is not None and result["correct"] for result, report in runs],
         "failed": [result for result, report in runs if report is None],
         "loadavg": [result["loadavg"] for result, _ in runs],
