@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .statevector import (  # noqa: F401
     GateMatrix,
-    ShotCounts,
     SimulationError,
     StateVector,
     apply_controlled,
@@ -44,7 +43,7 @@ from .trotter import (  # noqa: F401
     steps_for,
     trotter_step,
 )
-from .genfunc import GfSeries, gf_exact, gf_hadamard, gf_series  # noqa: F401
+from .genfunc import GfSeries, gf_exact, gf_series  # noqa: F401
 from .moments import (  # noqa: F401
     MomentSet,
     fourier_grid,

@@ -17,6 +17,7 @@ message).  A configuration error writes no manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -188,21 +189,15 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     dense = build_dense(to_qubits(model))
     exact = gf_exact(dense, cfg.init, cfg.t_grid, model=model.fingerprint())
 
-    n_steps = cfg.trotter_policy
     per_member = cfg.shots // members
-    re = np.zeros(cfg.t_grid.size)
-    im = np.zeros(cfg.t_grid.size)
+    estimates = np.zeros((2, cfg.t_grid.size))  # Re and Im, summed over the members in order
     for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
-        seeds = [(derive_seed(cfg.seed, k, 0, m_idx), derive_seed(cfg.seed, k, 1, m_idx)) for k in range(re.size)]
-        counts = noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=n_steps, noise=cfg.noise)
-        re += weight * np.array([counts_re.bias for counts_re, _ in counts])
-        im += weight * np.array([counts_im.bias for _, counts_im in counts])
+        seeds = [tuple(derive_seed(cfg.seed, k, quad, m_idx) for quad in (0, 1)) for k in range(cfg.t_grid.size)]
+        biases = noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=cfg.trotter_policy, noise=cfg.noise)
+        estimates += weight * biases
     total = per_member * members
-    err = np.sqrt(np.maximum(0.0, 1.0 - re**2) / total)
-    err_im = np.sqrt(np.maximum(0.0, 1.0 - im**2) / total)
-    raw = GfSeries(
-        cfg.t_grid, re, im, err, err_im, shots=total, route="noisy", model=model.fingerprint(), seed=cfg.seed
-    )
+    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total)
+    raw = GfSeries(cfg.t_grid, *estimates, *errs, shots=total, route="noisy", model=model.fingerprint(), seed=cfg.seed)
 
     readout = cfg.noise.readout
     if cfg.noise.p_dep == 0.0 and readout.is_identity():
@@ -228,6 +223,7 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     return paths, extra, f"rms raw={rms_raw:.6f} mitigated={rms_mit:.6f} ratio={rms_mit / rms_raw:.3f}"
 
 
+@functools.cache  # parsing leaves the parser as it is, so one per process serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfsim",

@@ -13,8 +13,10 @@ gates: its ancilla halves are psi_0 = psi/sqrt(2) and psi_1 = U psi/sqrt(2), so
 F(t) = <psi|U|psi> = 2 <psi_0|psi_1>, and the closing Hadamard would measure 0
 with probability (1 + Re F)/2 (the Re circuit) or (1 + Im F)/2 (the Im
 circuit).  The sampled route draws each circuit's shots from that
-probability.  Mixtures are averaged member by member with the shot budget
-split evenly.
+probability, and `sample_ancilla` returns the sample's bias.  `gf_series` is
+the one Hadamard-test loop: time points outside, mixture members inside, one
+controlled evolution per nonzero point and member.  Mixtures are averaged
+member by member with the shot budget split evenly.
 
 Every CSV the package writes or reads is one table format, written by
 `write_table` and read by `read_table` here: `# key=value` header lines, one
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,6 @@ from .trotter import AppliedGate, Circuit, controlled_evolve, steps_for, trotter
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
 GF_COLUMNS = ("t", "re", "im", "re_err", "im_err")
-
-_QUAD_RE, _QUAD_IM = 0, 1
 
 
 def _fmt(x: float) -> str:
@@ -182,52 +181,6 @@ def gf_exact(dense: DenseHamiltonian, init: InitialState, t_grid, model: str = "
     return GfSeries(t, values.real, values.imag, zeros, zeros, shots=0, route="exact", model=model)
 
 
-class HadamardEstimate(NamedTuple):
-    re: float
-    im: float
-    re_err: float
-    im_err: float
-    shots: int  # actual total shots per quadrature (after mixture rounding)
-
-
-def gf_hadamard(model, init: InitialState, t: float, n_steps: int, shots: int, seed: int) -> HadamardEstimate:
-    """One time point of F(t) via the two Hadamard-test circuits.
-
-    shots = 0 uses the exact ancilla biases (no sampling); otherwise each
-    quadrature of each mixture member is sampled with shots/len(mixture)
-    measurements (rounded down, actual total recorded).
-    """
-    if shots < 0:
-        raise SimulationError(f"shots must be >= 0, got {shots}")
-    ancilla = model.n_qubits
-    members = len(init)
-    per_member = shots // members if shots else 0
-    if shots and per_member == 0:
-        raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
-
-    estimates = np.zeros(2)
-    for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
-        # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
-        state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)
-        if t != 0:
-            state = controlled_evolve(state, model, t, n_steps, ancilla)
-        halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
-        f = 2.0 * np.vdot(halves[0], halves[1])
-        for quad, bias in ((_QUAD_RE, f.real), (_QUAD_IM, f.imag)):
-            if shots == 0:
-                estimates[quad] += weight * bias
-            else:
-                counts = sample_ancilla((1.0 + bias) / 2.0, per_member, derive_seed(seed, m_idx, quad))
-                estimates[quad] += weight * counts.bias
-
-    total = per_member * members
-    if shots == 0:
-        errs = np.zeros(2)
-    else:
-        errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total)
-    return HadamardEstimate(estimates[0], estimates[1], errs[0], errs[1], total)
-
-
 def gf_series(
     model,
     init: InitialState,
@@ -236,28 +189,49 @@ def gf_series(
     shots: int = 0,
     seed: int = 0,
 ) -> GfSeries:
-    """Per-point Hadamard-test estimates over a monotone grid starting at 0."""
+    """Hadamard-test estimates of F(t) over a monotone grid starting at 0.
+
+    shots = 0 uses the exact ancilla biases (no sampling); otherwise each
+    quadrature of each mixture member at point k is sampled with
+    shots // len(mixture) measurements (the actual total is recorded) on the
+    sub-seed derive_seed(derive_seed(seed, k), member, quadrature).
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) < 0):
         raise SimulationError("t_grid must be monotone and start at 0")
     if not 0 <= seed <= 2**32 - 1:  # derive_seed keeps 32 bits of it: a wider seed aliases another
         raise SimulationError(f"seed must lie in [0, 2**32 - 1], got {seed}")
+    if shots < 0:
+        raise SimulationError(f"shots must be >= 0, got {shots}")
+    members = len(init)
+    per_member = shots // members
+    if shots and per_member == 0:
+        raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
-    results = [
-        gf_hadamard(model, init, float(tk), steps_for(model, tk, n_steps_policy), shots, derive_seed(seed, k))
-        for k, tk in enumerate(t)
-    ]
+    estimates = np.zeros((2, t.size))  # Re and Im, summed over the members in order
+    for k, tk in enumerate(t):
+        n_steps = steps_for(model, tk, n_steps_policy)
+        point_seed = derive_seed(seed, k) if shots else 0
+        for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
+            # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
+            state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)
+            if tk != 0:
+                state = controlled_evolve(state, model, float(tk), n_steps, model.n_qubits)
+            halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
+            f = 2.0 * np.vdot(halves[0], halves[1])
+            for quad, bias in enumerate((f.real, f.imag)):
+                if shots:
+                    bias = sample_ancilla((1.0 + bias) / 2.0, per_member, derive_seed(point_seed, m_idx, quad))
+                estimates[quad, k] += weight * bias
 
-    route = "statevector" if shots == 0 else "sampled"
-    actual = results[0].shots if shots else 0
+    total = per_member * members
+    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total) if shots else np.zeros_like(estimates)
     return GfSeries(
         t,
-        np.array([r.re for r in results]),
-        np.array([r.im for r in results]),
-        np.array([r.re_err for r in results]),
-        np.array([r.im_err for r in results]),
-        shots=actual,
-        route=route,
+        *estimates,
+        *errs,
+        shots=total,
+        route="sampled" if shots else "statevector",
         model=model.fingerprint(),
         seed=int(seed),
     )

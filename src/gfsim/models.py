@@ -357,17 +357,11 @@ def build_dense(h: QubitHamiltonian) -> DenseHamiltonian:
 class InitialState:
     """A pure state or a uniform mixture of orthogonal pure states."""
 
-    def __init__(self, members: list[StateVector], weights=None):
+    def __init__(self, members: list[StateVector]):
         if not members:
             raise SimulationError("initial state needs at least one member")
         self.members = list(members)
-        if weights is None:
-            weights = [1.0 / len(members)] * len(members)
-        self.weights = [float(w) for w in weights]
-        if len(self.weights) != len(self.members):
-            raise SimulationError("weights and members length mismatch")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise SimulationError("weights must sum to 1")
+        self.weights = [1.0 / len(members)] * len(members)
         for member in self.members:
             if abs(member.norm() - 1.0) > 1e-12:
                 raise SimulationError("members must be normalized")

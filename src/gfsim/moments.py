@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -103,7 +102,7 @@ def moments_exact(dense: DenseHamiltonian, init: InitialState, order: int) -> Mo
 
 @lru_cache(maxsize=None)
 def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Central-stencil offsets and weights for d^deriv/dt^deriv, exact rationals.
+    """Central-stencil offsets and weights for d^deriv/dt^deriv, each the float nearest its exact rational.
 
     The stencil uses 2*floor((deriv+1)/2) - 1 + accuracy points and satisfies
     sum_j c_j j^m = deriv! * delta_{m,deriv} for all representable monomials.
@@ -125,8 +124,9 @@ def central_difference_coefficients(deriv: int, accuracy: int) -> tuple[tuple[in
         for k in offsets:
             if k != j:
                 poly = [hi - k * lo for hi, lo in zip([0] + poly, poly + [0])]
-        denom = math.prod(j - k for k in offsets if k != j)
-        coeffs.append(float(Fraction(math.factorial(deriv) * poly[deriv], denom)))
+        # prod_{k != j} (j - k) has the sign (-1)^(half - j); on top, it leaves a zero weight +0.0
+        denom = math.prod(abs(j - k) for k in offsets if k != j)
+        coeffs.append((-1) ** (half - j) * math.factorial(deriv) * poly[deriv] / denom)  # int / int: correctly rounded
     return tuple(offsets), tuple(coeffs)
 
 

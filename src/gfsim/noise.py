@@ -15,8 +15,9 @@ the Im circuit's R(-pi/2) and its slot multiply X by i (1 - 4p/3), so one
 evolution gives both quadratures.  One pass over the gate sequence evolves a
 member's blocks at every nonzero time point together, as the rows of one
 stack of P 4^n complex numbers (`_coherence_p0`), and `noisy_sample` draws
-all their shots.  `_run_with_errors` (one fixed error pattern on a pure
-state) is the reference the channel is tested against.
+all their shots and returns the Re and Im biases over the times.
+`_run_with_errors` (one fixed error pattern on a pure state) is the
+reference the channel is tested against.
 
 Mitigation works on the one number each Hadamard test reads, the bias
 b = p0 - p1.  A confused readout sends a true bias b to a + s b, with
@@ -38,7 +39,6 @@ import numpy as np
 from .genfunc import GfSeries
 from .statevector import (
     GateMatrix,
-    ShotCounts,
     SimulationError,
     StateVector,
     _apply_matrix,
@@ -163,23 +163,25 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
 
 def noisy_sample(
     member: StateVector, model, times, shots: int, seeds, *, n_steps: int, noise: NoiseConfig
-) -> list[tuple[ShotCounts, ShotCounts]]:
+) -> np.ndarray:
     """Noisy Re and Im Hadamard tests of one member at each time with confused readout: one binomial draw each.
 
-    seeds holds one (Re, Im) seed pair per time, and the result one (Re, Im)
-    count pair.  Each shot reports 0 with probability C[0,0] p0 + C[0,1] (1 - p0),
-    p0 the circuit's exact ancilla-0 probability.  With p_dep = 0 and an
-    identity C each draw is sample_ancilla's on the clean circuit's p0.
+    seeds holds one (Re, Im) seed pair per time; the result's two rows are the
+    Re and the Im bias (n0 - n1) / shots over the times.  Each shot reports 0
+    with probability C[0,0] p0 + C[0,1] (1 - p0), p0 the circuit's exact
+    ancilla-0 probability.  With p_dep = 0 and an identity C each draw is
+    sample_ancilla's on the clean circuit's p0.
     """
     if shots < 1:  # before the block evolution, not after it
         raise SimulationError(f"shots must be >= 1, got {shots}")
     confusion = noise.readout.confusion
     p0_re, p0_im = _coherence_p0(member, model, times, n_steps, noise.p_dep)
     q_re, q_im = (confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0) for p0 in (p0_re, p0_im))
-    return [
+    biases = [
         (sample_ancilla(re, shots, seed_re), sample_ancilla(im, shots, seed_im))
         for re, im, (seed_re, seed_im) in zip(q_re, q_im, seeds, strict=True)
     ]
+    return np.array(biases, dtype=float).reshape(-1, 2).T
 
 
 # Mitigation -------------------------------------------------------------------

@@ -12,8 +12,8 @@ Conventions (frozen for the whole package):
 
 All operations are pure: they take a state in and return a new state.  RNG is
 numpy's PCG64 (``default_rng``); `sample_ancilla` is the one place that draws
-shots, from an outcome probability, and takes an explicit seed that it records
-in the result.
+shots: from an outcome probability and an explicit seed, it returns the
+sample's bias (n0 - n1) / shots.
 """
 
 from __future__ import annotations
@@ -100,24 +100,6 @@ class StateVector:
         return StateVector(self.n_qubits + 1, amps, copy=False)
 
 
-@dataclass(frozen=True)
-class ShotCounts:
-    """Outcome counts of repeated single-qubit measurements."""
-
-    n0: int
-    n1: int
-    seed: int
-
-    @property
-    def shots(self) -> int:
-        return self.n0 + self.n1
-
-    @property
-    def bias(self) -> float:
-        """(n0 - n1) / shots, the estimator of p0 - p1."""
-        return (self.n0 - self.n1) / self.shots
-
-
 @lru_cache(maxsize=None)
 def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The transpose that brings `axes` to the front in their order, the rest after in theirs, and its inverse."""
@@ -184,12 +166,12 @@ def ancilla_probability(state: StateVector, ancilla: int) -> float:
     return float((total - p1) / total)
 
 
-def sample_ancilla(p0: float, shots: int, seed: int) -> ShotCounts:
-    """Binomial sample of a readout giving 0 with probability p0 (clipped to [0, 1]); deterministic per seed."""
+def sample_ancilla(p0: float, shots: int, seed: int) -> float:
+    """(n0 - n1) / shots, the estimate of p0 - p1, from Binomial(shots, p0) with p0 clipped to [0, 1]; one per seed."""
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, p0))))
-    return ShotCounts(n0=n0, n1=shots - n0, seed=int(seed))
+    return (n0 - (shots - n0)) / shots
 
 
 def derive_seed(*path: int) -> int:

@@ -244,9 +244,11 @@ def test_cmd_moments_fourier_from_sampled_series(tmp_path):
     # shot noise on the trace must not be fitted as tones (weights summing above 1 exit 1).
     # The K<=4 error is a claim over shot-noise draws, so it is gated as a median over
     # seeds 3-11: the CLI runs seed 3, library gf_series and spectral_peaks (the calls
-    # the CLI makes) run the rest.  Measured over seeds 3-22 at 10^4 shots per point:
-    # median 3.0e-3 and max 1.8e-2 on the 51-point baseband grid, where seed 3 reads
-    # 9.4e-3; median 3.1e-3 over seeds 3-11.  gap_target 0.1 gives 51 points, 0.02-0.04 s
+    # the CLI makes) run the rest.  Measured over seeds 3-102 at 10^4 shots per point on
+    # the 51-point baseband grid: median 4.4e-3 (quartiles 2.6e-3 and 6.2e-3), max 2.0e-2;
+    # seed 3 reads 9.4e-3.  Seeds 3-11 read a median of 3.1e-3, but 15 of the 92 nine-seed
+    # windows in 3-102 read 5e-3 or more, so a change of sampling stream can fail this gate
+    # with the error distribution unchanged.  gap_target 0.1 gives 51 points, 0.02-0.04 s
     # per trace on 2 vCPU (the default auto grid, 251 points, 0.1-0.2 s)
     cfg = base_config(time_grid={"auto": True, "gap_target": 0.1}, shots=10000, seed=3)
     cfg["moments"] = {"route": "fourier", "order": 4}

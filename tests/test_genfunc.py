@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfsim import genfunc
-from gfsim.genfunc import GfSeries, gf_exact, gf_hadamard, gf_series, hadamard_test_circuit
+from gfsim.genfunc import GfSeries, gf_exact, gf_series, hadamard_test_circuit
 from gfsim.models import (
     HubbardModel,
     InitialState,
@@ -68,19 +68,19 @@ def test_gf_exact_hermitian_symmetry():
 
 def test_hadamard_zero_time():
     model, _, init = two_level()
-    est = gf_hadamard(model, init, 0.0, 1, 0, 0)
-    assert est.re == pytest.approx(1.0, abs=1e-12)
-    assert est.im == pytest.approx(0.0, abs=1e-12)
+    est = gf_series(model, init, [0.0], n_steps_policy=1)
+    assert est.re[0] == pytest.approx(1.0, abs=1e-12)
+    assert est.im[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hadamard_statevector_converges_to_exact():
     model, dense, init = two_level()
     evals, weights = sector_oracle()
     for t in (0.5, 1.5):
-        est = gf_hadamard(model, init, t, 10**4, 0, 0)
+        est = gf_series(model, init, [0.0, t], n_steps_policy=10**4)
         oracle = (np.exp(-1j * t * evals) * weights).sum()
-        assert abs(est.re + 1j * est.im - oracle) < 1e-6
-        assert est.re_err == 0.0 and est.im_err == 0.0
+        assert abs(est.values[1] - oracle) < 1e-6
+        assert est.re_err[1] == 0.0 and est.im_err[1] == 0.0
 
 
 def test_hadamard_imaginary_sign_convention():
@@ -89,8 +89,8 @@ def test_hadamard_imaginary_sign_convention():
     vec = dense.eigenvectors[:, 1]
     init = InitialState([StateVector(2, vec)])
     t = 0.4
-    est = gf_hadamard(model, init, t, 4000, 0, 0)
-    assert est.im == pytest.approx(-np.sin(t * dense.eigenvalues[1]), abs=1e-5)
+    est = gf_series(model, init, [0.0, t], n_steps_policy=4000)
+    assert est.im[1] == pytest.approx(-np.sin(t * dense.eigenvalues[1]), abs=1e-5)
 
 
 def test_hadamard_trotter_error_decreases_with_steps():
@@ -101,8 +101,8 @@ def test_hadamard_trotter_error_decreases_with_steps():
     oracle = gf_exact(dense, init, [t]).values[0]
     errs = []
     for n in (16, 32, 64, 128):
-        est = gf_hadamard(model, init, t, n, 0, 0)
-        errs.append(abs(est.re + 1j * est.im - oracle))
+        est = gf_series(model, init, [0.0, t], n_steps_policy=n)
+        errs.append(abs(est.values[1] - oracle))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     slope = np.polyfit(np.log([16, 32, 64, 128]), np.log(errs), 1)[0]
     assert slope < -0.9
@@ -135,11 +135,11 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
 def gate_level_hadamard(model, init, t, n_steps, shots, seed):
     """Both Hadamard-test circuits applied gate by gate, read through ancilla_probability.
 
-    Returns the mixture's (Re, Im) estimate and the sampled n0 per sub-seed.
+    Returns the mixture's (Re, Im) estimate and the sampled bias per sub-seed.
     """
     ancilla = model.n_qubits
     per_member = shots // len(init)
-    estimates, n0 = np.zeros(2), {}
+    estimates, drawn = np.zeros(2), {}
     for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
         for quad, name in enumerate(("re", "im")):
             final = hadamard_test_circuit(model, t, n_steps, name).apply(member.tensor_with_ancilla())
@@ -147,10 +147,10 @@ def gate_level_hadamard(model, init, t, n_steps, shots, seed):
             if shots == 0:
                 estimates[quad] += weight * (2.0 * p0 - 1.0)
             else:
-                counts = sample_ancilla(p0, per_member, derive_seed(seed, m_idx, quad))
-                n0[counts.seed] = counts.n0
-                estimates[quad] += weight * counts.bias
-    return estimates, n0
+                sub_seed = derive_seed(seed, m_idx, quad)
+                drawn[sub_seed] = sample_ancilla(p0, per_member, sub_seed)
+                estimates[quad] += weight * drawn[sub_seed]
+    return estimates, drawn
 
 
 @pytest.mark.parametrize(
@@ -166,30 +166,33 @@ def test_hadamard_matches_gate_level_circuits(monkeypatch, model, members):
     real = genfunc.sample_ancilla
 
     def recorded(p0, shots, seed):
-        counts = real(p0, shots, seed)
-        drawn[counts.seed] = counts.n0
-        return counts
+        drawn[seed] = real(p0, shots, seed)
+        return drawn[seed]
 
     monkeypatch.setattr(genfunc, "sample_ancilla", recorded)
-    for t, n_steps in ((0.0, 1), (0.7, 5), (1.9, 3)):
-        est = gf_hadamard(model, init, t, n_steps, 0, 0)
-        oracle, _ = gate_level_hadamard(model, init, t, n_steps, 0, 0)
-        assert abs(est.re - oracle[0]) < 1e-12 and abs(est.im - oracle[1]) < 1e-12
+    for grid, n_steps in (([0.0], 1), ([0.0, 0.7], 5), ([0.0, 1.9], 3)):
+        est = gf_series(model, init, grid, n_steps_policy=n_steps)
+        for k, t in enumerate(grid):
+            oracle, _ = gate_level_hadamard(model, init, t, n_steps, 0, 0)
+            assert abs(est.re[k] - oracle[0]) < 1e-12 and abs(est.im[k] - oracle[1]) < 1e-12
         drawn.clear()
-        est = gf_hadamard(model, init, t, n_steps, 3000, 11)
-        oracle, n0 = gate_level_hadamard(model, init, t, n_steps, 3000, 11)
-        assert drawn == n0 and len(n0) == 2 * len(init)
-        assert (est.re, est.im) == (oracle[0], oracle[1])
+        est = gf_series(model, init, grid, n_steps_policy=n_steps, shots=3000, seed=11)
+        expected = {}
+        for k, t in enumerate(grid):  # point k draws on the sub-seeds of derive_seed(seed, k)
+            oracle, point_drawn = gate_level_hadamard(model, init, t, n_steps, 3000, derive_seed(11, k))
+            expected.update(point_drawn)
+            assert (est.re[k], est.im[k]) == (oracle[0], oracle[1])
+        assert drawn == expected and len(expected) == 2 * len(init) * len(grid)
 
 
 def test_hadamard_sampled_within_error_bars():
     model, dense, init = two_level()
     t = 0.7
     exact = gf_exact(dense, init, [t]).values[0]
-    est = gf_hadamard(model, init, t, 500, shots=10**4, seed=3)
+    est = gf_series(model, init, [0.0, t], n_steps_policy=500, shots=10**4, seed=3)
     assert est.shots == 10**4
-    assert abs(est.re - exact.real) < 5 * max(est.re_err, 1e-4)
-    assert abs(est.im - exact.imag) < 5 * max(est.im_err, 1e-4)
+    assert abs(est.re[1] - exact.real) < 5 * max(est.re_err[1], 1e-4)
+    assert abs(est.im[1] - exact.imag) < 5 * max(est.im_err[1], 1e-4)
 
 
 def test_sampled_error_bar_matches_empirical_scatter():
@@ -198,9 +201,9 @@ def test_sampled_error_bar_matches_empirical_scatter():
     t, shots = 0.9, 2000
     estimates, bars = [], []
     for seed in range(100):
-        est = gf_hadamard(model, init, t, 200, shots=shots, seed=seed)
-        estimates.append(est.re)
-        bars.append(est.re_err)
+        est = gf_series(model, init, [0.0, t], n_steps_policy=200, shots=shots, seed=seed)
+        estimates.append(est.re[1])
+        bars.append(est.re_err[1])
     scatter = np.std(estimates, ddof=1)
     assert np.mean(bars) == pytest.approx(scatter, rel=0.2)
 
@@ -208,7 +211,7 @@ def test_sampled_error_bar_matches_empirical_scatter():
 def test_mixture_budget_split_and_rounding():
     model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
     init = initial_state(model)  # 6 members
-    est = gf_hadamard(model, init, 0.0, 1, shots=10**4, seed=0)
+    est = gf_series(model, init, [0.0], n_steps_policy=1, shots=10**4, seed=0)
     assert est.shots == 6 * (10**4 // 6)
 
 
@@ -216,7 +219,7 @@ def test_mixture_too_small_budget_rejected():
     model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
     init = initial_state(model)
     with pytest.raises(SimulationError):
-        gf_hadamard(model, init, 0.0, 1, shots=3, seed=0)
+        gf_series(model, init, [0.0], n_steps_policy=1, shots=3, seed=0)
 
 
 def test_gf_series_constant_on_zero_grid():

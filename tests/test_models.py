@@ -210,12 +210,6 @@ def test_initial_state_explicit_bitstrings():
     assert len(state) == 2
 
 
-def test_mixture_weights_must_sum_to_one():
-    member = InitialState.from_bitstrings(["01"]).members[0]
-    with pytest.raises(SimulationError):
-        InitialState([member], weights=[0.7])
-
-
 def test_ground_energy_uses_reachable_sector():
     model = PairingModel.uniform(4, 2, 1.0, 1.0)
     dense = build_dense(pairing_to_qubits(model))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gfsim.moments import (
     spectral_peaks,
 )
 from gfsim.statevector import SimulationError
+from conftest import _solve_fractions
 
 
 def two_level():
@@ -96,6 +98,17 @@ def test_stencil_monomial_exactness():
             value = float((coeffs * offsets**m).sum())
             expected = float(math.factorial(deriv)) if m == deriv else 0.0
             assert value == pytest.approx(expected, abs=1e-7 * max(1.0, np.abs(coeffs).max()))
+
+
+def test_stencil_weights_are_the_nearest_floats_of_the_exact_solution():
+    # bit for bit, zeros' signs included: the float of the Fraction solution of sum_j c_j j^m = deriv! delta_{m,deriv}
+    for deriv in range(1, 14):
+        for acc in (2, 4, 6, 8):
+            offsets, coeffs = central_difference_coefficients(deriv, acc)
+            system = [[Fraction(j) ** m for j in offsets] for m in range(len(offsets))]
+            rhs = [Fraction(math.factorial(deriv) if m == deriv else 0) for m in range(len(offsets))]
+            exact = _solve_fractions(system, rhs)
+            assert [c.hex() for c in coeffs] == [float(x).hex() for x in exact], (deriv, acc)
 
 
 def test_stencil_rejects_odd_accuracy():

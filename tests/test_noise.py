@@ -70,9 +70,9 @@ def preset_model():
 
 
 def _sample(member, model, t, cfg, shots, seeds, n_steps=1):
-    """noisy_sample at the one time t: its (Re, Im) counts."""
-    (both,) = noisy_sample(member, model, [t], shots, [seeds], n_steps=n_steps, noise=cfg)
-    return both
+    """noisy_sample at the one time t: its (Re, Im) biases."""
+    (bias_re,), (bias_im,) = noisy_sample(member, model, [t], shots, [seeds], n_steps=n_steps, noise=cfg)
+    return bias_re, bias_im
 
 
 def _block_p0(member, model, t, n_steps, quad, p):
@@ -98,15 +98,15 @@ def test_noise_free_sampling_matches_clean_seed_path():
     for quad, noisy, seed in zip(("re", "im"), both, (21, 22)):
         clean_final = hadamard_test_circuit(model, 0.3, 1, quad).apply(member.tensor_with_ancilla())
         clean = sample_ancilla(ancilla_probability(clean_final, 2), 5000, seed=seed)
-        assert (noisy.n0, noisy.n1) == (clean.n0, clean.n1)
+        assert noisy == clean
 
 
 def test_readout_only_shifts_reported_probabilities():
     # p0 = 1 truth under the documented confusion gives reported p0 ~= 0.95
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.0)
-    counts, _ = _sample(member, model, 0.0, cfg, 10**5, (3, 4))
-    assert counts.n0 / counts.shots == pytest.approx(0.95, abs=0.01)
+    bias, _ = _sample(member, model, 0.0, cfg, 10**5, (3, 4))
+    assert (1.0 + bias) / 2.0 == pytest.approx(0.95, abs=0.01)  # the share of shots reading 0
 
 
 def test_full_depolarization_kills_the_signal():
@@ -114,15 +114,15 @@ def test_full_depolarization_kills_the_signal():
     # composed uniform-Pauli errors scramble the ancilla coherence
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=1.0)
-    counts, _ = _sample(member, model, 0.5, cfg, 4000, (5, 6))
-    assert abs(counts.bias) < 0.05
+    bias, _ = _sample(member, model, 0.5, cfg, 4000, (5, 6))
+    assert abs(bias) < 0.05
 
 
 def test_mild_depolarization_damps_towards_zero():
     model, member = preset_model()
     cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.05)
-    counts, _ = _sample(member, model, 0.0, cfg, 10**5, (7, 8))
-    assert 0.7 < counts.bias < 0.999
+    bias, _ = _sample(member, model, 0.0, cfg, 10**5, (7, 8))
+    assert 0.7 < bias < 0.999
 
 
 def _n_slots(circuit):
@@ -301,14 +301,14 @@ def test_noisy_sample_is_one_binomial_draw():
     model, member = preset_model()
     times, seeds = [0.0, 0.2, 0.4], [(9, 10), (11, 12), (13, 14)]
     cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.002)
-    counts = noisy_sample(member, model, times, 10**6, seeds, n_steps=2, noise=cfg)
+    biases = np.transpose(noisy_sample(member, model, times, 10**6, seeds, n_steps=2, noise=cfg))
     p0 = np.transpose(_coherence_p0(member, model, times, 2, cfg.p_dep))
-    assert len(counts) == len(times)
-    for point_p0, point_counts, point_seeds in zip(p0, counts, seeds):
-        for p, quad_counts, seed in zip(point_p0, point_counts, point_seeds):
+    assert biases.shape == (len(times), 2)
+    for point_p0, point_biases, point_seeds in zip(p0, biases, seeds):
+        for p, bias, seed in zip(point_p0, point_biases, point_seeds):
             q = CONFUSION[0, 0] * p + CONFUSION[0, 1] * (1 - p)
-            assert quad_counts.n0 == np.random.default_rng(seed).binomial(10**6, q)
-            assert quad_counts.shots == 10**6 and quad_counts.seed == seed
+            n0 = np.random.default_rng(seed).binomial(10**6, q)  # all 10^6 shots, on the point's own seed
+            assert bias == (n0 - (10**6 - n0)) / 10**6
 
 
 def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
@@ -337,7 +337,7 @@ def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
             for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
                 p0 = _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, 0.01)
                 q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
-                expected[quad, k] += weight * sample_ancilla(q, 1000, derive_seed(5, k, quad, m_idx)).bias
+                expected[quad, k] += weight * sample_ancilla(q, 1000, derive_seed(5, k, quad, m_idx))
     assert np.array_equal(raw.re, expected[0]) and np.array_equal(raw.im, expected[1])
 
 
@@ -388,8 +388,8 @@ def test_readout_recovery_improves_with_shots():
     for shots in (10**3, 10**5):
         recovered = []
         for seed in range(20):
-            counts, _ = _sample(member, model, 0.0, cfg, shots, (seed, seed + 20))
-            bias, _ = mitigate_readout(counts.bias, readout)
+            raw, _ = _sample(member, model, 0.0, cfg, shots, (seed, seed + 20))
+            bias, _ = mitigate_readout(raw, readout)
             recovered.append(bias)
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
     assert errors[1] < errors[0] / 3.0
@@ -428,8 +428,7 @@ def test_calibration_rejects_singular_map():
 
 def _noisy_series(model, init, t_grid, cfg, shots, seed):
     seeds = [(seed + 101 * k, seed + 101 * k + 1) for k in range(t_grid.size)]
-    counts = noisy_sample(init.members[0], model, t_grid, shots, seeds, n_steps=1, noise=cfg)
-    re, im = np.array([[counts_re.bias, counts_im.bias] for counts_re, counts_im in counts]).T
+    re, im = noisy_sample(init.members[0], model, t_grid, shots, seeds, n_steps=1, noise=cfg)
     err = np.sqrt(np.maximum(0.0, 1 - re**2) / shots)
     err_im = np.sqrt(np.maximum(0.0, 1 - im**2) / shots)
     return GfSeries(t_grid, re, im, err, err_im, shots=shots, route="noisy", model=model.fingerprint(), seed=seed)

@@ -140,11 +140,10 @@ def test_ancilla_probability_superposition():
 
 def test_sampling_deterministic_and_certain_outcomes():
     p0 = ancilla_probability(StateVector.from_bitstring("0"), 0)
-    counts = sample_ancilla(p0, 100, seed=5)
-    assert counts.n0 == 100 and counts.n1 == 0
-    again = sample_ancilla(p0, 100, seed=5)
-    assert (counts.n0, counts.n1) == (again.n0, again.n1)
-    assert counts.seed == 5
+    bias = sample_ancilla(p0, 100, seed=5)
+    assert bias == 1.0  # all 100 shots read 0
+    assert sample_ancilla(p0, 100, seed=5) == bias
+    assert sample_ancilla(1.0 - p0, 100, seed=5) == -1.0
 
 
 def test_sampling_zero_shots_rejected():
@@ -155,9 +154,10 @@ def test_sampling_zero_shots_rejected():
 def test_sampling_unbiased_at_half():
     # p0 = 1/2; 5-sigma binomial bound on the bias estimate
     state = apply_gate(StateVector(1), hadamard(0))
-    counts = sample_ancilla(ancilla_probability(state, 0), 10**4, seed=9)
-    assert counts.n0 + counts.n1 == 10**4
-    assert abs(counts.bias) < 0.05
+    bias = sample_ancilla(ancilla_probability(state, 0), 10**4, seed=9)
+    n0_minus_n1 = round(bias * 10**4)
+    assert n0_minus_n1 / 10**4 == bias and n0_minus_n1 % 2 == 0  # n0 + n1 = 10^4 shots drawn
+    assert abs(bias) < 0.05
 
 
 def test_sampling_converges_to_expectation():
@@ -165,9 +165,9 @@ def test_sampling_converges_to_expectation():
     state = random_state(3, rng)
     p0 = ancilla_probability(state, 2)
     shots = 10**6
-    counts = sample_ancilla(p0, shots, seed=17)
+    bias = sample_ancilla(p0, shots, seed=17)
     exact = 2.0 * p0 - 1.0
-    assert abs(counts.bias - exact) < 5.0 / np.sqrt(shots)
+    assert abs(bias - exact) < 5.0 / np.sqrt(shots)
 
 
 @pytest.mark.parametrize("path", [(0,), (2**32 - 1, 0, 1), (7, 2**40 + 3, 2**64 + 5)], ids=["zero", "top", "wide"])
