@@ -12,10 +12,12 @@ each controlled step gate G sends X to (1 - 4p/3) X G^H (the factor is its
 ancilla slot), and each touched system qubit gets the channel's 4x4 map.  The
 closing Hadamard and its slot read the Re circuit's bias as (1 - 4p/3) 2 Re tr X;
 the Im circuit's R(-pi/2) and its slot multiply X by i (1 - 4p/3), so one
-evolution gives both quadratures.  One pass over the gate sequence evolves a
-member's blocks at every nonzero time point together, as the rows of one
-stack of P 4^n complex numbers (`_coherence_p0`), and `noisy_sample` draws
-all their shots and returns the Re and Im biases over the times.
+evolution gives both quadratures.  The step gates conserve the model's sectors,
+and a slot on qubit q mixes an entry of X only with the one that has q flipped
+on both sides, so the entries whose row and column share a sector evolve
+among themselves; they hold tr X.  One pass over the gate sequence evolves a
+member's blocks on those entries at every nonzero time point together, as the
+rows of one stack (`_coherence_p0`), and `noisy_sample` draws all their shots.
 `_run_with_errors` (one fixed error pattern on a pure state) is the
 reference the channel is tested against.
 
@@ -37,16 +39,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .genfunc import GfSeries
-from .statevector import (
-    GateMatrix,
-    SimulationError,
-    StateVector,
-    _apply_matrix,
-    apply_controlled,
-    apply_gate,
-    sample_ancilla,
-)
-from .trotter import Circuit, _check_unitary, _step_gates
+from .models import sector_labels
+from .statevector import GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate, sample_ancilla
+from .trotter import Circuit, _gate_action, _step_gates
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,17 @@ def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[i
 def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ancilla-0 probabilities of the noisy Re and Im Hadamard tests at each time, by n_steps steps of t / n_steps.
 
-    X is held as a vector of 2n qubits with the row bits above the column
-    bits, so X G^H is conj(G) on the column targets, and a slot on system
-    qubit q, X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, is one 4x4 map on
-    (row q, column q) that mixes the two diagonal entries and damps the two
-    coherences.  The P nonzero times evolve together as the rows of one
-    (P, 4^n) stack: each gate is one batched product with every row's own
-    matrix (`_step_gates` on all P step sizes, checked once), and each slot
-    one call on the whole stack.  A t = 0 test controls no gates.  The stack
-    holds P 4^n complex numbers, 16 P 4^n bytes (1 MB per point on 8 qubits),
-    and each call makes one or two copies of it.
+    X is held on the flat, sorted list of its C entries r 2^n + c whose row
+    and column share a sector (`models.sector_labels`): C(2n, n) for pairing
+    and C(2M, M)^2 for Hubbard, against 4^n.  X G^H is conj(G) on the column,
+    so each gate is one gather, X -> diag X + off X[:, partner], with
+    `_gate_action`'s coefficients for the 2^n columns.  A slot on qubit q,
+    X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, keeps 1 - 2p/3 of an entry with
+    r_q = c_q and takes 2p/3 of the entry with q flipped on both sides; it
+    damps every other entry by 1 - 4p/3.  The P nonzero times evolve together
+    as the rows of one (P, C) stack, on `_step_gates` at all P step sizes; a
+    t = 0 test controls no gates.  The stack holds P C complex numbers (16 P C
+    bytes), and the G gates of a step hold G C int64 gather indices.
     """
     n = member.n_qubits
     if n != model.n_qubits:
@@ -140,24 +136,29 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     times = np.asarray(times, dtype=float)
     moving = times != 0
     matrices, pairs = _step_gates(model, times[moving] / n_steps)
-    _check_unitary(matrices, pairs)
-    # the column side takes conj(G); a 1-qubit gate on q sits on (q, q) at rows and columns 0 and 3
-    gates = [
-        (g[:, ::3, ::3], (a,)) if a == b else (g, (a, b))
-        for g, (a, b) in zip(np.moveaxis(matrices.conj(), 1, 0), pairs.tolist())
-    ]
+    labels = sector_labels(model, np.arange(1 << n))
+    flat = np.flatnonzero(np.equal.outer(labels, labels))
+    rows, cols = flat >> n, flat & ((1 << n) - 1)
+    diag, off, partner = _gate_action(matrices.conj(), pairs, np.arange(1 << n))
+    target = (rows << n) | partner[:, cols]
+    gather = np.searchsorted(flat, target)
+    if np.any(flat[np.minimum(gather, flat.size - 1)] != target):
+        raise SimulationError("a step gate couples entries of X that lie in different sectors")
     keep, damp = 1.0 - 2.0 * p_dep / 3.0, 1.0 - 4.0 * p_dep / 3.0
-    depolarize = np.diag([keep, damp, damp, keep]).astype(complex)
-    depolarize[0, 3] = depolarize[3, 0] = 2.0 * p_dep / 3.0
-    start = damp / 2.0 * np.outer(member.amplitudes, member.amplitudes.conj()).reshape(-1)
+    qubits = np.arange(n)[:, None]
+    same = ((rows ^ cols) >> qubits) & 1 == 0  # r_q = c_q; a slot only damps the other entries
+    flipped = np.where(same, np.searchsorted(flat, flat ^ (1 << qubits | 1 << (n + qubits))), 0)
+    slots = list(zip(np.where(same, keep, damp).astype(complex), np.where(same, 2.0 * p_dep / 3.0, 0j), flipped))
+    start = damp / 2.0 * (member.amplitudes[rows] * member.amplitudes[cols].conj())
     block = np.tile(start, (np.count_nonzero(moving), 1))
     for _ in range(n_steps if moving.any() else 0):  # an empty stack has nothing to evolve
-        for matrix, targets in gates:
-            block = damp * _apply_matrix(block, 2 * n, matrix, targets)
-            for qubit in targets:
-                block = _apply_matrix(block, 2 * n, depolarize, (n + qubit, qubit))
-    traces = np.full(times.size, start.reshape(1 << n, 1 << n).trace())
-    traces[moving] = block.reshape(-1, 1 << n, 1 << n).trace(axis1=1, axis2=2)
+        for g, (a, b) in enumerate(pairs.tolist()):
+            block = diag[:, g, cols] * block + off[:, g, cols] * block[:, gather[g]]
+            for own, mixed, flipped_q in (slots[a],) if a == b else (slots[a], slots[b]):
+                block = own * block + mixed * block[:, flipped_q]
+    on_diagonal = rows == cols
+    traces = np.full(times.size, start[on_diagonal].sum())
+    traces[moving] = damp ** (len(pairs) * n_steps) * block[:, on_diagonal].sum(axis=1)  # each gate's ancilla slot
     return 0.5 + damp * traces.real, 0.5 - damp**2 * traces.imag  # p0 = (1 + b) / 2, b as in the module docstring
 
 

@@ -19,7 +19,6 @@ sample's bias (n0 - n1) / shots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,28 +99,16 @@ class StateVector:
         return StateVector(self.n_qubits + 1, amps, copy=False)
 
 
-@lru_cache(maxsize=None)
-def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that brings `axes` to the front in their order, the rest after in theirs, and its inverse."""
-    order = axes + tuple(a for a in range(ndim) if a not in axes)
-    return order, tuple(order.index(a) for a in range(ndim))
-
-
 def _apply_matrix(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the given target qubits of dense states.
+    """Apply a 2^k x 2^k matrix to the given target qubits of a dense state of 2^n amplitudes.
 
-    amps is one state of 2^n amplitudes, or a (batch, 2^n) stack of states
-    that all receive the matrix, or each their own one when matrix is a
-    (batch, 2^k, 2^k) stack.  targets[0] is the most significant bit of the
-    matrix index.
+    targets[0] is the most significant bit of the matrix index.
     """
-    lead = amps.ndim - 1
-    own = matrix.ndim - 2  # 1 if each state of the stack has its own matrix: the batch axis stays in front
-    order, inverse = _axis_orders(lead + n_qubits, (0,) * own + tuple(lead + n_qubits - 1 - q for q in targets))
-    psi = amps.reshape(amps.shape[:lead] + (2,) * n_qubits).transpose(order)
-    shape = psi.shape
-    psi = matrix @ psi.reshape(shape[:own] + (1 << len(targets), -1))
-    return np.ascontiguousarray(psi.reshape(shape).transpose(inverse)).reshape(amps.shape)
+    axes = tuple(n_qubits - 1 - q for q in targets)
+    order = axes + tuple(a for a in range(n_qubits) if a not in axes)  # the targets' axes first
+    psi = amps.reshape((2,) * n_qubits).transpose(order)
+    psi = (matrix @ psi.reshape(1 << len(targets), -1)).reshape(psi.shape)
+    return np.ascontiguousarray(psi.transpose([order.index(a) for a in range(n_qubits)])).reshape(-1)
 
 
 def _check_targets(state: StateVector, targets: tuple[int, ...]):

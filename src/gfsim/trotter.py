@@ -13,7 +13,8 @@ frozen here because any fixed order is valid at first order.  `_step_gates`
 builds the step as one stack of 4x4 matrices and target pairs, for one step
 size or for an array of them; `trotter_step` wraps the same stack as a
 gate-level `Circuit`, whose gates each check their own unitarity, while
-`_sector_step` and the noise route check a whole stack at once
+`_gate_action`, where `_sector_step` and the noise route get each gate's
+coefficients and partner states, checks a whole stack at once
 (`_check_unitary`).
 
 `evolve` and `controlled_evolve` multiply the stack out into a step matrix S on
@@ -198,20 +199,23 @@ def _check_unitary(matrices: np.ndarray, pairs: np.ndarray):
         raise SimulationError(f"gate {g} on {tuple(pairs[g].tolist())} is not unitary: |U^H U - I| = {err[g]:.3e}")
 
 
-def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
+def _gate_action(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diag, off, partner) on the basis states b: gate g maps psi to diag[g] psi + off[g] psi[partner[g]].
 
     matrices and pairs are a gate stack as `_step_gates` returns it, each gate
-    unitary and conserving the Hamming weight (checked here); basis is a
-    sorted union of whole conserved sectors (`models.sector_labels`).  A gate
-    on targets (a, b) acts on a sector state s through its local value
-    v = 2 s_a + s_b: s keeps G[v, v] of itself and, for v in {01, 10}, takes
-    G[v, v ^ 3] of its partner s ^ mask, the state with both targets flipped.
-    A gate whose nonzero G[v, v ^ 3] reaches a partner outside the basis
-    raises `SimulationError`.
+    unitary and conserving the Hamming weight (checked here), with any leading
+    step-size axes of matrices carried through to diag and off; basis is a
+    sorted array of basis indices.  A gate on targets (a, b) acts on a basis
+    state s through its local value v = 2 s_a + s_b: s keeps G[v, v] of
+    itself and, for v in {01, 10}, takes G[v, v ^ 3] of its partner s ^ mask,
+    the state with both targets flipped.  partner[g] holds each state's
+    partner position in the basis (its own where nothing couples it), and a
+    nonzero G[v, v ^ 3] that reaches a partner outside the basis raises
+    `SimulationError`.
     """
     _check_unitary(matrices, pairs)
-    leak = np.abs(matrices[:, _WEIGHT_CHANGING]).max(axis=1, initial=0.0)
+    worst = np.abs(matrices).max(axis=tuple(range(matrices.ndim - 3)), initial=0.0)  # over the leading step sizes
+    leak = worst[:, _WEIGHT_CHANGING].max(axis=1, initial=0.0)
     if np.any(leak > UNITARITY_TOL):
         g = int(np.argmax(leak))
         raise SimulationError(
@@ -220,24 +224,31 @@ def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     high = (basis >> pairs[:, :1]) & 1
     low = (basis >> pairs[:, 1:]) & 1
     local = 2 * high + low
-    rows = np.arange(len(matrices))[:, None]
-    diag = matrices[rows, local, local]
-    off = np.where(high != low, matrices[rows, local, local ^ 3], 0.0)
+    rows = np.arange(len(pairs))[:, None]
+    diag = matrices[..., rows, local, local]
+    off = np.where(high != low, matrices[..., rows, local, local ^ 3], 0.0)
     # only a state the gate does couple needs its partner, and that partner must lie in the basis
-    gate, state = np.nonzero(off)
-    flipped = basis[state] ^ ((1 << pairs[gate, 0]) | (1 << pairs[gate, 1]))
-    found = np.searchsorted(basis, flipped)
-    outside = basis[np.minimum(found, basis.size - 1)] != flipped
+    coupled = np.any(off, axis=tuple(range(off.ndim - 2)))
+    flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
+    partner = np.where(coupled, np.searchsorted(basis, flipped), np.arange(basis.size))
+    outside = coupled & (basis[np.minimum(partner, basis.size - 1)] != flipped)
     if np.any(outside):
-        k = int(np.argmax(outside))
+        g, k = np.unravel_index(np.argmax(outside), outside.shape)
         raise SimulationError(
-            f"gate {gate[k]} on {tuple(pairs[gate[k]].tolist())} couples basis state {basis[state[k]]} "
-            f"to {flipped[k]}, which lies outside the sector basis"
+            f"gate {g} on {tuple(pairs[g].tolist())} couples basis state {basis[k]} "
+            f"to {flipped[g, k]}, which lies outside the sector basis"
         )
-    partner = np.tile(np.arange(basis.size), (len(matrices), 1))
-    partner[gate, state] = found
+    return diag, off, partner
+
+
+def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
+
+    basis is a sorted union of whole conserved sectors (`models.sector_labels`);
+    `_gate_action` checks the stack and gives each gate's action on it.
+    """
     cols = np.eye(basis.size, dtype=complex)  # the transpose, so partners are gathered as contiguous rows
-    for d, p, o in zip(diag, partner, off):
+    for d, o, p in zip(*_gate_action(matrices, pairs, basis)):
         cols = d[:, None] * cols + o[:, None] * cols[p]
     return cols.T
 
@@ -260,7 +271,7 @@ def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tupl
 def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
     """Evolve each row of system amplitudes by n_steps steps, on the union of the conserved sectors the rows occupy."""
     labels = sector_labels(model, np.arange(1 << model.n_qubits))
-    basis, power = _propagator(model, t, n_steps, tuple(np.unique(labels[rows.any(axis=0)]).tolist()))
+    basis, power = _propagator(model, t, n_steps, tuple(sorted(set(labels[rows.any(axis=0)].tolist()))))
     out = np.zeros_like(rows)
     out[:, basis] = rows[:, basis] @ power
     return out

@@ -296,6 +296,28 @@ def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
         _sample(member, model, 0.4, NoiseConfig(ReadoutModel.identity()), 0, (1, 2))
 
 
+@pytest.mark.parametrize(
+    "model, gate, pair, match",
+    [
+        # X on qubit 0, embedded on (0, 0) as the stack holds a 1-qubit gate
+        (PairingModel.uniform(2, 1, 1.0, 1.0), np.eye(4)[[3, 1, 2, 0]], (0, 0), "Hamming weight"),
+        # a SWAP across the two spin chains keeps the weight but moves an up fermion to a down site
+        (HubbardModel(sites=2, hopping=1.0, onsite=2.0), np.eye(4)[[0, 2, 1, 3]], (0, 2), "different sectors"),
+    ],
+    ids=["weight", "spin"],
+)
+def test_coherence_block_rejects_gates_that_leave_the_sectors(monkeypatch, model, gate, pair, match):
+    # the block keeps only same-sector entries of X, so such a gate would silently drop what it moves
+    member = initial_state(model).members[0]
+
+    def stack(model, dt):
+        return np.broadcast_to(gate, np.shape(dt) + (1, 4, 4)), np.array([pair])
+
+    monkeypatch.setattr(noise, "_step_gates", stack)
+    with pytest.raises(SimulationError, match=match):
+        _coherence_p0(member, model, [0.0, 0.2], 1, 0.01)
+
+
 def test_noisy_sample_is_one_binomial_draw():
     # one draw per point and quadrature, on that point's own seed
     model, member = preset_model()
