@@ -473,7 +473,7 @@ def test_manifests_load_back(tmp_path):
 
 def test_cli_and_oracle_run_without_scipy(tmp_path):
     # a fresh interpreter, so no other test's import counts; scipy is a test dependency only, and
-    # numpy.ma (which np.unique without return_inverse imports) costs a fresh process 10 ms
+    # numpy.ma (which np.unique without return_inverse imports) is import time no route needs
     script = textwrap.dedent(
         """
         import sys

@@ -310,7 +310,7 @@ def test_coherence_block_rejects_gates_that_leave_the_sectors(monkeypatch, model
     # the block keeps only same-sector entries of X, so such a gate would silently drop what it moves
     member = initial_state(model).members[0]
 
-    def stack(model, dt):
+    def stack(_model, dt):
         return np.broadcast_to(gate, np.shape(dt) + (1, 4, 4)), np.array([pair])
 
     monkeypatch.setattr(noise, "_step_gates", stack)
