@@ -9,6 +9,7 @@ reproduces the run byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ def _number(block: dict, key: str, context: str, default=None, minimum=None, max
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN or +-Infinity, which json reads, or an int no float holds
+        raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -65,6 +68,8 @@ def build_model(block: dict):
             levels = eps.size
             if eps.ndim != 1 or levels == 0:
                 raise ConfigError(f"model.eps must be a nonempty list of level energies, got {block['eps']!r}")
+            if not np.isfinite(eps).all():
+                raise ConfigError(f"model.eps entries must be finite, got {block['eps']!r}")
         else:
             levels = _number(block, "levels", "model", minimum=1, integer=True)
             delta_e = _number(block, "delta_e", "model", default=1.0, minimum=0.0)

@@ -66,7 +66,7 @@ def write_table(path, meta: dict, names, rows):
 def read_table(path, required=(), numeric=()) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Meta, column names and rows (cells as strings) of a write_table file; blank lines are skipped.
 
-    Cells of the `numeric` columns (True: of every column) must parse as floats.
+    Cells of the `numeric` columns (True: of every column) must parse as finite floats.
     """
     meta: dict[str, str] = {}
     names: list[str] | None = None
@@ -93,10 +93,12 @@ def read_table(path, required=(), numeric=()) -> tuple[dict[str, str], list[str]
             else:
                 for i in checked:
                     try:
-                        float(cells[i])
+                        finite = math.isfinite(float(cells[i]))
                     except ValueError:
+                        finite = False
+                    if not finite:
                         message = f"{names[i]} cell {cells[i]!r} is not a number"
-                        raise SimulationError(f"{path}, line {lineno}: {message}") from None
+                        raise SimulationError(f"{path}, line {lineno}: {message}")
                 rows.append(cells)
     if not rows:
         problem = "no data rows after the header" if names else "no column header"

@@ -379,12 +379,10 @@ def _pairing_lowest_filled(model: PairingModel) -> list[str]:
     return ["".join("1" if p in filled else "0" for p in range(model.n_levels))]
 
 
-def _hubbard_pair_mixture(model: HubbardModel, pairs: int = 2) -> list[str]:
-    m = model.sites
-    if pairs > m:
-        raise SimulationError(f"cannot place {pairs} up-down pairs on {m} sites")
+def _hubbard_pair_mixture(model: HubbardModel) -> list[str]:
+    m = model.sites  # at least 2, so two pairs always fit
     # the down half repeats the up half: each chosen site holds an up-down pair
-    halves = ("".join("1" if i in sites else "0" for i in range(m)) for sites in itertools.combinations(range(m), pairs))
+    halves = ("".join("1" if i in sites else "0" for i in range(m)) for sites in itertools.combinations(range(m), 2))
     return [half * 2 for half in halves]
 
 

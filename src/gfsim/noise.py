@@ -54,6 +54,8 @@ class ReadoutModel:
         mat = np.asarray(self.confusion, dtype=float)
         if mat.shape != (2, 2):
             raise SimulationError(f"confusion matrix must be 2x2, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise SimulationError("confusion matrix entries must be finite")
         if np.any(mat < -1e-12):
             raise SimulationError("confusion matrix entries must be nonnegative")
         if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-9:
@@ -120,13 +122,13 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     and column share a sector (`models.sector_labels`): C(2n, n) for pairing
     and C(2M, M)^2 for Hubbard, against 4^n.  X G^H is conj(G) on the column,
     so each gate is one gather, X -> diag X + off X[:, partner], with
-    `_gate_action`'s coefficients for the 2^n columns.  A slot on qubit q,
-    X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, keeps 1 - 2p/3 of an entry with
-    r_q = c_q and takes 2p/3 of the entry with q flipped on both sides; it
-    damps every other entry by 1 - 4p/3.  The P nonzero times evolve together
-    as the rows of one (P, C) stack, on `_step_gates` at all P step sizes; a
-    t = 0 test controls no gates.  The stack holds P C complex numbers (16 P C
-    bytes), and the G gates of a step hold G C int64 gather indices.
+    `_gate_action` on the conjugated `_step_gates` tables for the 2^n columns.
+    A slot on qubit q, X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, keeps 1 - 2p/3
+    of an entry with r_q = c_q and takes 2p/3 of the entry with q flipped on
+    both sides; it damps every other entry by 1 - 4p/3.  The P nonzero times
+    evolve together as the rows of one (P, C) stack, on the tables at all P
+    step sizes; a t = 0 test controls no gates.  The stack holds P C complex
+    numbers (16 P C bytes), and a step's G gathers G C int64 indices.
     """
     n = member.n_qubits
     if n != model.n_qubits:
@@ -135,11 +137,11 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
     times = np.asarray(times, dtype=float)
     moving = times != 0
-    matrices, pairs = _step_gates(model, times[moving] / n_steps)
+    diag, off, pairs = _step_gates(model, times[moving] / n_steps)
     labels = sector_labels(model, np.arange(1 << n))
     flat = np.flatnonzero(np.equal.outer(labels, labels))
     rows, cols = flat >> n, flat & ((1 << n) - 1)
-    diag, off, partner = _gate_action(matrices.conj(), pairs, np.arange(1 << n))
+    diag, off, partner = _gate_action(diag.conj(), off.conj(), pairs, np.arange(1 << n))
     target = (rows << n) | partner[:, cols]
     gather = np.searchsorted(flat, target)
     if np.any(flat[np.minimum(gather, flat.size - 1)] != target):

@@ -264,11 +264,11 @@ class EnergyCurve:
         write_table(path, meta, ("tau", "E", "dEdtau"), zip(self.tau, self.energy, self.dEdtau))
 
 
-def default_tau_max(kappa_2: float, factor: float = 20.0) -> float:
-    """Evaluation horizon 20/sqrt(kappa_2); an inverse energy scale."""
+def default_tau_max(kappa_2: float) -> float:
+    """Evaluation horizon 20/sqrt(kappa_2), an inverse energy scale; 1 where kappa_2 <= 0 sets no scale."""
     if kappa_2 <= 0:
-        return factor
-    return factor / math.sqrt(kappa_2)
+        return 1.0
+    return 20.0 / math.sqrt(kappa_2)
 
 
 def integrate_energy(approx: PadeApproximant, h_mean: float, tau_grid) -> EnergyCurve:
@@ -326,7 +326,7 @@ def extrapolate_ground_energy(
     h_mean = float(moments.values[1])
     kappa_2 = cumulants.kappa(2) if cumulants.order >= 2 else 0.0
     if tau_eval_max is None:
-        tau_eval_max = default_tau_max(kappa_2) if kappa_2 > 0 else 1.0
+        tau_eval_max = default_tau_max(kappa_2)
     tau_grid = np.linspace(0.0, tau_eval_max, 401)
     if kappa_2 <= 1e-14 * max(1.0, h_mean**2):
         return constant_energy_curve(h_mean, tau_grid), None, []

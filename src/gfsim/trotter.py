@@ -10,14 +10,15 @@ explicit 1- and 2-qubit blocks:
 
 Within each part gates are applied in ascending qubit order; the order is
 frozen here because any fixed order is valid at first order.  `_step_gates`
-builds the step as one stack of 4x4 matrices and target pairs, for one step
-size or for an array of them; `trotter_step` wraps the same stack as a
-gate-level `Circuit`, whose gates each check their own unitarity, while
-`_gate_action`, where `_sector_step` and the noise route get each gate's
-coefficients and partner states, checks a whole stack at once
-(`_check_unitary`).
+builds the step as two coefficient tables over the gates' local states and
+their target pairs, for one step size or for an array of them, from cos, sin
+and exp of finite angles, so every gate is unitary and conserves the Hamming
+weight by construction; a non-finite angle raises `SimulationError`.
+`trotter_step` wraps the same tables as a gate-level `Circuit`, whose gates
+each check their own unitarity, and `_gate_action` gathers them into each
+gate's coefficients and partner states for `_sector_step` and the noise route.
 
-`evolve` and `controlled_evolve` multiply the stack out into a step matrix S on
+`evolve` and `controlled_evolve` multiply the tables out into a step matrix S on
 the conserved sectors the input occupies, raise it to the n_steps-th power by
 repeated squaring, and apply the one propagator U(t) = S^n_steps.  The sectors
 are those of `models.sector_labels`: the Hamming weight for pairing, and N_up
@@ -28,9 +29,9 @@ zero and stay exactly zero; Hubbard-4's mixture, for one, evolves on the 36
 states of its (2, 2) sector, not the 70 of weight 4.  The step matrix is
 built on the sectors alone, starting from their identity: a gate scales each
 sector state by its diagonal entry and mixes in the one partner state that
-differs on the two targets.  A gate that couples local states of different
-weight, or a sector state to a partner outside the sectors, raises
-`SimulationError` instead of leaking amplitude.
+differs on the two targets.  A gate that couples a sector state to a
+partner outside the sectors raises `SimulationError` instead of leaking
+amplitude.
 
 The propagator is memoized for one (model, t, n_steps, occupied sectors) key
 by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HubbardModel, PairingModel, sector_labels
-from .statevector import UNITARITY_TOL, GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
+from .statevector import GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
 
 REFERENCE_DT_PAIRING = 0.002  # dt * (level spacing)
 REFERENCE_DT_HUBBARD = 0.02  # dt * J
@@ -102,20 +103,20 @@ class Circuit:
         return Circuit(gates, max(self.n_qubits, ancilla + 1), self.dt, self.n_steps)
 
 
-# A 1-qubit gate on q sits in the stack as a 4x4 on the pair (q, q): its local
-# value 2 s_q + s_q is 0 or 3, so its 2x2 matrix fills rows and columns 0 and 3
-# (every third one), and rows and columns 1 and 2, which no state reaches, hold
-# the identity.
+# A 1-qubit gate on q sits in the tables on the pair (q, q): its local value
+# 2 s_q + s_q is 0 or 3 only, so its phase sits at v = 11 and nothing couples.
 
 
-def _step_gates(model, dt) -> tuple[np.ndarray, np.ndarray]:
-    """One first-order step as a gate stack: (G, 4, 4) matrices and (G, 2) target pairs, in step order.
+def _step_gates(model, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One first-order step as coefficient tables (diag, off, pairs), in step order.
 
-    dt is one step size or an array of them; the matrices then carry dt's
-    shape in front, one step's stack per size on the same target pairs.  Each
-    gate is the identity but for a phase e^{i phase} on |11> (a phase,
-    interaction or 1-qubit R gate) or for cos(lam) on |01>, |10> and
-    off * sin(lam) between them (a pair-coupling or hopping block).
+    Gate g on the target pair pairs[g] = (a, b) keeps diag[g, v] of a state of
+    local value v = 2 s_a + s_b and takes off[g, v] of its partner, the state
+    with both targets flipped; off is zero at v in {00, 11}.  A phase,
+    interaction or 1-qubit R gate holds e^{i phi} in diag at v = 11, a
+    pair-coupling or hopping block cos(lam) in diag and +-i sin(lam) in off at
+    v in {01, 10}; every other entry is the identity's.  dt is one step size or
+    an array of them, whose shape the (G, 4) tables then carry in front.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0):
@@ -127,26 +128,33 @@ def _step_gates(model, dt) -> tuple[np.ndarray, np.ndarray]:
         pairs = np.array([(p, p) for p in range(m)] + [(q, p) for p in range(1, m) for q in range(p)])
         phased, coupled = slice(0, m), slice(m, None)
         phases = -2.0 * model.eps * dt
-        lam, off = model.g[pairs[coupled, 1], pairs[coupled, 0]] * dt, 1j
+        lam, sign = model.g[pairs[coupled, 1], pairs[coupled, 0]] * dt, 1j
     elif isinstance(model, HubbardModel):
         # hopping blocks on neighbours within each spin chain, then interaction blocks on (a, a + M)
         m = model.sites
         pairs = np.array([(a, a + 1) for a in range(2 * m - 1) if a != m - 1] + [(a, a + m) for a in range(m)])
         coupled, phased = slice(0, 2 * m - 2), slice(2 * m - 2, None)
         phases = -dt * model.onsite * np.ones(m)
-        lam, off = dt * model.hopping * np.ones(2 * m - 2), -1j
+        lam, sign = dt * model.hopping * np.ones(2 * m - 2), -1j
     else:
         raise SimulationError(f"unsupported model type {type(model).__name__}")
-    matrices = np.broadcast_to(np.eye(4, dtype=complex), dt.shape[:-1] + (len(pairs), 4, 4)).copy()
-    matrices[..., phased, 3, 3] = np.exp(1j * phases)
-    matrices[..., coupled, 1, 1] = matrices[..., coupled, 2, 2] = np.cos(lam)
-    matrices[..., coupled, 1, 2] = matrices[..., coupled, 2, 1] = off * np.sin(lam)
-    return matrices, pairs
+    if not (np.isfinite(phases).all() and np.isfinite(lam).all()):
+        raise SimulationError(f"step gate angles of {type(model).__name__} at dt {dt.ravel()} are not finite")
+    diag = np.ones(dt.shape[:-1] + (len(pairs), 4), dtype=complex)
+    off = np.zeros_like(diag)
+    diag[..., phased, 3] = np.exp(1j * phases)
+    diag[..., coupled, 1:3] = np.cos(lam)[..., None]
+    off[..., coupled, 1:3] = sign * np.sin(lam)[..., None]
+    return diag, off, pairs
 
 
 def trotter_step(model, dt: float) -> Circuit:
-    """One first-order step as a gate-level circuit, gate for gate the stack of `_step_gates`."""
-    matrices, pairs = _step_gates(model, dt)
+    """One first-order step as a gate-level circuit, gate for gate the tables of `_step_gates`."""
+    diag, off, pairs = _step_gates(model, dt)
+    v = np.arange(4)
+    matrices = np.zeros(diag.shape + (4,), dtype=complex)
+    matrices[:, v, v] = diag
+    matrices[:, v, v ^ 3] = off  # the partner's entry; zero at 00 and 11
     gates = []
     for matrix, (a, b) in zip(matrices, pairs.tolist()):
         if a == b:
@@ -183,50 +191,23 @@ def steps_for(model, t: float, policy="reference") -> int:
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
-# Entries of a 4x4 gate matrix that couple local states of different Hamming
-# weight.  A 1-qubit gate on q is embedded as a gate on (q, q), whose local
-# values are 0 and 3 only, so its coupling lands on these entries too.
-_LOCAL_WEIGHT = np.array([0, 1, 1, 2])
-_WEIGHT_CHANGING = np.not_equal.outer(_LOCAL_WEIGHT, _LOCAL_WEIGHT)
-
-
-def _check_unitary(matrices: np.ndarray, pairs: np.ndarray):
-    """Raise `SimulationError` for the first gate of a (..., G, 4, 4) stack on G target pairs that is not unitary."""
-    err = np.abs(np.swapaxes(matrices, -1, -2).conj() @ matrices - np.eye(4)).max(axis=(-2, -1), initial=0.0)
-    err = err.max(axis=tuple(range(err.ndim - 1)), initial=0.0)  # the worst over the leading step sizes
-    if np.any(err > UNITARITY_TOL):
-        g = int(np.argmax(err))
-        raise SimulationError(f"gate {g} on {tuple(pairs[g].tolist())} is not unitary: |U^H U - I| = {err[g]:.3e}")
-
-
-def _gate_action(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gate_action(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np.ndarray):
     """(diag, off, partner) on the basis states b: gate g maps psi to diag[g] psi + off[g] psi[partner[g]].
 
-    matrices and pairs are a gate stack as `_step_gates` returns it, each gate
-    unitary and conserving the Hamming weight (checked here), with any leading
-    step-size axes of matrices carried through to diag and off; basis is a
-    sorted array of basis indices.  A gate on targets (a, b) acts on a basis
-    state s through its local value v = 2 s_a + s_b: s keeps G[v, v] of
-    itself and, for v in {01, 10}, takes G[v, v ^ 3] of its partner s ^ mask,
-    the state with both targets flipped.  partner[g] holds each state's
-    partner position in the basis (its own where nothing couples it), and a
-    nonzero G[v, v ^ 3] that reaches a partner outside the basis raises
-    `SimulationError`.
+    diag, off and pairs are step tables as `_step_gates` returns them, with any
+    leading step-size axes of the tables carried through; basis is a sorted
+    array of basis indices.  A gate on targets (a, b) acts on a basis state s
+    through its local value v = 2 s_a + s_b: s keeps diag[g, v] of itself and
+    takes off[g, v] of its partner s ^ mask, the state with both targets
+    flipped.  partner[g] holds each state's partner position in the basis (its
+    own where nothing couples it), and a nonzero off[g, v] that reaches a
+    partner outside the basis raises `SimulationError`.
     """
-    _check_unitary(matrices, pairs)
-    worst = np.abs(matrices).max(axis=tuple(range(matrices.ndim - 3)), initial=0.0)  # over the leading step sizes
-    leak = worst[:, _WEIGHT_CHANGING].max(axis=1, initial=0.0)
-    if np.any(leak > UNITARITY_TOL):
-        g = int(np.argmax(leak))
-        raise SimulationError(
-            f"gate {g} on {tuple(pairs[g].tolist())} does not conserve the Hamming weight: coupling {leak[g]:.3e}"
-        )
     high = (basis >> pairs[:, :1]) & 1
     low = (basis >> pairs[:, 1:]) & 1
     local = 2 * high + low
     rows = np.arange(len(pairs))[:, None]
-    diag = matrices[..., rows, local, local]
-    off = np.where(high != low, matrices[..., rows, local, local ^ 3], 0.0)
+    diag, off = diag[..., rows, local], off[..., rows, local]
     # only a state the gate does couple needs its partner, and that partner must lie in the basis
     coupled = np.any(off, axis=tuple(range(off.ndim - 2)))
     flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
@@ -241,14 +222,14 @@ def _gate_action(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> 
     return diag, off, partner
 
 
-def _sector_step(matrices: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _sector_step(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
     basis is a sorted union of whole conserved sectors (`models.sector_labels`);
-    `_gate_action` checks the stack and gives each gate's action on it.
+    `_gate_action` gives each gate's action on it.
     """
     cols = np.eye(basis.size, dtype=complex)  # the transpose, so partners are gathered as contiguous rows
-    for d, o, p in zip(*_gate_action(matrices, pairs, basis)):
+    for d, o, p in zip(*_gate_action(diag, off, pairs, basis)):
         cols = d[:, None] * cols + o[:, None] * cols[p]
     return cols.T
 

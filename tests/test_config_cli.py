@@ -211,6 +211,43 @@ def test_invalid_config_exit_code_2(tmp_path):
         assert main(["gf", "--config", path, "--out-dir", str(tmp_path)]) == 2, cfg
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity, which json.load reads back
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("gf", {"time_grid": {"t_max": INF, "dt": 0.1}}, "time_grid.t_max"),
+        ("gf", {"time_grid": {"t_max": 10**400, "dt": 0.1}}, "time_grid.t_max"),
+        ("gf", {"time_grid": {"t_max": 0.5, "dt": NAN}}, "time_grid.dt"),
+        ("gf", {"time_grid": {"auto": True, "gap_target": NAN}}, "time_grid.gap_target"),
+        ("gf", {"model": {"kind": "pairing", "eps": [NAN, 2, 3], "pairs": 1}}, "model.eps"),
+        ("gf", {"model": {"kind": "pairing", "levels": 2, "pairs": 1, "delta_e": INF}}, "model.delta_e"),
+        ("gf", {"model": {"kind": "hubbard", "sites": 2, "onsite": NAN}}, "model.onsite"),
+        ("gf", {"model": {"kind": "pairing", "levels": 2, "pairs": 1, "g": NAN}}, "model.g"),
+        ("noise", {"noise": {"readout": [[NAN, 0.1], [0.05, 0.9]]}}, "noise.readout"),
+    ],
+    ids=[
+        "t_max-infinity",
+        "t_max-past-float",
+        "dt-nan",
+        "gap_target-nan",
+        "eps-nan",
+        "delta_e-infinity",
+        "onsite-nan",
+        "g-nan",
+        "readout-nan",
+    ],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, overrides, key):
+    # Python's json parses NaN, Infinity, -Infinity and integers past any float; none is a usable parameter
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, base_config(**overrides)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not list(out.glob("*_manifest.json"))
+
+
 def test_runtime_failure_exit_code_1(tmp_path):
     cfg = base_config()
     path = write_config(tmp_path, cfg)

@@ -226,7 +226,7 @@ _GRID_CASES = [
 @pytest.mark.parametrize("case", _GRID_CASES, ids=[c[0] for c in _GRID_CASES])
 def test_batched_blocks_match_dense_density_matrix_at_every_point(case):
     # one pass over a grid whose step size t / n_steps differs from point to point, t = 0
-    # included: a gate stack indexed by the wrong point lands on another point's probability
+    # included: gate tables indexed by the wrong point land on another point's probability
     name, model = case
     if name.startswith("hubbard"):
         # a member of a mixture off the default: the default's one member |1111> is an eigenstate
@@ -297,23 +297,22 @@ def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "model, gate, pair, match",
+    "model, diag, off, pair, match",
     [
-        # X on qubit 0, embedded on (0, 0) as the stack holds a 1-qubit gate
-        (PairingModel.uniform(2, 1, 1.0, 1.0), np.eye(4)[[3, 1, 2, 0]], (0, 0), "Hamming weight"),
         # a SWAP across the two spin chains keeps the weight but moves an up fermion to a down site
-        (HubbardModel(sites=2, hopping=1.0, onsite=2.0), np.eye(4)[[0, 2, 1, 3]], (0, 2), "different sectors"),
+        (HubbardModel(sites=2, hopping=1.0, onsite=2.0), [1, 0, 0, 1], [0, 1, 1, 0], (0, 2), "different sectors"),
     ],
-    ids=["weight", "spin"],
+    ids=["spin"],
 )
-def test_coherence_block_rejects_gates_that_leave_the_sectors(monkeypatch, model, gate, pair, match):
+def test_coherence_block_rejects_gates_that_leave_the_sectors(monkeypatch, model, diag, off, pair, match):
     # the block keeps only same-sector entries of X, so such a gate would silently drop what it moves
     member = initial_state(model).members[0]
 
-    def stack(_model, dt):
-        return np.broadcast_to(gate, np.shape(dt) + (1, 4, 4)), np.array([pair])
+    def tables(_model, dt):
+        shape = np.shape(dt) + (1, 4)
+        return (*(np.broadcast_to(np.asarray(t, dtype=complex), shape) for t in (diag, off)), np.array([pair]))
 
-    monkeypatch.setattr(noise, "_step_gates", stack)
+    monkeypatch.setattr(noise, "_step_gates", tables)
     with pytest.raises(SimulationError, match=match):
         _coherence_p0(member, model, [0.0, 0.2], 1, 0.01)
 

@@ -134,6 +134,7 @@ MALFORMED = {
     "header-only": (lambda head, row, rename: head, 2, "no data rows"),
     "missing-core-column": (lambda head, row, rename: head.replace(*rename) + row, 2, "missing column(s)"),
     "non-numeric-cell": (lambda head, row, rename: head + row.replace("1.0", "x"), 3, "'x' is not a number"),
+    "nan-cell": (lambda head, row, rename: head + row.replace("1.0", "nan"), 3, "'nan' is not a number"),
 }
 
 

@@ -19,7 +19,8 @@ from gfsim.models import (
     pairing_to_qubits,
     to_qubits,
 )
-from gfsim.statevector import GateMatrix, SimulationError, StateVector, pauli_x
+from gfsim.noise import _coherence_p0
+from gfsim.statevector import GateMatrix, SimulationError, StateVector
 from gfsim.trotter import (
     AppliedGate,
     Circuit,
@@ -350,30 +351,37 @@ def test_pairing_model_arrays_are_read_only():
 
 
 def gate_stack(circuit):
-    """The circuit's gates as a `_sector_step` stack; a 1-qubit gate on q sits on (q, q) at rows/columns 0 and 3."""
-    matrices = np.tile(np.eye(4, dtype=complex), (len(circuit.gates), 1, 1))
+    """The circuit's gates as `_step_gates` tables; a 1-qubit gate on q sits on (q, q) at local values 0 and 3."""
+    v = np.arange(4)
+    diag = np.ones((len(circuit.gates), 4), dtype=complex)
+    off = np.zeros_like(diag)
     pairs = np.empty((len(circuit.gates), 2), dtype=np.int64)
     for g, item in enumerate(circuit.gates):
         if len(item.gate.targets) == 1:
-            matrices[g][np.ix_([0, 3], [0, 3])] = item.gate.matrix
+            diag[g, [0, 3]] = np.diag(item.gate.matrix)
             pairs[g] = item.gate.targets * 2
         else:
-            matrices[g] = item.gate.matrix
+            diag[g], off[g] = item.gate.matrix[v, v], item.gate.matrix[v, v ^ 3]
             pairs[g] = item.gate.targets
-    return matrices, pairs
+    return diag, off, pairs
 
 
-def test_sector_step_rejects_weight_changing_gate():
-    leaky = Circuit((AppliedGate(pauli_x(0)),), 2)
-    with pytest.raises(SimulationError, match="Hamming weight"):
-        _sector_step(*gate_stack(leaky), np.array([1, 2]))  # the one-particle sector of two qubits
-
-
-def test_sector_step_rejects_non_unitary_gate():
-    matrices, pairs = _step_gates(PairingModel.uniform(2, 1, 1.0, 1.0), 0.1)
-    matrices[-1, 1, 1] *= 1.001
-    with pytest.raises(SimulationError, match="not unitary"):
-        _sector_step(matrices, pairs, np.array([1, 2]))
+@pytest.mark.parametrize(
+    "model",
+    [
+        PairingModel(eps=np.array([np.nan, 2.0, 3.0]), g=np.ones((3, 3)), n_pairs=1),
+        HubbardModel(sites=2, hopping=np.inf, onsite=1.0),
+    ],
+    ids=["nan-eps", "infinite-hopping"],
+)
+def test_non_finite_gate_angles_raise_on_both_routes(model):
+    # cos, sin and exp of a finite angle make every gate unitary; a NaN or an
+    # infinite one would write nan into the series instead
+    member = initial_state(model).members[0]
+    with pytest.raises(SimulationError, match="not finite"):
+        evolve(member, model, 0.4, 2)
+    with pytest.raises(SimulationError, match="not finite"):
+        _coherence_p0(member, model, [0.0, 0.4], 2, 0.01)
 
 
 def test_sector_step_matches_gate_level_on_general_conserving_gates():
@@ -406,9 +414,9 @@ def test_step_reuse_follows_the_occupied_sectors():
 def test_sector_step_rejects_gate_coupling_out_of_the_basis():
     # a hopping block across the two spin chains, on (a, a + M), moves an up
     # fermion to a down site: from the (2, 2) sector its partner lies in (1, 3) or (3, 1)
-    matrices, pairs = _step_gates(HubbardModel(sites=4, hopping=1.0, onsite=1.0), 0.1)
+    diag, off, _ = _step_gates(HubbardModel(sites=4, hopping=1.0, onsite=1.0), 0.1)
     with pytest.raises(SimulationError, match="outside the sector basis"):
-        _sector_step(matrices[:1], np.array([[0, 4]]), spin_basis(4, {(2, 2)}))
+        _sector_step(diag[:1], off[:1], np.array([[0, 4]]), spin_basis(4, {(2, 2)}))
 
 
 @pytest.mark.parametrize("sites", [3, 4])
