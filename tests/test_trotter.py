@@ -350,7 +350,7 @@ def test_pairing_model_arrays_are_read_only():
         model.g[0, 1] = 2.0
 
 
-def gate_stack(circuit):
+def gate_tables(circuit):
     """The circuit's gates as `_step_gates` tables; a 1-qubit gate on q sits on (q, q) at local values 0 and 3."""
     v = np.arange(4)
     diag = np.ones((len(circuit.gates), 4), dtype=complex)
@@ -399,7 +399,7 @@ def test_sector_step_matches_gate_level_on_general_conserving_gates():
         gates.append(AppliedGate(GateMatrix(matrix, targets)))
     circuit = Circuit(tuple(gates), 3)
     basis = np.arange(8)
-    assert np.abs(_sector_step(*gate_stack(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
+    assert np.abs(_sector_step(*gate_tables(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
 
 
 def test_step_reuse_follows_the_occupied_sectors():
