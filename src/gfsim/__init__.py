@@ -26,7 +26,6 @@ from .models import (  # noqa: F401
     HubbardModel,
     InitialState,
     PairingModel,
-    PauliTerm,
     QubitHamiltonian,
     Spectrum,
     build_dense,
@@ -38,7 +37,6 @@ from .models import (  # noqa: F401
 from .trotter import (  # noqa: F401
     Circuit,
     controlled_evolve,
-    evolve,
     reference_dt,
     steps_for,
     trotter_step,

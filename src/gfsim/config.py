@@ -1,9 +1,11 @@
 """Run-configuration schema: JSON in, validated objects out.
 
 Unknown keys are rejected and every numeric field is range-checked, so a
-typo'd config fails before any compute starts.  The resolved (fully
-defaulted) config is what the run manifest records; feeding a manifest back
-reproduces the run byte for byte.
+typo'd config fails before any compute starts.  The run manifest records
+`RunConfig.resolved()`: the top-level defaults filled in, and the model,
+time-grid, trotter and noise blocks copied as given, so the defaults inside
+them (delta_e, g, gap_target, p_dep) stay implicit.  Feeding a manifest back
+reproduces the run byte for byte within one gfsim version.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HubbardModel, InitialState, PairingModel, initial_state, to_qubits
+from .models import HubbardModel, PairingModel, initial_state, to_qubits
 from .moments import fourier_grid
 from .noise import NoiseConfig, ReadoutModel
 from .statevector import SimulationError
@@ -86,14 +88,6 @@ def build_model(block: dict):
     raise ConfigError(f"model.kind must be pairing|hubbard, got {kind!r}")
 
 
-def build_initial_state(model, spec) -> InitialState:
-    if spec is None:
-        spec = "default"
-    if isinstance(spec, str) or isinstance(spec, (list, tuple)):
-        return initial_state(model, spec)
-    raise ConfigError(f"initial_state must be a builtin name or bitstring list, got {spec!r}")
-
-
 def build_time_grid(block: dict | None, model) -> np.ndarray:
     """Explicit {t_max, dt} grid, or {auto: true} for the spectral grid rule."""
     if block is None:
@@ -124,23 +118,16 @@ def build_trotter_policy(block: dict | None):
 
 
 def build_noise(block: dict) -> NoiseConfig:
-    """Readout as {p01, p10} flip probabilities or one 2x2 confusion matrix, plus p_dep."""
+    """Readout as {p01, p10} flip probabilities (null: no readout error), plus p_dep."""
     _require_keys(block, {"readout", "p_dep"}, "noise")
-    readout = block.get("readout")
-    if readout is None:
-        model = ReadoutModel.identity()
-    elif isinstance(readout, dict):
-        _require_keys(readout, {"p01", "p10"}, "noise.readout")
-        p01 = _number(readout, "p01", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
-        p10 = _number(readout, "p10", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
-        model = ReadoutModel.from_flips(p01, p10)
-    else:
-        try:
-            model = ReadoutModel(np.asarray(readout, dtype=float))
-        except (SimulationError, TypeError, ValueError) as exc:
-            raise ConfigError(f"noise.readout must be {{p01, p10}} or one 2x2 matrix: {exc}") from exc
+    readout = {} if block.get("readout") is None else block["readout"]
+    if not isinstance(readout, dict):
+        raise ConfigError(f"noise.readout must be {{p01, p10}}, got {readout!r}")
+    _require_keys(readout, {"p01", "p10"}, "noise.readout")
+    p01 = _number(readout, "p01", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
+    p10 = _number(readout, "p10", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
     p_dep = _number(block, "p_dep", "noise", default=0.0, minimum=0.0, maximum=1.0)
-    return NoiseConfig(readout=model, p_dep=p_dep)
+    return NoiseConfig(readout=ReadoutModel.from_flips(p01, p10), p_dep=p_dep)
 
 
 _TOP_KEYS = {
@@ -172,13 +159,18 @@ class RunConfig:
             raise ConfigError("config needs a model block")
         try:
             self.model = build_model(self.raw["model"])
-            self.init = build_initial_state(self.model, self.raw.get("initial_state"))
+            spec = self.raw.get("initial_state")
+            self.init = initial_state(self.model, "default" if spec is None else spec)
             self.t_grid = build_time_grid(self.raw.get("time_grid"), self.model)
         except ConfigError:
             raise
         except SimulationError as exc:  # a model, state or grid the config cannot build is a config error
             raise ConfigError(str(exc)) from exc
-        self.shots = _number(self.raw, "shots", "config", default=0, minimum=0, integer=True)
+        # Generator.binomial takes the shot count as a C long
+        self.shots = _number(self.raw, "shots", "config", default=0, minimum=0, maximum=2**63 - 1, integer=True)
+        members = len(self.init)
+        if 0 < self.shots < members:  # sampled routes split the shots evenly over the mixture members
+            raise ConfigError(f"config.shots = {self.shots} leaves a member of the {members}-member mixture no shot")
         self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, maximum=2**32 - 1, integer=True)
         self.trotter_policy = build_trotter_policy(self.raw.get("trotter"))
         self.overlay_exact = _flag(self.raw, "overlay_exact", "config")
@@ -192,6 +184,8 @@ class RunConfig:
         if "accuracy" in mom and self.moment_route != "fdm":
             raise ConfigError(f"moments.accuracy applies only to route 'fdm', not {self.moment_route!r}")
         self.fdm_accuracy = _number(mom, "accuracy", "moments", default=8, minimum=2, integer=True)
+        if self.fdm_accuracy % 2:
+            raise ConfigError(f"moments.accuracy must be even, as central stencils are, got {self.fdm_accuracy}")
 
         tex = self.raw.get("texpansion", {})
         _require_keys(tex, {"order", "tau_max"}, "texpansion")
@@ -226,7 +220,7 @@ class RunConfig:
         return cls(data)
 
     def resolved(self) -> dict:
-        """Round-trippable plain-dict form with defaults filled in."""
+        """Round-trippable plain dict with defaults filled in; model, grid, trotter and noise blocks as given."""
         out = {
             "model": dict(self.raw["model"]),
             "initial_state": self.raw.get("initial_state", "default"),

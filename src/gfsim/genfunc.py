@@ -203,8 +203,8 @@ def gf_series(
         raise SimulationError("t_grid must be monotone and start at 0")
     if not 0 <= seed <= 2**32 - 1:  # derive_seed keeps 32 bits of it: a wider seed aliases another
         raise SimulationError(f"seed must lie in [0, 2**32 - 1], got {seed}")
-    if shots < 0:
-        raise SimulationError(f"shots must be >= 0, got {shots}")
+    if not 0 <= shots <= 2**63 - 1:  # Generator.binomial takes the shot count as a C long
+        raise SimulationError(f"shots must lie in [0, 2**63 - 1], got {shots}")
     members = len(init)
     per_member = shots // members
     if shots and per_member == 0:
@@ -218,7 +218,7 @@ def gf_series(
             # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
             state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)
             if tk != 0:
-                state = controlled_evolve(state, model, float(tk), n_steps, model.n_qubits)
+                state = controlled_evolve(state, model, float(tk), n_steps)
             halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
             f = 2.0 * np.vdot(halves[0], halves[1])
             for quad, bias in enumerate((f.real, f.imag)):

@@ -71,53 +71,24 @@ class Spectrum:
         return Spectrum(self.energies[keep], self.weights[keep], self.diagnostics)
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """Real-weighted Pauli string; ops[q] is the letter for qubit q."""
-
-    coeff: float
-    ops: str
-
-    def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.ops):
-            raise SimulationError(f"invalid Pauli letters in {self.ops!r}")
-
-
 class QubitHamiltonian:
     """Hermitian sum of real-weighted Pauli strings on n qubits.
 
-    Canonicalization merges duplicate strings, drops zero terms, and sorts by
-    string so identical Hamiltonians compare equal term by term.
+    terms maps each Pauli string (ops[q] is the letter for qubit q) to its
+    coefficient.  Duplicate strings merge, zero terms drop, and the strings
+    are sorted, so identical Hamiltonians have equal term dicts.
     """
 
     def __init__(self, n_qubits: int, terms):
         self.n_qubits = int(n_qubits)
         merged: dict[str, float] = {}
-        for term in terms:
-            if isinstance(term, PauliTerm):
-                coeff, ops = term.coeff, term.ops
-            else:
-                coeff, ops = term
-            if len(ops) != self.n_qubits:
-                raise SimulationError(f"term {ops!r} does not match {self.n_qubits} qubits")
+        for coeff, ops in terms:
+            if len(ops) != self.n_qubits or any(c not in "IXYZ" for c in ops):
+                raise SimulationError(f"term {ops!r} is not a Pauli string on {self.n_qubits} qubits")
             if abs(float(np.imag(coeff))) > HERMITICITY_TOL:
                 raise SimulationError(f"non-real coefficient {coeff} on {ops!r}")
             merged[ops] = merged.get(ops, 0.0) + float(np.real(coeff))
-        self.terms = tuple(
-            PauliTerm(c, ops) for ops, c in sorted(merged.items()) if c != 0.0
-        )
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def coefficient(self, ops: str) -> float:
-        for term in self.terms:
-            if term.ops == ops:
-                return term.coeff
-        return 0.0
+        self.terms = {ops: c for ops, c in sorted(merged.items()) if c != 0.0}
 
     @property
     def spectral_window(self) -> tuple[float, float]:
@@ -126,8 +97,8 @@ class QubitHamiltonian:
         B' = sum of the non-identity |coeff|, a rigorous bound on |E - c_I|.
         """
         identity = "I" * self.n_qubits
-        radius = sum(abs(t.coeff) for t in self.terms if t.ops != identity)
-        return self.coefficient(identity), float(radius)
+        radius = sum(abs(c) for ops, c in self.terms.items() if ops != identity)
+        return self.terms.get(identity, 0.0), float(radius)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, each term entered by its action on basis states (qubit 0 = LSB).
@@ -137,12 +108,12 @@ class QubitHamiltonian:
         """
         basis = np.arange(1 << self.n_qubits)
         out = np.zeros((basis.size, basis.size), dtype=complex)
-        for term in self.terms:
-            xmask = sum(1 << q for q, c in enumerate(term.ops) if c in "XY")
-            zmask = sum(1 << q for q, c in enumerate(term.ops) if c in "YZ")
-            phase = (1, 1j, -1, -1j)[term.ops.count("Y") % 4]
+        for ops, coeff in self.terms.items():
+            xmask = sum(1 << q for q, c in enumerate(ops) if c in "XY")
+            zmask = sum(1 << q for q, c in enumerate(ops) if c in "YZ")
+            phase = (1, 1j, -1, -1j)[ops.count("Y") % 4]
             signs = np.where(np.bitwise_count(basis & zmask) & 1, -1.0, 1.0)
-            out[basis ^ xmask, basis] += (term.coeff * phase) * signs
+            out[basis ^ xmask, basis] += (coeff * phase) * signs
         return out
 
 

@@ -18,28 +18,27 @@ weight by construction; a non-finite angle raises `SimulationError`.
 each check their own unitarity, and `_gate_action` gathers them into each
 gate's coefficients and partner states for `_sector_step` and the noise route.
 
-`evolve` and `controlled_evolve` multiply the tables out into a step matrix S on
-the conserved sectors the input occupies, raise it to the n_steps-th power by
-repeated squaring, and apply the one propagator U(t) = S^n_steps.  The sectors
-are those of `models.sector_labels`: the Hamming weight for pairing, and N_up
-and N_down separately for Hubbard, whose hopping blocks each move one fermion
-within its own spin chain.  Every gate of both factorizations is diagonal or
-acts only inside {|01>, |10>}, so the amplitudes outside those sectors are
-zero and stay exactly zero; Hubbard-4's mixture, for one, evolves on the 36
-states of its (2, 2) sector, not the 70 of weight 4.  The step matrix is
-built on the sectors alone, starting from their identity: a gate scales each
-sector state by its diagonal entry and mixes in the one partner state that
-differs on the two targets.  A gate that couples a sector state to a
-partner outside the sectors raises `SimulationError` instead of leaking
-amplitude.
+`controlled_evolve` serves the one register `genfunc.gf_series` builds, the
+model's qubits plus an ancilla on top, and evolves only its ancilla-|1> half,
+which is exact for the block-diagonal [[I, 0], [0, U]].  It multiplies the
+tables out into a step matrix S on the conserved sectors that half occupies,
+raises it to the n_steps-th power by repeated squaring, and applies the one
+propagator U(t) = S^n_steps.  The sectors are those of `models.sector_labels`:
+the Hamming weight for pairing, and N_up and N_down separately for Hubbard,
+whose hopping blocks each move one fermion within its own spin chain.  Every
+gate of both factorizations is diagonal or acts only inside {|01>, |10>}, so
+the amplitudes outside those sectors are zero and stay exactly zero;
+Hubbard-4's mixture, for one, evolves on the 36 states of its (2, 2) sector,
+not the 70 of weight 4.  The step matrix is built on the sectors alone,
+starting from their identity: a gate scales each sector state by its diagonal
+entry and mixes in the one partner state that differs on the two targets.  A
+gate that couples a sector state to a partner outside the sectors raises
+`SimulationError` instead of leaking amplitude.
 
 The propagator is memoized for one (model, t, n_steps, occupied sectors) key
 by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
 one time point share one build.  A `PairingModel` is keyed by identity (its
 arrays are read-only copies), a `HubbardModel` by value.
-
-Controlled evolution evolves only the ancilla-|1> half, which is exact for the
-block-diagonal [[I, 0], [0, U]].
 
 The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
 ancilla-controlled 3-qubit matrix) is the oracle the fused evolution is tested
@@ -249,44 +248,21 @@ def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tupl
     return basis, power
 
 
-def _evolve_rows(rows: np.ndarray, model, t: float, n_steps: int) -> np.ndarray:
-    """Evolve each row of system amplitudes by n_steps steps, on the union of the conserved sectors the rows occupy."""
-    labels = sector_labels(model, np.arange(1 << model.n_qubits))
-    basis, power = _propagator(model, t, n_steps, tuple(sorted(set(labels[rows.any(axis=0)].tolist()))))
-    out = np.zeros_like(rows)
-    out[:, basis] = rows[:, basis] @ power
-    return out
+def controlled_evolve(state: StateVector, model, t: float, n_steps: int) -> StateVector:
+    """n_steps first-order Trotter steps of size t/n_steps, controlled on the ancilla.
 
-
-def _system_rows(state: StateVector, model) -> np.ndarray:
-    """Amplitudes as rows over the system register (low qubits), one row per setting of the rest."""
-    if state.n_qubits < model.n_qubits:
-        raise SimulationError(f"{state.n_qubits}-qubit state is smaller than the {model.n_qubits}-qubit model")
-    return state.amplitudes.reshape(-1, 1 << model.n_qubits)
-
-
-def evolve(state: StateVector, model, t: float, n_steps: int) -> StateVector:
-    """Apply n_steps first-order Trotter steps of size t/n_steps."""
+    state is the Hadamard test's register: the model's qubits plus an ancilla
+    on top.  Only its ancilla-|1> half is evolved, on the union of the
+    conserved sectors that half occupies.
+    """
     if n_steps < 1:
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
+    if state.n_qubits != model.n_qubits + 1:
+        raise SimulationError(f"{state.n_qubits}-qubit state is not the {model.n_qubits}-qubit model plus an ancilla")
     if t == 0:
         return state.copy()
-    out = _evolve_rows(_system_rows(state, model), model, t, n_steps)
-    return StateVector(state.n_qubits, out, copy=False)
-
-
-def controlled_evolve(state: StateVector, model, t: float, n_steps: int, ancilla: int) -> StateVector:
-    """Ancilla-controlled version of evolve: only the ancilla-|1> half is evolved."""
-    if n_steps < 1:
-        raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
-    if ancilla < model.n_qubits:
-        raise SimulationError(f"ancilla {ancilla} lies inside the system register")
-    if ancilla >= state.n_qubits:
-        raise SimulationError(f"qubit index {ancilla} out of range for {state.n_qubits} qubits")
-    if t == 0:
-        return state.copy()
-    rows = _system_rows(state, model)
-    on = (np.arange(rows.shape[0]) >> (ancilla - model.n_qubits)) & 1 == 1
-    out = rows.copy()
-    out[on] = _evolve_rows(rows[on], model, t, n_steps)
-    return StateVector(state.n_qubits, out, copy=False)
+    halves = state.amplitudes.reshape(2, -1).copy()
+    sectors = sector_labels(model, np.flatnonzero(halves[1]))
+    basis, power = _propagator(model, t, n_steps, tuple(sorted(set(sectors.tolist()))))
+    halves[1:, basis] = halves[1:, basis] @ power
+    return StateVector(state.n_qubits, halves.reshape(-1), copy=False)

@@ -18,7 +18,7 @@ from gfsim.krylov import build_krylov_matrices, solve_generalized, survival_prob
 from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits, to_qubits
 from gfsim.moments import fourier_grid, moments_exact, moments_fdm, moments_fourier, spectral_peaks
 from gfsim.texpand import extrapolate_ground_energy
-from gfsim.trotter import evolve
+from evolution import evolve
 from krylov_oracles import error_order_check
 from model_oracles import propagator
 

@@ -108,14 +108,16 @@ def test_n_steps_under_reference_policy_rejected():
 
 
 def test_noise_readout_forms(tmp_path):
-    # {p01, p10} and the same 2x2 matrix are one readout; a per-qubit list is refused
+    # readout is {p01, p10}, or null for none; a 2x2 matrix or a per-qubit list is refused
     flips = RunConfig(base_config(noise={"readout": {"p01": 0.05, "p10": 0.10}}))
-    matrix = RunConfig(base_config(noise={"readout": [[0.95, 0.10], [0.05, 0.90]]}))
-    assert np.array_equal(flips.noise.readout.confusion, matrix.noise.readout.confusion)
+    assert np.array_equal(flips.noise.readout.confusion, [[0.95, 0.10], [0.05, 0.90]])
+    assert RunConfig(base_config(noise={"readout": None})).noise.readout.is_identity()
+    matrix = base_config(noise={"readout": [[0.95, 0.10], [0.05, 0.90]]})
     per_qubit = base_config(noise={"readout": [np.eye(2).tolist()] * 2 + [[[0.95, 0.10], [0.05, 0.90]]]})
-    with pytest.raises(ConfigError):
-        RunConfig(per_qubit)
-    assert main(["noise", "--config", write_config(tmp_path, per_qubit), "--out-dir", str(tmp_path)]) == 2
+    for cfg in (matrix, per_qubit):
+        with pytest.raises(ConfigError, match="noise.readout"):
+            RunConfig(cfg)
+        assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
 
 
 def test_numeric_ranges_checked():
@@ -225,7 +227,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         ("gf", {"model": {"kind": "pairing", "levels": 2, "pairs": 1, "delta_e": INF}}, "model.delta_e"),
         ("gf", {"model": {"kind": "hubbard", "sites": 2, "onsite": NAN}}, "model.onsite"),
         ("gf", {"model": {"kind": "pairing", "levels": 2, "pairs": 1, "g": NAN}}, "model.g"),
-        ("noise", {"noise": {"readout": [[NAN, 0.1], [0.05, 0.9]]}}, "noise.readout"),
+        ("noise", {"noise": {"readout": {"p01": NAN, "p10": 0.1}}}, "noise.readout.p01"),
     ],
     ids=[
         "t_max-infinity",
@@ -484,6 +486,45 @@ def test_accuracy_off_the_fdm_route_rejected(tmp_path, capsys, route):
     assert rc == 2
     assert "accuracy" in capsys.readouterr().err
     assert not (tmp_path / "moments_manifest.json").exists()
+
+
+def test_odd_fdm_accuracy_rejected(tmp_path, capsys):
+    # central stencils have even orders; an odd one failed only in the moments step
+    cfg = base_config(shots=0, moments={"route": "fdm", "order": 4, "accuracy": 3})
+    with pytest.raises(ConfigError, match="moments.accuracy"):
+        RunConfig(cfg)
+    assert main(["moments", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "moments.accuracy" in capsys.readouterr().err
+    assert not (tmp_path / "moments_manifest.json").exists()
+
+
+def noise_run(**overrides):
+    """The noise preset on a two-point grid, with top-level keys replaced."""
+    cfg = json.loads(json.dumps(NOISE_PRESET))
+    cfg.update(time_grid={"t_max": 0.05, "dt": 0.05}, **overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["gf", "noise"])
+def test_shots_past_the_sampler_range_exit_2(tmp_path, capsys, command):
+    # the binomial sampler draws a C long: 2**63 - 1 shots run, one more is a configuration error
+    out = tmp_path / "out"
+    top = write_config(tmp_path, noise_run(shots=2**63 - 1))
+    assert main([command, "--config", top, "--out-dir", str(out)]) == 0
+    (out / f"{command}_manifest.json").unlink()
+    past = write_config(tmp_path, noise_run(shots=2**63), "past.json")
+    assert main([command, "--config", past, "--out-dir", str(out)]) == 2
+    assert "config.shots" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+
+
+@pytest.mark.parametrize("command", ["gf", "noise"])
+def test_shots_below_the_mixture_size_exit_2(tmp_path, capsys, command):
+    # 3 shots over Hubbard-4's 6-member mixture: one refusal, in the schema, for every command
+    cfg = noise_run(model={"kind": "hubbard", "sites": 4}, initial_state="default", shots=3)
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "config.shots = 3 leaves a member of the 6-member mixture no shot" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 def test_fdm_accuracy_round_trips_through_the_manifest(tmp_path):

@@ -120,9 +120,9 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
     calls = []
     real = genfunc.controlled_evolve
 
-    def counted(state, model_, t, n_steps, ancilla):
+    def counted(state, model_, t, n_steps):
         calls.append((state.n_qubits, t, n_steps))
-        return real(state, model_, t, n_steps, ancilla)
+        return real(state, model_, t, n_steps)
 
     monkeypatch.setattr(genfunc, "controlled_evolve", counted)
     gf_series(model, init, grid)
@@ -220,6 +220,14 @@ def test_mixture_too_small_budget_rejected():
     init = initial_state(model)
     with pytest.raises(SimulationError):
         gf_series(model, init, [0.0], n_steps_policy=1, shots=3, seed=0)
+
+
+def test_shots_past_the_sampler_range_rejected(monkeypatch):
+    # the binomial sampler draws a C long; the refusal comes before any evolution
+    model, _, init = two_level()
+    monkeypatch.setattr(genfunc, "controlled_evolve", None)
+    with pytest.raises(SimulationError, match=r"shots must lie in \[0, 2\*\*63 - 1\]"):
+        gf_series(model, init, [0.0, 0.5], shots=2**63)
 
 
 def test_gf_series_constant_on_zero_grid():

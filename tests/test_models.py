@@ -33,17 +33,13 @@ def pairing2(g=1.0):
 def test_pairing_terms_match_expected_structure():
     h = pairing_to_qubits(pairing2())
     # eps terms: (e1+e2) I, -e1 Z0, -e2 Z1; coupling: -(g/2) XX and YY
-    assert h.coefficient("II") == pytest.approx(3.0)
-    assert h.coefficient("ZI") == pytest.approx(-1.0)
-    assert h.coefficient("IZ") == pytest.approx(-2.0)
-    assert h.coefficient("XX") == pytest.approx(-0.5)
-    assert h.coefficient("YY") == pytest.approx(-0.5)
-    assert len(h) == 5
+    assert h.terms == pytest.approx({"II": 3.0, "IZ": -2.0, "XX": -0.5, "YY": -0.5, "ZI": -1.0})
+    assert list(h.terms) == ["II", "IZ", "XX", "YY", "ZI"]  # sorted
 
 
 def test_pairing_without_coupling_is_diagonal():
     h = pairing_to_qubits(pairing2(g=0.0))
-    assert all(set(t.ops) <= {"I", "Z"} for t in h)
+    assert all(set(ops) <= {"I", "Z"} for ops in h.terms)
 
 
 def test_pairing_one_pair_sector_matrix():
@@ -69,13 +65,13 @@ def test_pairing_model_equality_and_hash_are_by_identity():
 
 def test_hubbard_hopping_links_skip_spin_boundary():
     h = hubbard_to_qubits(HubbardModel(sites=2, hopping=1.0, onsite=0.0))
-    xx = {t.ops for t in h if "X" in t.ops}
+    xx = {ops for ops in h.terms if "X" in ops}
     assert xx == {"XXII", "IIXX"}
 
 
 def test_hubbard_without_interaction_has_no_z_terms():
     h = hubbard_to_qubits(HubbardModel(sites=2, hopping=1.0, onsite=0.0))
-    assert all("Z" not in t.ops for t in h)
+    assert all("Z" not in ops for ops in h.terms)
 
 
 def test_hubbard_dimer_spectrum():
@@ -95,6 +91,17 @@ def test_dense_single_z():
 
     dense = build_dense(QubitHamiltonian(1, [(1.0, "Z")]))
     assert np.allclose(dense.matrix, np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("ops", ["XQ", "XYZ", "X"])
+def test_pauli_strings_are_checked(ops):
+    with pytest.raises(SimulationError, match="not a Pauli string on 2 qubits"):
+        QubitHamiltonian(2, [(1.0, ops)])
+
+
+def test_duplicate_strings_merge_and_zero_sums_drop():
+    h = QubitHamiltonian(2, [(1.0, "ZI"), (0.5, "XX"), (-1.0, "ZI"), (0.25, "XX")])
+    assert h.terms == {"XX": 0.75}
 
 
 def test_dense_rejects_oversized_systems():
@@ -247,7 +254,7 @@ def test_to_matrix_qubit_zero_is_lsb():
 
 
 def kron_oracle(h):
-    return pauli_terms_matrix([(t.coeff, t.ops) for t in h], h.n_qubits)
+    return pauli_terms_matrix([(c, ops) for ops, c in h.terms.items()], h.n_qubits)
 
 
 @st.composite

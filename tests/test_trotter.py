@@ -27,11 +27,11 @@ from gfsim.trotter import (
     _sector_step,
     _step_gates,
     controlled_evolve,
-    evolve,
     reference_dt,
     steps_for,
     trotter_step,
 )
+from evolution import evolve
 from model_oracles import pauli_terms_matrix, propagator
 
 
@@ -50,8 +50,8 @@ def split_parts(model):
     """Dense matrices of the two exactly-exponentiated Hamiltonian parts."""
     h = to_qubits(model)
     n = h.n_qubits
-    coupling = [(t.coeff, t.ops) for t in h if "X" in t.ops or "Y" in t.ops]
-    diagonal = [(t.coeff, t.ops) for t in h if "X" not in t.ops and "Y" not in t.ops]
+    coupling = [(c, ops) for ops, c in h.terms.items() if "X" in ops or "Y" in ops]
+    diagonal = [(c, ops) for ops, c in h.terms.items() if "X" not in ops and "Y" not in ops]
     return pauli_terms_matrix(diagonal, n), pauli_terms_matrix(coupling, n)
 
 
@@ -173,7 +173,7 @@ def test_first_order_error_scaling_hubbard():
 def test_controlled_evolve_control_off():
     model = PairingModel.uniform(2, 1)
     state = initial_state(model).members[0].tensor_with_ancilla()  # ancilla |0>
-    out = controlled_evolve(state, model, 0.8, 10, ancilla=2)
+    out = controlled_evolve(state, model, 0.8, 10)
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
@@ -182,8 +182,8 @@ def test_controlled_evolve_control_on_matches_plain():
     sys_state = initial_state(model).members[0]
     amps = np.zeros(8, dtype=complex)
     amps[4:] = sys_state.amplitudes  # ancilla |1>
-    out = controlled_evolve(StateVector(3, amps), model, 0.8, 10, ancilla=2)
-    plain = evolve(sys_state, model, 0.8, 10)
+    out = controlled_evolve(StateVector(3, amps), model, 0.8, 10)
+    plain = gate_level(sys_state, model, 0.8, 10)
     assert np.abs(out.amplitudes[4:] - plain.amplitudes).max() < 1e-12
     assert np.abs(out.amplitudes[:4]).max() == 0.0
 
@@ -198,18 +198,19 @@ def test_controlled_evolve_phase_kickback_on_eigenstate():
     amps[:4] = vec / np.sqrt(2.0)
     amps[4:] = vec / np.sqrt(2.0)
     t, n = 0.6, 4000
-    out = controlled_evolve(StateVector(3, amps), model, t, n, ancilla=2)
+    out = controlled_evolve(StateVector(3, amps), model, t, n)
     ratio = np.vdot(amps[4:], out.amplitudes[4:]) / np.vdot(amps[:4], out.amplitudes[:4])
     assert abs(ratio - np.exp(-1j * t * dense.eigenvalues[alpha])) < 1e-5
 
 
 def test_controlled_evolve_rejects_ancilla_inside_register():
+    # the register is the model's qubits and one ancilla on top, nothing else
     model = PairingModel.uniform(2, 1)
-    state = initial_state(model).members[0].tensor_with_ancilla()
-    with pytest.raises(SimulationError):
-        controlled_evolve(state, model, 0.1, 1, ancilla=1)
-    with pytest.raises(SimulationError):  # ancilla above the state's top qubit
-        controlled_evolve(state, model, 0.1, 1, ancilla=3)
+    state = initial_state(model).members[0]
+    with pytest.raises(SimulationError):  # the top qubit is a system qubit
+        controlled_evolve(state, model, 0.1, 1)
+    with pytest.raises(SimulationError):  # a spare qubit above the ancilla
+        controlled_evolve(state.tensor_with_ancilla().tensor_with_ancilla(), model, 0.1, 1)
 
 
 def test_evolve_rejects_state_smaller_than_model():
@@ -251,7 +252,7 @@ def sector_superposition(n_qubits, n_system, seed):
 @settings(max_examples=60, deadline=None)
 @given(small_models)
 def test_every_step_gate_conserves_hamming_weight(model):
-    # the sector restriction of evolve/controlled_evolve is exact only because of this
+    # the sector restriction of controlled_evolve is exact only because of this
     for item in trotter_step(model, 0.37).gates:
         local = np.arange(item.gate.matrix.shape[0])
         weight = sum((local >> b) & 1 for b in range(len(item.gate.targets)))
@@ -260,9 +261,9 @@ def test_every_step_gate_conserves_hamming_weight(model):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_models, st.floats(0.01, 3.0), st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
-def test_evolve_matches_gate_level_steps(model, t, n_steps, spectators, seed):
-    state = sector_superposition(model.n_qubits + spectators, model.n_qubits, seed)
+@given(small_models, st.floats(0.01, 3.0), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_evolve_matches_gate_level_steps(model, t, n_steps, seed):
+    state = sector_superposition(model.n_qubits, model.n_qubits, seed)
     step = trotter_step(model, t / n_steps)
     expected = state
     for _ in range(n_steps):
@@ -272,20 +273,11 @@ def test_evolve_matches_gate_level_steps(model, t, n_steps, spectators, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    small_models,
-    st.floats(0.01, 3.0),
-    st.integers(1, 5),
-    st.integers(1, 2),
-    st.data(),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_controlled_evolve_matches_gate_level_steps(model, t, n_steps, extra, data, control_off, seed):
-    # the ancilla is the top qubit, or sits below one spectator qubit
-    n_system = model.n_qubits
-    ancilla = n_system + data.draw(st.integers(0, extra - 1))
-    state = sector_superposition(n_system + extra, n_system, seed)
+@given(small_models, st.floats(0.01, 3.0), st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_controlled_evolve_matches_gate_level_steps(model, t, n_steps, control_off, seed):
+    # the ancilla is the top qubit
+    ancilla = model.n_qubits
+    state = sector_superposition(ancilla + 1, ancilla, seed)
     if control_off:
         index = np.arange(state.amplitudes.size)
         state.amplitudes[(index >> ancilla) & 1 == 1] = 0.0
@@ -293,7 +285,7 @@ def test_controlled_evolve_matches_gate_level_steps(model, t, n_steps, extra, da
     expected = state
     for _ in range(n_steps):
         expected = step.apply(expected)
-    out = controlled_evolve(state, model, t, n_steps, ancilla)
+    out = controlled_evolve(state, model, t, n_steps)
     assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
     if control_off:
         assert np.array_equal(out.amplitudes, state.amplitudes)
@@ -543,7 +535,7 @@ def test_spin_sector_kernel_matches_gate_level(drawn, t, n_steps):
     ancilla = model.n_qubits
     both = StateVector(ancilla + 1, np.concatenate([state.amplitudes, state.amplitudes]) / np.sqrt(2.0))
     with recorded_bases() as bases:
-        out = controlled_evolve(both, model, t, n_steps, ancilla).amplitudes
+        out = controlled_evolve(both, model, t, n_steps).amplitudes
     assert [b.size for b in bases] == [basis.size]
     assert np.array_equal(out[: state.amplitudes.size], both.amplitudes[: state.amplitudes.size])
     assert np.abs(out[state.amplitudes.size :] - expected / np.sqrt(2.0)).max() < 1e-12
