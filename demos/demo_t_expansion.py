@@ -29,7 +29,7 @@ for g in (0.5, 1.0, 2.0):
     e_gs = dense.ground_energy(init)
     oracle = imaginary_time_oracle(dense, init, curve.tau)
 
-    kappa2 = cumulants_from_moments(moments).kappa(2)
+    kappa2 = cumulants_from_moments(moments)[1]
     print(f"== g/de = {g}:  <H> = {moments.values[1]:g}, variance kappa_2 = {kappa2:g}")
     print(selection_report(log, approx).rstrip())
     print(f"  asymptote (tail-inclusive) : {curve.asymptote:11.6f}")

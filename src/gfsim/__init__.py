@@ -51,7 +51,6 @@ from .moments import (  # noqa: F401
     spectral_peaks,
 )
 from .texpand import (  # noqa: F401
-    CumulantSet,
     EnergyCurve,
     PadeApproximant,
     cumulants_from_moments,
@@ -71,8 +70,7 @@ from .krylov import (  # noqa: F401
     tdce_integrate,
 )
 from .noise import (  # noqa: F401
-    NoiseConfig,
-    ReadoutModel,
+    NoiseModel,
     calibrate_reference,
     mitigate_readout,
     mitigate_series,

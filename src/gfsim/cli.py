@@ -199,18 +199,18 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total)
     raw = GfSeries(cfg.t_grid, *estimates, *errs, shots=total, route="noisy", model=model.fingerprint(), seed=cfg.seed)
 
-    readout = cfg.noise.readout
-    if cfg.noise.p_dep == 0.0 and readout.is_identity():
+    noise = cfg.noise
+    if noise.p_dep == 0.0 and max(noise.p01, noise.p10) <= 1e-15:
         # nothing left to calibrate once the (identity) readout is inverted;
         # a measured calibration would only inject shot noise
         ref = calibrate_reference(1.0, 0.0)
         clipped = False
     else:
-        re0, clipped_re = mitigate_readout(raw.re[0], readout)
-        im0, clipped_im = mitigate_readout(raw.im[0], readout)
+        re0, clipped_re = mitigate_readout(raw.re[0], noise)
+        im0, clipped_im = mitigate_readout(raw.im[0], noise)
         ref = calibrate_reference(re0, im0)
         clipped = clipped_re or clipped_im
-    mitigated = mitigate_series(raw, readout, ref)
+    mitigated = mitigate_series(raw, noise, ref)
 
     paths = []
     for name, series in (("gf_exact", exact), ("gf_raw", raw), ("gf_mitigated", mitigated)):

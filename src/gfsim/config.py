@@ -18,7 +18,7 @@ import numpy as np
 
 from .models import HubbardModel, PairingModel, initial_state, to_qubits
 from .moments import fourier_grid
-from .noise import NoiseConfig, ReadoutModel
+from .noise import NoiseModel
 from .statevector import SimulationError
 
 
@@ -117,7 +117,7 @@ def build_trotter_policy(block: dict | None):
     raise ConfigError(f"trotter.policy must be reference|fixed, got {policy!r}")
 
 
-def build_noise(block: dict) -> NoiseConfig:
+def build_noise(block: dict) -> NoiseModel:
     """Readout as {p01, p10} flip probabilities (null: no readout error), plus p_dep."""
     _require_keys(block, {"readout", "p_dep"}, "noise")
     readout = {} if block.get("readout") is None else block["readout"]
@@ -127,7 +127,7 @@ def build_noise(block: dict) -> NoiseConfig:
     p01 = _number(readout, "p01", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
     p10 = _number(readout, "p10", "noise.readout", default=0.0, minimum=0.0, maximum=0.5)
     p_dep = _number(block, "p_dep", "noise", default=0.0, minimum=0.0, maximum=1.0)
-    return NoiseConfig(readout=ReadoutModel.from_flips(p01, p10), p_dep=p_dep)
+    return NoiseModel(p01, p10, p_dep)
 
 
 _TOP_KEYS = {

@@ -375,6 +375,8 @@ def initial_state(model, spec="default") -> InitialState:
 
     n = model.n_qubits
     for bits in bitstrings:
+        if not isinstance(bits, str):
+            raise SimulationError(f"initial-state entry {bits!r} is not a bitstring")
         if len(bits) != n:
             raise SimulationError(f"bitstring {bits!r} does not match {n} qubits")
     if isinstance(model, PairingModel):

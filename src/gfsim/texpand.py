@@ -37,29 +37,11 @@ class PadeRejection(SimulationError):
     """Raised when no admissible Pade approximant exists."""
 
 
-@dataclass
-class CumulantSet:
-    """kappa_K for K = 1..order (values[K-1] holds kappa_K)."""
+def cumulants_from_moments(m: MomentSet) -> np.ndarray:
+    """kappa_1..kappa_order as an array (kappa[K - 1] holds kappa_K), by iteration from kappa_1 = <H>.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size >= 2 and self.values[1] < -1e-10:
-            raise SimulationError(f"variance kappa_2 = {self.values[1]:.3e} is negative")
-
-    @property
-    def order(self) -> int:
-        return self.values.size
-
-    def kappa(self, k: int) -> float:
-        if not 1 <= k <= self.order:
-            raise SimulationError(f"cumulant order {k} outside 1..{self.order}")
-        return float(self.values[k - 1])
-
-
-def cumulants_from_moments(m: MomentSet) -> CumulantSet:
-    """Iterative moments-to-cumulants conversion starting from kappa_1 = <H>."""
+    A negative variance kappa_2 raises `SimulationError`.
+    """
     if m.order < 1:
         raise SimulationError("need moments through order 1")
     mom = m.values
@@ -69,14 +51,16 @@ def cumulants_from_moments(m: MomentSet) -> CumulantSet:
         for k in range(1, n):
             acc -= math.comb(n - 1, k - 1) * kappa[k - 1] * mom[n - k]
         kappa[n - 1] = acc
-    return CumulantSet(kappa)
+    if kappa.size >= 2 and kappa[1] < -1e-10:
+        raise SimulationError(f"variance kappa_2 = {kappa[1]:.3e} is negative")
+    return kappa
 
 
-def taylor_dEdtau(c: CumulantSet, order: int) -> np.ndarray:
-    """Coefficients b_K of dE/dtau ~= sum_K b_K tau^K, b_K = -(-1)^K kappa_{K+2}/K!."""
-    if c.order < order + 2:
-        raise SimulationError(f"need cumulants through {order + 2}, have {c.order}")
-    return np.array([-((-1.0) ** k) * c.kappa(k + 2) / math.factorial(k) for k in range(order + 1)])
+def taylor_dEdtau(kappa: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients b_K of dE/dtau ~= sum_K b_K tau^K, b_K = -(-1)^K kappa_{K+2}/K!, from kappa_1.. as an array."""
+    if kappa.size < order + 2:
+        raise SimulationError(f"need cumulants through {order + 2}, have {kappa.size}")
+    return np.array([-((-1.0) ** k) * kappa[k + 1] / math.factorial(k) for k in range(order + 1)])
 
 
 @dataclass
@@ -322,15 +306,15 @@ def extrapolate_ground_energy(
     moments: MomentSet, order: int, tau_eval_max: float | None = None
 ) -> tuple[EnergyCurve, PadeApproximant | None, list[CandidateReport]]:
     """Full pipeline: cumulants -> truncated series -> Pade -> integrated E(tau)."""
-    cumulants = cumulants_from_moments(moments)
+    kappa = cumulants_from_moments(moments)
     h_mean = float(moments.values[1])
-    kappa_2 = cumulants.kappa(2) if cumulants.order >= 2 else 0.0
+    kappa_2 = kappa[1] if kappa.size >= 2 else 0.0
     if tau_eval_max is None:
         tau_eval_max = default_tau_max(kappa_2)
     tau_grid = np.linspace(0.0, tau_eval_max, 401)
     if kappa_2 <= 1e-14 * max(1.0, h_mean**2):
         return constant_energy_curve(h_mean, tau_grid), None, []
-    coeffs = taylor_dEdtau(cumulants, order)
+    coeffs = taylor_dEdtau(kappa, order)
     approx, log = pade_select(coeffs, order, tau_eval_max)
     return integrate_energy(approx, h_mean, tau_grid), approx, log
 

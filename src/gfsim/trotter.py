@@ -16,7 +16,8 @@ and exp of finite angles, so every gate is unitary and conserves the Hamming
 weight by construction; a non-finite angle raises `SimulationError`.
 `trotter_step` wraps the same tables as a gate-level `Circuit`, whose gates
 each check their own unitarity, and `_gate_action` gathers them into each
-gate's coefficients and partner states for `_sector_step` and the noise route.
+gate's coefficients and partner states for `_sector_step` and the noise route,
+which gathers its depolarizing slots' tables through it too.
 
 `controlled_evolve` serves the one register `genfunc.gf_series` builds, the
 model's qubits plus an ancilla on top, and evolves only its ancilla-|1> half,
@@ -191,15 +192,17 @@ def steps_for(model, t: float, policy="reference") -> int:
 
 
 def _gate_action(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np.ndarray):
-    """(diag, off, partner) on the basis states b: gate g maps psi to diag[g] psi + off[g] psi[partner[g]].
+    """(diag, off, partner) on the basis states b: table g maps psi to diag[g] psi + off[g] psi[partner[g]].
 
-    diag, off and pairs are step tables as `_step_gates` returns them, with any
-    leading step-size axes of the tables carried through; basis is a sorted
-    array of basis indices.  A gate on targets (a, b) acts on a basis state s
-    through its local value v = 2 s_a + s_b: s keeps diag[g, v] of itself and
-    takes off[g, v] of its partner s ^ mask, the state with both targets
-    flipped.  partner[g] holds each state's partner position in the basis (its
-    own where nothing couples it), and a nonzero off[g, v] that reaches a
+    diag, off and pairs are coefficient tables on bit pairs: the step gates as
+    `_step_gates` returns them, with any leading step-size axes carried
+    through, or any other (G, 4) tables, such as the noise route's
+    depolarizing slots on the bits of its flat X index.  basis is a sorted
+    array of basis indices.  A table on the bit pair (a, b) acts on a basis
+    state s through its local value v = 2 s_a + s_b: s keeps diag[g, v] of
+    itself and takes off[g, v] of its partner s ^ mask, the state with both
+    bits flipped.  partner[g] holds each state's partner position in the basis
+    (its own where nothing couples it), and a nonzero off[g, v] that reaches a
     partner outside the basis raises `SimulationError`.
     """
     high = (basis >> pairs[:, :1]) & 1
@@ -215,7 +218,7 @@ def _gate_action(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np
     if np.any(outside):
         g, k = np.unravel_index(np.argmax(outside), outside.shape)
         raise SimulationError(
-            f"gate {g} on {tuple(pairs[g].tolist())} couples basis state {basis[k]} "
+            f"table {g} on {tuple(pairs[g].tolist())} couples basis state {basis[k]} "
             f"to {flipped[g, k]}, which lies outside the sector basis"
         )
     return diag, off, partner

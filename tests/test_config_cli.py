@@ -13,6 +13,7 @@ from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
 from gfsim.genfunc import GfSeries, gf_series
 from gfsim.models import build_dense, to_qubits
 from gfsim.moments import MomentSet, moments_exact, moments_fourier, spectral_peaks
+from gfsim.noise import NoiseModel
 from gfsim.texpand import imaginary_time_oracle
 
 
@@ -110,8 +111,8 @@ def test_n_steps_under_reference_policy_rejected():
 def test_noise_readout_forms(tmp_path):
     # readout is {p01, p10}, or null for none; a 2x2 matrix or a per-qubit list is refused
     flips = RunConfig(base_config(noise={"readout": {"p01": 0.05, "p10": 0.10}}))
-    assert np.array_equal(flips.noise.readout.confusion, [[0.95, 0.10], [0.05, 0.90]])
-    assert RunConfig(base_config(noise={"readout": None})).noise.readout.is_identity()
+    assert flips.noise == NoiseModel(p01=0.05, p10=0.10, p_dep=0.0)
+    assert RunConfig(base_config(noise={"readout": None})).noise == NoiseModel()
     matrix = base_config(noise={"readout": [[0.95, 0.10], [0.05, 0.90]]})
     per_qubit = base_config(noise={"readout": [np.eye(2).tolist()] * 2 + [[[0.95, 0.10], [0.05, 0.90]]]})
     for cfg in (matrix, per_qubit):
@@ -211,6 +212,16 @@ def test_invalid_config_exit_code_2(tmp_path):
     for cfg in invalid:
         path = write_config(tmp_path, cfg)
         assert main(["gf", "--config", path, "--out-dir", str(tmp_path)]) == 2, cfg
+
+
+@pytest.mark.parametrize("entry", [1, ["1", "0"]], ids=["integer", "list-of-digits"])
+def test_initial_state_entries_must_be_bitstrings(tmp_path, capsys, entry):
+    # an integer has no length to check, and a list of digits would pass as the bitstring it spells
+    out = tmp_path / "out"
+    assert main(["gf", "--config", write_config(tmp_path, base_config(initial_state=[entry])), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "is not a bitstring" in err
+    assert not list(out.glob("*_manifest.json"))
 
 
 NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity, which json.load reads back

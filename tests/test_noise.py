@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -13,8 +14,7 @@ from gfsim.config import NOISE_PRESET, RunConfig
 from gfsim.genfunc import GfSeries, gf_exact, hadamard_test_circuit
 from gfsim.models import HubbardModel, PairingModel, build_dense, initial_state, pairing_to_qubits
 from gfsim.noise import (
-    NoiseConfig,
-    ReadoutModel,
+    NoiseModel,
     _coherence_p0,
     _run_with_errors,
     calibrate_reference,
@@ -32,6 +32,7 @@ from gfsim.statevector import (
 )
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
+READOUT = NoiseModel(p01=0.05, p10=0.10)  # CONFUSION's flips: C[1,0] = p01, C[0,1] = p10
 
 
 # The probability-pair pipeline, the independent oracle for the bias-space
@@ -80,20 +81,17 @@ def _block_p0(member, model, t, n_steps, quad, p):
     return _coherence_p0(member, model, [t], n_steps, p)[("re", "im").index(quad)][0]
 
 
-def test_confusion_columns_validated():
-    with pytest.raises(SimulationError):
-        ReadoutModel(np.array([[0.9, 0.1], [0.2, 0.9]]))
-
-
-def test_p_dep_range_checked():
-    with pytest.raises(SimulationError):
-        NoiseConfig(ReadoutModel.identity(), p_dep=1.5)
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("field", ["p01", "p10", "p_dep"])
+def test_noise_model_range_checked(field, value):
+    with pytest.raises(SimulationError, match=f"^{field} must lie in"):
+        NoiseModel(**{field: value})
 
 
 def test_noise_free_sampling_matches_clean_seed_path():
-    # identity confusion + p_dep = 0 must reproduce sample_ancilla on the clean p0 exactly
+    # no flips + p_dep = 0 must reproduce sample_ancilla on the clean p0 exactly
     model, member = preset_model()
-    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.0)
+    cfg = NoiseModel(p_dep=0.0)
     both = _sample(member, model, 0.3, cfg, 5000, (21, 22))
     for quad, noisy, seed in zip(("re", "im"), both, (21, 22)):
         clean_final = hadamard_test_circuit(model, 0.3, 1, quad).apply(member.tensor_with_ancilla())
@@ -104,8 +102,7 @@ def test_noise_free_sampling_matches_clean_seed_path():
 def test_readout_only_shifts_reported_probabilities():
     # p0 = 1 truth under the documented confusion gives reported p0 ~= 0.95
     model, member = preset_model()
-    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.0)
-    bias, _ = _sample(member, model, 0.0, cfg, 10**5, (3, 4))
+    bias, _ = _sample(member, model, 0.0, READOUT, 10**5, (3, 4))
     assert (1.0 + bias) / 2.0 == pytest.approx(0.95, abs=0.01)  # the share of shots reading 0
 
 
@@ -113,14 +110,14 @@ def test_full_depolarization_kills_the_signal():
     # t > 0 so every gate of the controlled step contributes error slots;
     # composed uniform-Pauli errors scramble the ancilla coherence
     model, member = preset_model()
-    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=1.0)
+    cfg = NoiseModel(p_dep=1.0)
     bias, _ = _sample(member, model, 0.5, cfg, 4000, (5, 6))
     assert abs(bias) < 0.05
 
 
 def test_mild_depolarization_damps_towards_zero():
     model, member = preset_model()
-    cfg = NoiseConfig(ReadoutModel.identity(), p_dep=0.05)
+    cfg = NoiseModel(p_dep=0.05)
     bias, _ = _sample(member, model, 0.0, cfg, 10**5, (7, 8))
     assert 0.7 < bias < 0.999
 
@@ -243,16 +240,15 @@ def test_batched_blocks_match_dense_density_matrix_at_every_point(case):
             assert abs(got - expected) <= 1e-13
 
 
-def _trajectory_count(init, circuit, ancilla, shots, cfg, seed):
+def _trajectory_count(init, circuit, ancilla, shots, p_dep, confusion, seed):
     """Reference sampler: per shot, an independent Pauli error on each slot
     with probability p_dep, a replay, a measurement and a confused readout."""
     rng = np.random.default_rng(seed)
-    confusion = cfg.readout.confusion
     n_slots = _n_slots(circuit)
     cache = {}
     n0 = 0
     for _ in range(shots):
-        slots = np.flatnonzero(rng.random(n_slots) < cfg.p_dep)
+        slots = np.flatnonzero(rng.random(n_slots) < p_dep)
         pattern = tuple((int(s), int(rng.integers(3))) for s in slots)
         if pattern not in cache:
             cache[pattern] = ancilla_probability(_run_with_errors(init, circuit, pattern), ancilla)
@@ -270,11 +266,10 @@ def test_channel_binomial_matches_trajectory_sampling(t, n_steps, quad, p_dep):
     # q the probability noisy_sample draws from
     model, member = preset_model()
     circuit = hadamard_test_circuit(model, t, n_steps, quad)
-    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=p_dep)
     shots = 20000
     p0 = _block_p0(member, model, t, n_steps, quad, p_dep)
     q = CONFUSION[0, 0] * p0 + CONFUSION[0, 1] * (1 - p0)
-    n0 = _trajectory_count(member.tensor_with_ancilla(), circuit, 2, shots, cfg, seed=17)
+    n0 = _trajectory_count(member.tensor_with_ancilla(), circuit, 2, shots, p_dep, CONFUSION, seed=17)
     z = (n0 - shots * q) / np.sqrt(shots * q * (1 - q))
     assert abs(z) < 4.0
 
@@ -282,7 +277,7 @@ def test_channel_binomial_matches_trajectory_sampling(t, n_steps, quad, p_dep):
 def test_noisy_sample_rejects_state_smaller_than_circuit():
     # a member must live on the model's qubits: one qubit short, or with an ancilla already attached
     model, member = preset_model()
-    cfg = NoiseConfig(ReadoutModel.identity())
+    cfg = NoiseModel()
     for t in (0.0, 0.4):
         for state in (StateVector(1, [1.0, 0.0]), member.tensor_with_ancilla()):
             with pytest.raises(SimulationError, match="2 qubits"):
@@ -293,7 +288,7 @@ def test_noisy_sample_rejects_shot_count_before_evolving(monkeypatch):
     model, member = preset_model()
     monkeypatch.setattr(noise, "_coherence_p0", lambda *args: pytest.fail("evolved before checking shots"))
     with pytest.raises(SimulationError, match="shots must be >= 1"):
-        _sample(member, model, 0.4, NoiseConfig(ReadoutModel.identity()), 0, (1, 2))
+        _sample(member, model, 0.4, NoiseModel(), 0, (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -317,11 +312,20 @@ def test_coherence_block_rejects_gates_that_leave_the_sectors(monkeypatch, model
         _coherence_p0(member, model, [0.0, 0.2], 1, 0.01)
 
 
+def test_coherence_block_rejects_slots_that_leave_the_sectors(monkeypatch):
+    # labels that flipping one qubit on both sides does not keep: state 00 alone, 01, 10 and 11 together.
+    # The pairing gates keep X's entries among them, but the slot on qubit 0 takes (01, 11) to (00, 10)
+    model, member = preset_model()
+    monkeypatch.setattr(noise, "sector_labels", lambda _model, states: np.array([0, 1, 1, 1])[states])
+    with pytest.raises(SimulationError, match="outside the sector basis"):
+        _coherence_p0(member, model, [0.2], 1, 0.01)
+
+
 def test_noisy_sample_is_one_binomial_draw():
     # one draw per point and quadrature, on that point's own seed
     model, member = preset_model()
     times, seeds = [0.0, 0.2, 0.4], [(9, 10), (11, 12), (13, 14)]
-    cfg = NoiseConfig(ReadoutModel(CONFUSION), p_dep=0.002)
+    cfg = replace(READOUT, p_dep=0.002)
     biases = np.transpose(noisy_sample(member, model, times, 10**6, seeds, n_steps=2, noise=cfg))
     p0 = np.transpose(_coherence_p0(member, model, times, 2, cfg.p_dep))
     assert biases.shape == (len(times), 2)
@@ -349,7 +353,8 @@ def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
     raw = GfSeries.from_csv(tmp_path / "gf_raw.csv")
 
     run = RunConfig.from_file(path)
-    model, init, confusion = run.model, run.init, run.noise.readout.confusion
+    model, init = run.model, run.init
+    c00, c01 = 1.0 - run.noise.p01, run.noise.p10  # P(read 0 | true 0) and P(read 0 | true 1)
     assert (len(init.members), run.t_grid.size) == (3, 3)
     expected = np.zeros((2, run.t_grid.size))
     for k, t in enumerate(run.t_grid):
@@ -357,19 +362,19 @@ def test_cmd_noise_raw_draws_equal_the_gate_level_loop(tmp_path):
             circuit = hadamard_test_circuit(model, float(t), 2, name)
             for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
                 p0 = _dense_channel_p0(member.tensor_with_ancilla(), circuit, model.n_qubits, 0.01)
-                q = confusion[0, 0] * p0 + confusion[0, 1] * (1.0 - p0)
+                q = c00 * p0 + c01 * (1.0 - p0)
                 expected[quad, k] += weight * sample_ancilla(q, 1000, derive_seed(5, k, quad, m_idx))
     assert np.array_equal(raw.re, expected[0]) and np.array_equal(raw.im, expected[1])
 
 
 def test_mitigate_readout_identity():
-    bias, clipped = mitigate_readout(0.4, ReadoutModel.identity())
+    bias, clipped = mitigate_readout(0.4, NoiseModel())
     assert bias == pytest.approx(0.4, abs=1e-15)
     assert not clipped
 
 
 def test_readout_bias_map_is_the_confusion_on_pairs():
-    offset, slope = ReadoutModel(CONFUSION).bias_map
+    offset, slope = READOUT.bias_map
     for b in (-1.0, -0.3, 0.0, 0.6, 1.0):
         reported = CONFUSION @ _pair(b)
         assert offset + slope * b == pytest.approx(reported[0] - reported[1], abs=1e-15)
@@ -378,24 +383,23 @@ def test_readout_bias_map_is_the_confusion_on_pairs():
 
 def test_mitigate_readout_exact_inverse():
     reported = CONFUSION @ np.array([1.0, 0.0])
-    bias, clipped = mitigate_readout(reported[0] - reported[1], ReadoutModel(CONFUSION))
+    bias, clipped = mitigate_readout(reported[0] - reported[1], READOUT)
     assert bias == pytest.approx(1.0, abs=1e-12)
     assert not clipped
 
 
 def test_mitigate_readout_forward_inverse_identity():
     rng = np.random.default_rng(0)
-    model = ReadoutModel(CONFUSION)
     for _ in range(25):
         p0 = rng.random()
         reported = CONFUSION @ np.array([p0, 1.0 - p0])
-        bias, _ = mitigate_readout(reported[0] - reported[1], model)
+        bias, _ = mitigate_readout(reported[0] - reported[1], READOUT)
         assert abs(bias - (2.0 * p0 - 1.0)) < 1e-12
 
 
 def test_mitigate_readout_clips_off_simplex():
     # the reported pair (0.99, 0.01) inverts off the simplex; the pair oracle renormalizes it to bias 1
-    bias, clipped = mitigate_readout(0.98, ReadoutModel(CONFUSION))
+    bias, clipped = mitigate_readout(0.98, READOUT)
     assert clipped and bias == 1.0
     assert _pair_readout(0.98, CONFUSION) == (pytest.approx(1.0, abs=1e-15), True)
 
@@ -403,14 +407,12 @@ def test_mitigate_readout_clips_off_simplex():
 def test_readout_recovery_improves_with_shots():
     # shot-level recovery error shrinks like 1/sqrt(shots)
     model, member = preset_model()
-    readout = ReadoutModel(CONFUSION)
-    cfg = NoiseConfig(readout, p_dep=0.0)
     errors = []
     for shots in (10**3, 10**5):
         recovered = []
         for seed in range(20):
-            raw, _ = _sample(member, model, 0.0, cfg, shots, (seed, seed + 20))
-            bias, _ = mitigate_readout(raw, readout)
+            raw, _ = _sample(member, model, 0.0, READOUT, shots, (seed, seed + 20))
+            bias, _ = mitigate_readout(raw, READOUT)
             recovered.append(bias)
         errors.append(np.sqrt(np.mean((np.array(recovered) - 1.0) ** 2)))
     assert errors[1] < errors[0] / 3.0
@@ -425,7 +427,7 @@ def test_calibration_reproduces_confusion_matrix():
     re_obs = CONFUSION @ np.array([1.0, 0.0])
     im_obs = CONFUSION @ np.array([0.5, 0.5])
     f0_re, f0_im = (float(obs[0] - obs[1]) for obs in (re_obs, im_obs))
-    assert np.allclose(calibrate_reference(f0_re, f0_im), ReadoutModel(CONFUSION).bias_map, atol=1e-12)
+    assert np.allclose(calibrate_reference(f0_re, f0_im), READOUT.bias_map, atol=1e-12)
     assert np.allclose(_pair_reference(f0_re, f0_im), CONFUSION, atol=1e-12)
 
 
@@ -444,7 +446,7 @@ def test_calibration_rejects_singular_map():
     with pytest.raises(SimulationError, match="not invertible"):
         calibrate_reference(0.0, 0.0)
     with pytest.raises(SimulationError, match="singular"):
-        mitigate_readout(0.1, ReadoutModel(np.array([[0.5, 0.5], [0.5, 0.5]])))
+        mitigate_readout(0.1, NoiseModel(p01=0.5, p10=0.5))
 
 
 def _noisy_series(model, init, t_grid, cfg, shots, seed):
@@ -461,9 +463,7 @@ def test_mitigation_pipeline_identity_without_noise():
     dense = build_dense(pairing_to_qubits(model))
     t = np.arange(0.0, 0.31, 0.1)
     exact = gf_exact(dense, init, t, model=model.fingerprint())
-    readout = ReadoutModel.identity()
-    ref = calibrate_reference(1.0, 0.0)
-    out = mitigate_series(exact, readout, ref)
+    out = mitigate_series(exact, NoiseModel(), calibrate_reference(1.0, 0.0))
     assert np.abs(out.re - exact.re).max() < 1e-12
     assert np.abs(out.im - exact.im).max() < 1e-12
     assert out.route == "mitigated"
@@ -475,13 +475,11 @@ def test_mitigated_series_beats_raw_on_preset():
     dense = build_dense(pairing_to_qubits(model))
     t = np.arange(0.0, 0.4001, 0.02)
     exact = gf_exact(dense, init, t)
-    readout = ReadoutModel(CONFUSION)
-    cfg = NoiseConfig(readout, p_dep=0.0)
-    raw = _noisy_series(model, init, t, cfg, shots=10**5, seed=2)
+    raw = _noisy_series(model, init, t, READOUT, shots=10**5, seed=2)
 
-    re0, _ = mitigate_readout(raw.re[0], readout)
-    im0, _ = mitigate_readout(raw.im[0], readout)
-    mitigated = mitigate_series(raw, readout, calibrate_reference(re0, im0))
+    re0, _ = mitigate_readout(raw.re[0], READOUT)
+    im0, _ = mitigate_readout(raw.im[0], READOUT)
+    mitigated = mitigate_series(raw, READOUT, calibrate_reference(re0, im0))
 
     rms = lambda s: np.sqrt(np.mean(np.concatenate([s.re - exact.re, s.im - exact.im]) ** 2))
     assert rms(mitigated) <= 0.3 * rms(raw)
@@ -503,11 +501,10 @@ def test_error_bars_scaled_by_inverse_maps():
         shots=10**6,
         route="noisy",
     )
-    readout = ReadoutModel(CONFUSION)
     # reference calibrated on readout-corrected t=0 values (the pipeline order)
-    re0, _ = mitigate_readout(0.85, readout)
-    im0, _ = mitigate_readout(0.05, readout)
-    out = mitigate_series(raw, readout, calibrate_reference(re0, im0))
+    re0, _ = mitigate_readout(0.85, READOUT)
+    im0, _ = mitigate_readout(0.05, READOUT)
+    out = mitigate_series(raw, READOUT, calibrate_reference(re0, im0))
     assert out.re[0] == pytest.approx(1.0, abs=1e-9)
     assert out.re_err[0] > raw.re_err[0]  # inversion amplifies shot noise
     # the combined map's slope, read off the pair oracle
@@ -530,7 +527,7 @@ def test_mitigate_series_matches_per_point_inverse():
         shots=10**5,
         route="noisy",
     )
-    out = mitigate_series(raw, ReadoutModel(CONFUSION), calibrate_reference(0.95, 0.02))
+    out = mitigate_series(raw, READOUT, calibrate_reference(0.95, 0.02))
     reference = _pair_reference(0.95, 0.02)
 
     def bias(b):
@@ -549,15 +546,16 @@ _bias = st.floats(-1.0, 1.0, allow_nan=False)
 
 @settings(max_examples=200, deadline=None)
 @given(_unit, _unit, _bias, _bias, st.lists(st.tuples(_bias, _bias), min_size=1, max_size=8))
-def test_bias_space_mitigation_matches_the_pair_pipeline(c00, c01, f0_re, f0_im, series):
+def test_bias_space_mitigation_matches_the_pair_pipeline(p01, p10, f0_re, f0_im, series):
     # the noise command's chain in bias space against the pair oracle: readout-invert the
     # t = 0 biases, calibrate on them, mitigate a series.  Rounding in either path grows
     # with the inverse maps' gain, and a rounding of the calibrated slope moves each
     # point in proportion to its size, so the 1e-14 is taken relative to both.
-    confusion = np.array([[c00, c01], [1.0 - c00, 1.0 - c01]])
-    readout = ReadoutModel(confusion)
-    assume(abs(c00 - c01) >= 0.05)
-    gain = 1.0 / abs(c00 - c01)
+    # the oracle's matrix holds the flips' own floats, as NoiseModel.bias_map reads them
+    confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+    readout = NoiseModel(p01, p10)
+    assume(abs(confusion[0, 0] - confusion[0, 1]) >= 0.05)
+    gain = 1.0 / abs(confusion[0, 0] - confusion[0, 1])
     t0 = []
     for b in (f0_re, f0_im):
         corrected, clipped = mitigate_readout(b, readout)

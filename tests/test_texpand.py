@@ -16,7 +16,6 @@ from gfsim.models import (
 from gfsim.moments import MomentSet, moments_exact
 from gfsim.statevector import SimulationError, StateVector
 from gfsim.texpand import (
-    CumulantSet,
     PadeApproximant,
     PadeRejection,
     cumulants_from_moments,
@@ -63,29 +62,33 @@ def moments_from_cumulants_oracle(kappa, order):
 def test_cumulants_point_spectrum():
     energy = 2.7
     mom = MomentSet(energy ** np.arange(9), np.zeros(9), route="exact")
-    cum = cumulants_from_moments(mom)
-    assert cum.kappa(1) == pytest.approx(energy)
-    assert np.abs(cum.values[1:]).max() < 1e-9
+    kappa = cumulants_from_moments(mom)
+    assert kappa[0] == pytest.approx(energy)
+    assert np.abs(kappa[1:]).max() < 1e-9
 
 
 def test_cumulants_two_level_variance():
     _, dense, init = two_level()
-    cum = cumulants_from_moments(moments_exact(dense, init, 4))
-    assert cum.kappa(1) == pytest.approx(2.0)
-    assert cum.kappa(2) == pytest.approx(1.0)  # <H^2> - <H>^2 = 5 - 4
+    kappa = cumulants_from_moments(moments_exact(dense, init, 4))
+    assert kappa[0] == pytest.approx(2.0)
+    assert kappa[1] == pytest.approx(1.0)  # <H^2> - <H>^2 = 5 - 4
+
+
+def test_cumulants_reject_negative_variance():
+    # <H^2> = 3 below <H>^2 = 4: no state has these moments
+    with pytest.raises(SimulationError, match="variance kappa_2"):
+        cumulants_from_moments(MomentSet(np.array([1.0, 2.0, 3.0]), np.zeros(3), route="exact"))
 
 
 def test_cumulants_round_trip_series_exponentiation():
     mom, _, _ = pairing_moments(1.0)
-    cum = cumulants_from_moments(mom)
-    rebuilt = moments_from_cumulants_oracle(cum.values, mom.order)
+    rebuilt = moments_from_cumulants_oracle(cumulants_from_moments(mom), mom.order)
     rel = np.abs(rebuilt - mom.values) / np.maximum(np.abs(mom.values), 1e-300)
     assert rel.max() < 1e-10
 
 
 def test_taylor_coefficients():
-    cum = CumulantSet(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    coeffs = taylor_dEdtau(cum, 3)
+    coeffs = taylor_dEdtau(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 3)
     # b_K = -(-1)^K kappa_{K+2} / K!
     assert coeffs[0] == pytest.approx(-2.0)
     assert coeffs[1] == pytest.approx(3.0)
@@ -94,9 +97,8 @@ def test_taylor_coefficients():
 
 
 def test_taylor_needs_enough_cumulants():
-    cum = CumulantSet(np.array([1.0, 2.0]))
     with pytest.raises(SimulationError):
-        taylor_dEdtau(cum, 1)
+        taylor_dEdtau(np.array([1.0, 2.0]), 1)
 
 
 def test_pade_geometric_series():
@@ -128,9 +130,9 @@ def test_pade_select_orders_match_reference_strengths():
     expected = {0.5: (3, 7), 1.0: (3, 7), 2.0: (2, 8)}
     for g, orders in expected.items():
         mom, _, _ = pairing_moments(g)
-        cum = cumulants_from_moments(mom)
-        coeffs = taylor_dEdtau(cum, 10)
-        approx, log = pade_select(coeffs, 10, default_tau_max(cum.kappa(2)))
+        kappa = cumulants_from_moments(mom)
+        coeffs = taylor_dEdtau(kappa, 10)
+        approx, log = pade_select(coeffs, 10, default_tau_max(kappa[1]))
         assert approx.orders == orders, f"g={g}: {selection_report(log, approx)}"
 
 
@@ -138,9 +140,9 @@ def test_pade_select_order_four_rejects_1_3():
     # the order-4 truncation leaves only [0,4] and [1,3]; on the benchmark
     # inputs [1,3] turns positive through its pole region and must be rejected
     mom, _, _ = pairing_moments(1.0, order=6)
-    cum = cumulants_from_moments(mom)
-    coeffs = taylor_dEdtau(cum, 4)
-    approx, log = pade_select(coeffs, 4, default_tau_max(cum.kappa(2)))
+    kappa = cumulants_from_moments(mom)
+    coeffs = taylor_dEdtau(kappa, 4)
+    approx, log = pade_select(coeffs, 4, default_tau_max(kappa[1]))
     report = {(r.i_order, r.j_order): r for r in log}
     assert not report[(1, 3)].accepted
     assert approx.orders == (0, 4)
@@ -186,9 +188,9 @@ def test_integrate_energy_rejects_an_improper_tail(den, message):
 
 def admissible_candidates(mom, order=10):
     """Every admissible Pade approximant of the moments' dE/dtau series at this order, and the evaluation horizon."""
-    cum = cumulants_from_moments(mom)
-    coeffs = taylor_dEdtau(cum, order)
-    tau_max = default_tau_max(cum.kappa(2))
+    kappa = cumulants_from_moments(mom)
+    coeffs = taylor_dEdtau(kappa, order)
+    tau_max = default_tau_max(kappa[1])
     _, log = pade_select(coeffs, order, tau_max)
     return [pade_fit(coeffs, r.i_order, r.j_order) for r in log if r.accepted], tau_max
 
@@ -313,20 +315,20 @@ def test_oracle_derivative_is_negative_variance():
     mom, dense, init = pairing_moments(1.0)
     tau = np.linspace(0, 2, 41)
     curve = imaginary_time_oracle(dense, init, tau)
-    cum = cumulants_from_moments(mom)
-    assert curve.dEdtau[0] == pytest.approx(-cum.kappa(2), rel=1e-9)
+    kappa = cumulants_from_moments(mom)
+    assert curve.dEdtau[0] == pytest.approx(-kappa[1], rel=1e-9)
     assert np.all(curve.dEdtau <= 1e-12)
 
 
 def test_truncation_window_shrinks_with_order():
     # truncated series tracks the oracle derivative near tau=0, better with more terms
     mom, dense, init = pairing_moments(1.0)
-    cum = cumulants_from_moments(mom)
-    window = np.linspace(0, 0.1 / math.sqrt(cum.kappa(2)), 21)
+    kappa = cumulants_from_moments(mom)
+    window = np.linspace(0, 0.1 / math.sqrt(kappa[1]), 21)
     oracle = imaginary_time_oracle(dense, init, window)
     max_err = []
     for order in (4, 6, 8, 10):
-        coeffs = taylor_dEdtau(cum, order)
+        coeffs = taylor_dEdtau(kappa, order)
         series_vals = np.polyval(coeffs[::-1], window)
         max_err.append(np.abs(series_vals - oracle.dEdtau).max())
     assert all(b <= a for a, b in zip(max_err, max_err[1:]))
@@ -334,9 +336,9 @@ def test_truncation_window_shrinks_with_order():
 
 def test_selected_approximant_tail_decays_faster_than_1_over_tau():
     mom, _, _ = pairing_moments(1.0)
-    cum = cumulants_from_moments(mom)
-    coeffs = taylor_dEdtau(cum, 10)
-    tau_max = default_tau_max(cum.kappa(2))
+    kappa = cumulants_from_moments(mom)
+    coeffs = taylor_dEdtau(kappa, 10)
+    tau_max = default_tau_max(kappa[1])
     approx, _ = pade_select(coeffs, 10, tau_max)
     tail = np.abs(np.linspace(0.5, 1.0, 5) * tau_max * approx(np.linspace(0.5, 1.0, 5) * tau_max))
     peak = np.abs(np.linspace(0, tau_max, 201) * approx(np.linspace(0, tau_max, 201))).max()

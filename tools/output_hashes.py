@@ -4,7 +4,7 @@
 
 ROOT is a checkout of this repository; gfsim is imported from ROOT/src.  Run
 it on two checkouts and diff the printouts to see whether a change moved an
-output by a single bit.  The 39 outputs are:
+output by a single bit.  The 45 outputs are:
 
 * 12 `gf_series` traces on the criterion-1 grid (t = 0..2 step 0.0625) of
   pairing-8, Hubbard-4 and Hubbard-3: statevector, sampled with 3,001 and
@@ -16,6 +16,9 @@ output by a single bit.  The 39 outputs are:
   step fails by design and writes nothing).
 * 18 of `gfsim noise --seed 1..3`: the three CSVs of each seed, and its
   manifest's `rms_raw`, `rms_mitigated` and `calibration_clipped`.
+* 6 of `gfsim noise --seed 1` on Hubbard-3's 3-member mixture (2 fixed
+  steps, p_dep 0.01, flips 0.03 and 0.06): the same three CSVs and three
+  manifest values.
 
 Manifests are not hashed whole, as they carry wall-clock times.
 """
@@ -48,6 +51,13 @@ FDM_CONFIG = {
     "shots": 0,
     "seed": 1,
     "moments": {"route": "fdm", "order": 13},
+}
+NOISE_CONFIG = {
+    "model": {"kind": "hubbard", "sites": 3, "hopping": 1.0, "onsite": 1.3},
+    "time_grid": {"t_max": 0.4, "dt": 0.05},
+    "shots": 30000,
+    "trotter": {"policy": "fixed", "n_steps": 2},
+    "noise": {"readout": {"p01": 0.03, "p10": 0.06}, "p_dep": 0.01},
 }
 
 
@@ -114,15 +124,20 @@ def chain(work: Path):
 
 
 def noise(work: Path):
-    for seed in (1, 2, 3):
-        out = work / f"noise-{seed}"
-        cli_run(["noise", "--seed", str(seed), "--out-dir", str(out)])
+    path = work / "noise-hubbard-3.json"
+    path.write_text(json.dumps(NOISE_CONFIG))
+    runs = [(f"noise/{seed}", ["--seed", str(seed)]) for seed in (1, 2, 3)]
+    runs.append(("noise/hubbard-3/1", ["--config", str(path), "--seed", "1"]))
+    for label, args in runs:
+        out = work / label.replace("/", "-")
+        cli_run(["noise", *args, "--out-dir", str(out)])
         for name in ("gf_exact.csv", "gf_raw.csv", "gf_mitigated.csv"):
             file = out / name
-            yield f"noise/{seed}/{name}", sha(file.read_bytes()) if file.is_file() else "missing"
-        manifest = json.loads((out / "noise_manifest.json").read_text())
+            yield f"{label}/{name}", sha(file.read_bytes()) if file.is_file() else "missing"
+        manifest = out / "noise_manifest.json"
+        values = json.loads(manifest.read_text()) if manifest.is_file() else {}
         for key in ("rms_raw", "rms_mitigated", "calibration_clipped"):
-            yield f"noise/{seed}/{key}", sha(repr(manifest.get(key)).encode())
+            yield f"{label}/{key}", sha(repr(values.get(key)).encode())
 
 
 def main():
