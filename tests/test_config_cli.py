@@ -477,6 +477,18 @@ def test_cmd_noise_off_equals_sampled(tmp_path):
     assert np.abs(raw.im - mit.im).max() < 1e-9
 
 
+@pytest.mark.parametrize("flips", [{"p01": 0.0, "p10": 0.1}, {"p01": 0.1, "p10": 0.0}], ids=["p10", "p01"])
+def test_cmd_noise_calibrates_when_one_flip_is_set(tmp_path, flips):
+    # either flip alone is noise to mitigate: the reference calibrated on the t = 0 biases
+    # maps the observed Im bias to exactly 0, which the uncalibrated map would not
+    cfg = json.loads(json.dumps(NOISE_PRESET))
+    cfg.update(shots=5000, time_grid={"t_max": 0.1, "dt": 0.05}, noise={"readout": flips, "p_dep": 0.0})
+    assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+    raw = GfSeries.from_csv(tmp_path / "gf_raw.csv")
+    mit = GfSeries.from_csv(tmp_path / "gf_mitigated.csv")
+    assert mit.im[0] == 0.0 != raw.im[0]
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     out1 = tmp_path / "s1"
