@@ -15,7 +15,6 @@ from .statevector import (  # noqa: F401
     GateMatrix,
     SimulationError,
     StateVector,
-    apply_controlled,
     apply_gate,
     hadamard,
     phase_gate,

@@ -121,7 +121,7 @@ def cmd_texpand(args, cfg: RunConfig, out_dir: Path):
         mom = MomentSet.from_csv(args.moments)
     else:
         mom = _moments_from_config(cfg, None)
-    curve, approx, log = extrapolate_ground_energy(mom, cfg.texpansion_order, tau_eval_max=cfg.tau_max)
+    curve, approx, log = extrapolate_ground_energy(mom, cfg.texpansion_order)
     out = out_dir / "energy_curve.csv"
     curve.to_csv(out)
     report = out_dir / "pade_selection.txt"

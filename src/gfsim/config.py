@@ -188,11 +188,8 @@ class RunConfig:
             raise ConfigError(f"moments.accuracy must be even, as central stencils are, got {self.fdm_accuracy}")
 
         tex = self.raw.get("texpansion", {})
-        _require_keys(tex, {"order", "tau_max"}, "texpansion")
+        _require_keys(tex, {"order"}, "texpansion")
         self.texpansion_order = _number(tex, "order", "texpansion", default=10, minimum=2, integer=True)
-        self.tau_max = tex.get("tau_max")
-        if self.tau_max is not None:
-            self.tau_max = _number(tex, "tau_max", "texpansion", minimum=1e-9)
 
         kry = self.raw.get("krylov", {})
         _require_keys(kry, {"orders", "t_max", "dt"}, "krylov")
@@ -229,7 +226,7 @@ class RunConfig:
             "seed": self.seed,
             "trotter": dict(self.raw.get("trotter") or {"policy": "reference"}),
             "moments": {"route": self.moment_route, "order": self.moment_order},
-            "texpansion": {"order": self.texpansion_order, "tau_max": self.tau_max},
+            "texpansion": {"order": self.texpansion_order},
             "krylov": {
                 "orders": list(self.krylov_orders),
                 "t_max": self.krylov_t_max,

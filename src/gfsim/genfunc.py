@@ -38,7 +38,7 @@ import numpy as np
 
 from .models import DenseHamiltonian, InitialState
 from .statevector import SimulationError, StateVector, derive_seed, hadamard, phase_gate, sample_ancilla
-from .trotter import AppliedGate, Circuit, controlled_evolve, steps_for, trotter_step
+from .trotter import Circuit, controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
 GF_COLUMNS = ("t", "re", "im", "re_err", "im_err")
@@ -247,12 +247,10 @@ def hadamard_test_circuit(model, t: float, n_steps: int, quadrature: str):
     if quadrature not in ("re", "im"):
         raise SimulationError(f"quadrature must be re|im, got {quadrature!r}")
     ancilla = model.n_qubits
-    gates: list[AppliedGate] = [AppliedGate(hadamard(ancilla))]
+    gates = [hadamard(ancilla)]
     if quadrature == "im":
-        gates.append(AppliedGate(phase_gate(-math.pi / 2.0, ancilla)))
+        gates.append(phase_gate(-math.pi / 2.0, ancilla))
     if t != 0:
-        step = trotter_step(model, t / n_steps).controlled(ancilla)
-        for _ in range(n_steps):
-            gates.extend(step.gates)
-    gates.append(AppliedGate(hadamard(ancilla)))
-    return Circuit(tuple(gates), ancilla + 1, dt=t / n_steps if t else 0.0, n_steps=n_steps)
+        gates.extend(trotter_step(model, t / n_steps).controlled(ancilla).gates * n_steps)
+    gates.append(hadamard(ancilla))
+    return Circuit(tuple(gates), ancilla + 1, n_steps=n_steps)

@@ -1,6 +1,6 @@
 """Synthetic readout + depolarizing noise and the two mitigation techniques.
 
-Noise model: after every gate of a Hadamard-test circuit, each touched qubit
+Noise model: after every gate of a Hadamard-test circuit, each of its targets
 independently suffers a uniform Pauli error (X, Y, Z each with probability
 p_dep/3), and the ancilla's readout flips a true 0 to 1 with probability p01
 and a true 1 to 0 with probability p10; `NoiseModel` holds the three numbers,
@@ -10,8 +10,8 @@ depolarizing channel.  That comes from the off-diagonal ancilla block
 X = <0|rho|1>, a 2^n x 2^n matrix on the system, which evolves by itself
 (Nielsen & Chuang, section 8.3): the opening Hadamard and its slot give
 X = (1 - 4p/3) psi psi^H / 2, each controlled step gate G sends X to
-(1 - 4p/3) X G^H (the factor is its ancilla slot), and each touched system
-qubit gets the channel's 4x4 map.  The closing Hadamard and its slot read the
+(1 - 4p/3) X G^H (the factor is its ancilla slot), and each system qubit it
+acts on gets the channel's 4x4 map.  The closing Hadamard and its slot read the
 Re circuit's bias as (1 - 4p/3) 2 Re tr X; the Im circuit's R(-pi/2) and its
 slot multiply X by i (1 - 4p/3), so one evolution gives both quadratures.  The
 step gates conserve the model's sectors, and a slot on qubit q mixes an entry
@@ -42,7 +42,7 @@ import numpy as np
 
 from .genfunc import GfSeries
 from .models import sector_labels
-from .statevector import GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate, sample_ancilla
+from .statevector import GateMatrix, SimulationError, StateVector, apply_gate, sample_ancilla
 from .trotter import Circuit, _gate_action, _step_gates
 
 
@@ -75,16 +75,13 @@ _PAULIS = (
 
 
 def _run_with_errors(init: StateVector, circuit: Circuit, pattern: tuple[tuple[int, int], ...]) -> StateVector:
-    """Replay the circuit inserting the given (slot, pauli) errors after gates."""
+    """Replay the circuit inserting the given (slot, pauli) errors; each gate has one slot per target, in order."""
     by_slot = dict(pattern)
     state = init
     slot = 0
-    for item in circuit.gates:
-        if item.control is None:
-            state = apply_gate(state, item.gate)
-        else:
-            state = apply_controlled(state, item.control, item.gate)
-        for qubit in item.touched:
+    for gate in circuit.gates:
+        state = apply_gate(state, gate)
+        for qubit in gate.targets:
             pauli = by_slot.get(slot)
             if pauli is not None:
                 state = apply_gate(state, GateMatrix(_PAULIS[pauli], (qubit,)))

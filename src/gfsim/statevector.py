@@ -1,4 +1,9 @@
-"""Dense statevector kernel: gates, controlled gates, ancilla readout and shot sampling.
+"""Errors, states, the gate-level oracle and shot sampling.
+
+`trotter`'s sector step is the routes' kernel; the gate-level replay here
+(`GateMatrix`, `apply_gate`) is what it and the noise channel are tested
+against.  A controlled gate is a `GateMatrix` on (control, *targets), so the
+control is the high bit of its matrix [[I, 0], [0, U]].
 
 Conventions (frozen for the whole package):
 
@@ -31,7 +36,7 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class GateMatrix:
-    """A 1- or 2-qubit unitary bound to specific target qubits.
+    """A 1-, 2- or 3-qubit unitary bound to specific target qubits.
 
     Unitarity is checked to 1e-12 at construction; a violation is a hard
     error so that malformed propagator blocks fail fast.
@@ -46,8 +51,8 @@ class GateMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
         dim = 2 ** len(self.targets)
-        if len(self.targets) not in (1, 2):
-            raise SimulationError(f"gate arity must be 1 or 2, got {len(self.targets)}")
+        if len(self.targets) not in (1, 2, 3):
+            raise SimulationError(f"gate arity must be 1, 2 or 3, got {len(self.targets)}")
         if mat.shape != (dim, dim):
             raise SimulationError(f"gate on {len(self.targets)} qubit(s) needs a {dim}x{dim} matrix, got {mat.shape}")
         if len(set(self.targets)) != len(self.targets):
@@ -130,17 +135,6 @@ def controlled_matrix(gate: GateMatrix) -> np.ndarray:
     out = np.eye(2 * dim, dtype=complex)
     out[dim:, dim:] = gate.matrix
     return out
-
-
-def apply_controlled(state: StateVector, control: int, gate: GateMatrix) -> StateVector:
-    """Apply the gate on the subspace where the control qubit is 1."""
-    if control in gate.targets:
-        raise SimulationError(f"control qubit {control} overlaps gate targets {gate.targets}")
-    _check_targets(state, (control, *gate.targets))
-    out = _apply_matrix(
-        state.amplitudes, state.n_qubits, controlled_matrix(gate), (control, *gate.targets)
-    )
-    return StateVector(state.n_qubits, out, copy=False)
 
 
 def ancilla_probability(state: StateVector, ancilla: int) -> float:

@@ -27,7 +27,7 @@ from .statevector import SimulationError
 
 PADE_COND_LIMIT = 1e12
 PADE_TAYLOR_TOL = 1e-8
-# admissibility scan of a Pade candidate: grid points on [0, tau_eval_max], and
+# admissibility scan of a Pade candidate: grid points on [0, horizon], and
 # the largest positive value allowed relative to the candidate's peak |value|
 PADE_SCAN_POINTS = 2001
 PADE_SIGN_TOL = 1e-4
@@ -98,9 +98,7 @@ class PadeApproximant:
         return coeffs
 
     def poles(self) -> np.ndarray:
-        if self.den.size == 1:
-            return np.zeros(0, dtype=complex)
-        return np.roots(self.den[::-1])
+        return np.roots(self.den[::-1])  # none for a constant denominator
 
 
 def pade_fit(coeffs, i_order: int, j_order: int) -> PadeApproximant:
@@ -117,21 +115,17 @@ def pade_fit(coeffs, i_order: int, j_order: int) -> PadeApproximant:
     def c(k: int) -> float:
         return coeffs[k] if 0 <= k < coeffs.size else 0.0
 
-    if j_order == 0:
-        den = np.array([1.0])
+    a = np.array([[c(i_order + ell - m) for m in range(1, j_order + 1)] for ell in range(1, j_order + 1)])
+    rhs = -np.array([c(i_order + ell) for ell in range(1, j_order + 1)])
+    if not a.any():  # J = 0 included: no system, so den = [1]
+        b = np.zeros(j_order)
         cond = 1.0
     else:
-        a = np.array([[c(i_order + ell - m) for m in range(1, j_order + 1)] for ell in range(1, j_order + 1)])
-        rhs = -np.array([c(i_order + ell) for ell in range(1, j_order + 1)])
-        if not a.any():
-            b = np.zeros(j_order)
-            cond = 1.0
-        else:
-            cond = float(np.linalg.cond(a))
-            if not np.isfinite(cond) or cond > PADE_COND_LIMIT:
-                raise PadeRejection(f"Pade[{i_order},{j_order}] system condition {cond:.3e} exceeds {PADE_COND_LIMIT:g}")
-            b = np.linalg.solve(a, rhs)
-        den = np.concatenate([[1.0], b])
+        cond = float(np.linalg.cond(a))
+        if not np.isfinite(cond) or cond > PADE_COND_LIMIT:
+            raise PadeRejection(f"Pade[{i_order},{j_order}] system condition {cond:.3e} exceeds {PADE_COND_LIMIT:g}")
+        b = np.linalg.solve(a, rhs)
+    den = np.concatenate([[1.0], b])
     num = np.array([sum(den[m] * c(i - m) for m in range(min(i, j_order) + 1)) for i in range(i_order + 1)])
     approx = PadeApproximant(num, den, cond=cond)
 
@@ -161,7 +155,7 @@ def _has_positive_real_pole(approx: PadeApproximant) -> bool:
     return False
 
 
-def pade_select(coeffs, order: int, tau_eval_max: float) -> tuple[PadeApproximant, list[CandidateReport]]:
+def pade_select(coeffs, order: int, horizon: float) -> tuple[PadeApproximant, list[CandidateReport]]:
     """Enumerate Pade[I, J] with I+J = order, J-I >= 2 and pick the admissible winner.
 
     A candidate is discarded if it has a real pole anywhere on tau >= 0 (the
@@ -174,7 +168,7 @@ def pade_select(coeffs, order: int, tau_eval_max: float) -> tuple[PadeApproximan
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size < order + 1:
         raise SimulationError(f"need {order + 1} coefficients, have {coeffs.size}")
-    grid = np.linspace(0.0, tau_eval_max, PADE_SCAN_POINTS)
+    grid = np.linspace(0.0, horizon, PADE_SCAN_POINTS)
 
     log: list[CandidateReport] = []
     survivors: list[tuple[int, int, float, PadeApproximant]] = []
@@ -303,19 +297,18 @@ def constant_energy_curve(h_mean: float, tau_grid) -> EnergyCurve:
 
 
 def extrapolate_ground_energy(
-    moments: MomentSet, order: int, tau_eval_max: float | None = None
+    moments: MomentSet, order: int
 ) -> tuple[EnergyCurve, PadeApproximant | None, list[CandidateReport]]:
-    """Full pipeline: cumulants -> truncated series -> Pade -> integrated E(tau)."""
+    """Full pipeline: cumulants -> truncated series -> Pade -> integrated E(tau) on [0, default_tau_max(kappa_2)]."""
     kappa = cumulants_from_moments(moments)
     h_mean = float(moments.values[1])
     kappa_2 = kappa[1] if kappa.size >= 2 else 0.0
-    if tau_eval_max is None:
-        tau_eval_max = default_tau_max(kappa_2)
-    tau_grid = np.linspace(0.0, tau_eval_max, 401)
+    horizon = default_tau_max(kappa_2)
+    tau_grid = np.linspace(0.0, horizon, 401)
     if kappa_2 <= 1e-14 * max(1.0, h_mean**2):
         return constant_energy_curve(h_mean, tau_grid), None, []
     coeffs = taylor_dEdtau(kappa, order)
-    approx, log = pade_select(coeffs, order, tau_eval_max)
+    approx, log = pade_select(coeffs, order, horizon)
     return integrate_energy(approx, h_mean, tau_grid), approx, log
 
 

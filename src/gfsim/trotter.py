@@ -41,9 +41,8 @@ by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
 one time point share one build.  A `PairingModel` is keyed by identity (its
 arrays are read-only copies), a `HubbardModel` by value.
 
-The gate-level `Circuit` (with `controlled` promoting each gate to an explicit
-ancilla-controlled 3-qubit matrix) is the oracle the fused evolution is tested
-against.
+The gate-level `Circuit`, a tuple of `GateMatrix` that `controlled` turns into
+gates on (ancilla, *targets), is the oracle the sector step is tested against.
 """
 
 from __future__ import annotations
@@ -55,52 +54,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HubbardModel, PairingModel, sector_labels
-from .statevector import GateMatrix, SimulationError, StateVector, apply_controlled, apply_gate
+from .statevector import GateMatrix, SimulationError, StateVector, apply_gate, controlled_matrix
 
 REFERENCE_DT_PAIRING = 0.002  # dt * (level spacing)
 REFERENCE_DT_HUBBARD = 0.02  # dt * J
 
 
 @dataclass(frozen=True)
-class AppliedGate:
-    """A gate plus an optional control qubit."""
-
-    gate: GateMatrix
-    control: int | None = None
-
-    @property
-    def touched(self) -> tuple[int, ...]:
-        if self.control is None:
-            return self.gate.targets
-        return (self.control, *self.gate.targets)
-
-
-@dataclass(frozen=True)
 class Circuit:
     """Ordered gate list; gates[0] is applied first."""
 
-    gates: tuple[AppliedGate, ...]
+    gates: tuple[GateMatrix, ...]
     n_qubits: int
-    dt: float = 0.0
     n_steps: int = 1
 
     def apply(self, state: StateVector) -> StateVector:
-        for item in self.gates:
-            if item.control is None:
-                state = apply_gate(state, item.gate)
-            else:
-                state = apply_controlled(state, item.control, item.gate)
+        for gate in self.gates:
+            state = apply_gate(state, gate)
         return state
 
     def controlled(self, ancilla: int) -> "Circuit":
-        """Promote every gate to its ancilla-controlled version, same order."""
-        for item in self.gates:
-            if item.control is not None:
-                raise SimulationError("circuit already controlled")
-            if ancilla in item.gate.targets:
-                raise SimulationError(f"ancilla {ancilla} collides with gate targets")
-        gates = tuple(AppliedGate(item.gate, ancilla) for item in self.gates)
-        return Circuit(gates, max(self.n_qubits, ancilla + 1), self.dt, self.n_steps)
+        """Each gate controlled on (ancilla, *targets); `GateMatrix` refuses a repeated qubit or a 4th target."""
+        gates = tuple(GateMatrix(controlled_matrix(g), (ancilla, *g.targets), g.name) for g in self.gates)
+        return Circuit(gates, max(self.n_qubits, ancilla + 1), self.n_steps)
 
 
 # A 1-qubit gate on q sits in the tables on the pair (q, q): its local value
@@ -158,12 +134,11 @@ def trotter_step(model, dt: float) -> Circuit:
     gates = []
     for matrix, (a, b) in zip(matrices, pairs.tolist()):
         if a == b:
-            gate = GateMatrix(matrix[::3, ::3].copy(), (a,), name=f"R({a})")
+            gates.append(GateMatrix(matrix[::3, ::3].copy(), (a,), name=f"R({a})"))
         else:
             kind = "Ug" if isinstance(model, PairingModel) else "Uj" if b == a + 1 else "Uu"
-            gate = GateMatrix(matrix, (a, b), name=f"{kind}({a},{b})")
-        gates.append(AppliedGate(gate))
-    return Circuit(tuple(gates), model.n_qubits, dt=dt)
+            gates.append(GateMatrix(matrix, (a, b), name=f"{kind}({a},{b})"))
+    return Circuit(tuple(gates), model.n_qubits)
 
 
 def reference_dt(model) -> float:

@@ -208,6 +208,7 @@ def test_invalid_config_exit_code_2(tmp_path):
         base_config(model={"kind": "pairing", "levels": 2, "pairs": 3}),
         base_config(model={"kind": "pairing", "levels": 4, "pairs": 2}, initial_state=["1110"]),
         base_config(model={"kind": "pairing", "eps": [], "pairs": 0}),
+        base_config(texpansion={"order": 10, "tau_max": None}),  # the horizon is always default_tau_max
     ]
     for cfg in invalid:
         path = write_config(tmp_path, cfg)
@@ -379,6 +380,14 @@ def test_cmd_krylov(tmp_path):
     # exact survival column present and starting at 1
     first = surv_lines[1].split(",")
     assert float(first[2]) == pytest.approx(1.0)
+
+
+def test_cmd_krylov_raises_the_moment_order_it_needs(tmp_path):
+    # without --moments, orders [0, 1] need moments through 2 * 1 + 1 = 3, above the config's 2
+    cfg = base_config(moments={"route": "exact", "order": 2}, krylov={"orders": [0, 1], "t_max": 1.0, "dt": 0.1})
+    assert main(["krylov", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "krylov_manifest.json").read_text())
+    assert manifest["config"]["moments"]["order"] == 3
 
 
 def test_cmd_krylov_warns_on_stderr(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gfsim.genfunc import GfSeries, gf_exact
+from gfsim.genfunc import GfSeries, gf_exact, gf_series, read_table
 from gfsim.krylov import build_krylov_matrices
 from gfsim.models import PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
@@ -144,6 +144,18 @@ def test_fdm_degrades_at_high_order():
     assert rel[14] > 1e3 * rel[6]
     # the reported error estimates grow with the order as well
     assert mom.errors[14] > mom.errors[6]
+
+
+@pytest.mark.parametrize("shots, noisy", [(10**4, list(range(2, 9))), (0, [])], ids=["sampled", "statevector"])
+def test_fdm_flags_the_orders_shot_noise_overwhelms(tmp_path, shots, noisy):
+    # an order is noisy when its error estimate passes a tenth of max(|moment|, E_rms^K)
+    model = PairingModel.uniform(2, 1, 1.0, 1.0)
+    series = gf_series(model, initial_state(model), 0.005 * np.arange(101), shots=shots, seed=3)
+    mom = moments_fdm(series, 8)
+    assert mom.diagnostics["noisy_orders"] == noisy
+    mom.to_csv(tmp_path / "moments.csv")
+    meta, _, _ = read_table(tmp_path / "moments.csv")
+    assert meta["noisy_orders"] == str(noisy)
 
 
 def test_fourier_grid_rule():

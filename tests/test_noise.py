@@ -26,7 +26,6 @@ from gfsim.statevector import (
     SimulationError,
     StateVector,
     ancilla_probability,
-    controlled_matrix,
     derive_seed,
     sample_ancilla,
 )
@@ -123,7 +122,7 @@ def test_mild_depolarization_damps_towards_zero():
 
 
 def _n_slots(circuit):
-    return sum(len(item.touched) for item in circuit.gates)
+    return sum(len(gate.targets) for gate in circuit.gates)
 
 
 @pytest.mark.parametrize("quad", ["re", "im"])
@@ -168,16 +167,15 @@ def _embed(matrix, targets, n):
 
 
 def _dense_channel_p0(init, circuit, ancilla, p):
-    """Density-matrix oracle: each gate as a dense 2^n x 2^n unitary, then on every
-    touched qubit rho -> (1 - p) rho + (p/3) sum_P P rho P over P = X, Y, Z."""
+    """Density-matrix oracle: each gate as a dense 2^n x 2^n unitary, then on each
+    of its targets rho -> (1 - p) rho + (p/3) sum_P P rho P over P = X, Y, Z."""
     n = init.n_qubits
     paulis = [[_embed(pauli, (qubit,), n) for pauli in noise._PAULIS] for qubit in range(n)]
     rho = np.outer(init.amplitudes, init.amplitudes.conj())
-    for item in circuit.gates:
-        gate = item.gate.matrix if item.control is None else controlled_matrix(item.gate)
-        full = _embed(gate, item.touched, n)
+    for gate in circuit.gates:
+        full = _embed(gate.matrix, gate.targets, n)
         rho = full @ rho @ full.conj().T
-        for qubit in item.touched:
+        for qubit in gate.targets:
             rho = (1 - p) * rho + (p / 3) * sum(pauli @ rho @ pauli for pauli in paulis[qubit])
     diag = rho.diagonal().real
     return diag[((np.arange(diag.size) >> ancilla) & 1) == 0].sum() / diag.sum()

@@ -6,7 +6,6 @@ from gfsim.statevector import (
     SimulationError,
     StateVector,
     ancilla_probability,
-    apply_controlled,
     apply_gate,
     controlled_matrix,
     derive_seed,
@@ -65,19 +64,24 @@ def test_target_out_of_range_rejected():
         apply_gate(StateVector(1), pauli_x(3))
 
 
+def _apply_controlled(state, control, gate):
+    """The gate controlled on one qubit: a GateMatrix on (control, *targets)."""
+    return apply_gate(state, GateMatrix(controlled_matrix(gate), (control, *gate.targets)))
+
+
 def test_control_off_leaves_state_unchanged():
     rng = np.random.default_rng(1)
     sys_state = random_state(2, rng)
     amps = np.zeros(8, dtype=complex)
     amps[:4] = sys_state.amplitudes  # control qubit 2 in |0>
     state = StateVector(3, amps)
-    out = apply_controlled(state, 2, GateMatrix(random_unitary(4, rng), (0, 1)))
+    out = _apply_controlled(state, 2, GateMatrix(random_unitary(4, rng), (0, 1)))
     assert np.allclose(out.amplitudes, amps)
 
 
 def test_control_on_acts_as_plain_gate():
     state = StateVector.from_bitstring("01")  # qubit 1 = control, on
-    out = apply_controlled(state, 1, pauli_x(0))
+    out = _apply_controlled(state, 1, pauli_x(0))
     assert np.allclose(out.amplitudes, StateVector.from_bitstring("11").amplitudes)
 
 
@@ -87,7 +91,7 @@ def test_controlled_equals_explicit_block_matrix():
     for _ in range(20):
         gate = GateMatrix(random_unitary(4, rng), (1, 0))
         state = random_state(3, rng)
-        fast = apply_controlled(state, 2, gate)
+        fast = _apply_controlled(state, 2, gate)
         block = np.eye(8, dtype=complex)
         block[4:, 4:] = _dense_two_qubit(gate.matrix)
         expect = block @ state.amplitudes

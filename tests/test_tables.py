@@ -99,6 +99,8 @@ def test_survival_table(tmp_path):
 def test_read_table_returns_what_write_table_wrote(tmp_path):
     path = tmp_path / "table.csv"
     write_table(path, {"a": "x", "b": 2}, ("n", "v", "s"), [(1, 0.5, "p"), (2, -1.0, "q")])
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1] + ["\n"] + lines[-1:]))  # a blank line between the rows is skipped
     meta, names, rows = read_table(path, required=("v",))
     assert meta == {"a": "x", "b": "2"}
     assert names == ["n", "v", "s"]

@@ -123,6 +123,10 @@ def test_pade_reexpansion_matches_input():
     back = approx.taylor(10)
     rel = np.abs(back - coeffs) / np.abs(coeffs).max()
     assert rel.max() < 1e-8
+    # J = 0: no system to solve, the numerator is the series itself and nothing has a pole
+    poly = pade_fit(coeffs, 10, 0)
+    assert np.array_equal(poly.num, coeffs[:11]) and np.array_equal(poly.den, [1.0]) and poly.cond == 1.0
+    assert poly.poles().size == 0
 
 
 def test_pade_select_orders_match_reference_strengths():

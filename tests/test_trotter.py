@@ -22,7 +22,6 @@ from gfsim.models import (
 from gfsim.noise import _coherence_p0
 from gfsim.statevector import GateMatrix, SimulationError, StateVector
 from gfsim.trotter import (
-    AppliedGate,
     Circuit,
     _sector_step,
     _step_gates,
@@ -62,15 +61,15 @@ def phase_insensitive_distance(a, b):
 
 def test_hubbard_step_zero_hopping_blocks_are_identity():
     step = trotter_step(HubbardModel(sites=2, hopping=0.0, onsite=1.0), dt=0.1)
-    hopping = [g for g in step.gates if g.gate.name.startswith("Uj")]
+    hopping = [g for g in step.gates if g.name.startswith("Uj")]
     for g in hopping:
-        assert np.allclose(g.gate.matrix, np.eye(4))
+        assert np.allclose(g.matrix, np.eye(4))
 
 
 def test_hopping_block_at_quarter_period_swaps_with_phase():
     # evaluate the printed 4x4 at lambda = pi/2: |01> <-> |10> up to -i
     step = trotter_step(HubbardModel(sites=2, hopping=1.0, onsite=0.0), dt=np.pi / 2)
-    block = step.gates[0].gate.matrix
+    block = step.gates[0].matrix
     assert np.allclose(block @ np.array([0, 1, 0, 0]), [0, 0, -1j, 0])
     assert np.allclose(block @ np.array([0, 0, 1, 0]), [0, -1j, 0, 0])
 
@@ -116,6 +115,14 @@ def test_reference_steps():
     assert steps_for(pairing, 1.0) == 500
     assert steps_for(pairing, 0.0) == 1
     assert steps_for(pairing, 1.0, policy=7) == 7
+
+
+@pytest.mark.parametrize("eps, spacing", [(2.5, 2.5), (-0.5, 0.5), (0.0, 1.0)])
+def test_one_level_pairing_spacing_sets_the_reference_step(eps, spacing):
+    # one level has no gap: the spacing is |eps_0|, or 1 at eps_0 = 0
+    model = PairingModel(eps=[eps], g=[[0.3]], n_pairs=1)
+    assert model.level_spacing == spacing
+    assert reference_dt(model) == pytest.approx(0.002 / spacing)
 
 
 def test_steps_for_rejects_callable_policy():
@@ -213,6 +220,17 @@ def test_controlled_evolve_rejects_ancilla_inside_register():
         controlled_evolve(state.tensor_with_ancilla().tensor_with_ancilla(), model, 0.1, 1)
 
 
+def test_controlled_circuit_refuses_a_second_control_and_an_ancilla_among_its_targets():
+    # a controlled 2-qubit gate has 3 targets, and a gate on 4 is refused
+    step = trotter_step(PairingModel.uniform(3, 1), 0.1)
+    controlled = step.controlled(3)
+    assert [len(g.targets) for g in controlled.gates] == [len(g.targets) + 1 for g in step.gates]
+    with pytest.raises(SimulationError, match="gate arity must be 1, 2 or 3, got 4"):
+        controlled.controlled(4)
+    with pytest.raises(SimulationError, match="duplicate target qubits"):
+        step.controlled(1)
+
+
 def test_evolve_rejects_state_smaller_than_model():
     with pytest.raises(SimulationError):
         evolve(StateVector(2), PairingModel.uniform(3, 1), 0.1, 1)
@@ -253,11 +271,11 @@ def sector_superposition(n_qubits, n_system, seed):
 @given(small_models)
 def test_every_step_gate_conserves_hamming_weight(model):
     # the sector restriction of controlled_evolve is exact only because of this
-    for item in trotter_step(model, 0.37).gates:
-        local = np.arange(item.gate.matrix.shape[0])
-        weight = sum((local >> b) & 1 for b in range(len(item.gate.targets)))
-        moves = (item.gate.matrix != 0) & (weight[:, None] != weight[None, :])
-        assert not moves.any(), item.gate.name
+    for gate in trotter_step(model, 0.37).gates:
+        local = np.arange(gate.matrix.shape[0])
+        weight = sum((local >> b) & 1 for b in range(len(gate.targets)))
+        moves = (gate.matrix != 0) & (weight[:, None] != weight[None, :])
+        assert not moves.any(), gate.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,13 +366,13 @@ def gate_tables(circuit):
     diag = np.ones((len(circuit.gates), 4), dtype=complex)
     off = np.zeros_like(diag)
     pairs = np.empty((len(circuit.gates), 2), dtype=np.int64)
-    for g, item in enumerate(circuit.gates):
-        if len(item.gate.targets) == 1:
-            diag[g, [0, 3]] = np.diag(item.gate.matrix)
-            pairs[g] = item.gate.targets * 2
+    for g, gate in enumerate(circuit.gates):
+        if len(gate.targets) == 1:
+            diag[g, [0, 3]] = np.diag(gate.matrix)
+            pairs[g] = gate.targets * 2
         else:
-            diag[g], off[g] = item.gate.matrix[v, v], item.gate.matrix[v, v ^ 3]
-            pairs[g] = item.gate.targets
+            diag[g], off[g] = gate.matrix[v, v], gate.matrix[v, v ^ 3]
+            pairs[g] = gate.targets
     return diag, off, pairs
 
 
@@ -388,7 +406,7 @@ def test_sector_step_matches_gate_level_on_general_conserving_gates():
         else:
             matrix = np.diag(np.exp(1j * rng.normal(size=4)))
             matrix[1:3, 1:3] = q
-        gates.append(AppliedGate(GateMatrix(matrix, targets)))
+        gates.append(GateMatrix(matrix, targets))
     circuit = Circuit(tuple(gates), 3)
     basis = np.arange(8)
     assert np.abs(_sector_step(*gate_tables(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
