@@ -369,9 +369,11 @@ def test_cmd_texpand_no_admissible_exit_3(tmp_path):
 
 
 def test_cmd_krylov(tmp_path):
-    cfg = base_config(krylov={"orders": [0, 1], "t_max": 2.0, "dt": 0.1})
+    # without --moments, orders [0, 1] need moments through 2 * 1 + 1 = 3, so the config's order 2 is raised
+    cfg = base_config(moments={"route": "exact", "order": 2}, krylov={"orders": [0, 1], "t_max": 2.0, "dt": 0.1})
     rc = main(["krylov", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert json.loads((tmp_path / "krylov_manifest.json").read_text())["config"]["moments"]["order"] == 3
     eig_lines = (tmp_path / "krylov_eigs.csv").read_text().splitlines()
     assert eig_lines[0] == "M,alpha,E,weight,retained_dim"
     assert len(eig_lines) == 4  # M=0: 1 row, M=1: 2 rows
@@ -380,14 +382,6 @@ def test_cmd_krylov(tmp_path):
     # exact survival column present and starting at 1
     first = surv_lines[1].split(",")
     assert float(first[2]) == pytest.approx(1.0)
-
-
-def test_cmd_krylov_raises_the_moment_order_it_needs(tmp_path):
-    # without --moments, orders [0, 1] need moments through 2 * 1 + 1 = 3, above the config's 2
-    cfg = base_config(moments={"route": "exact", "order": 2}, krylov={"orders": [0, 1], "t_max": 1.0, "dt": 0.1})
-    assert main(["krylov", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "krylov_manifest.json").read_text())
-    assert manifest["config"]["moments"]["order"] == 3
 
 
 def test_cmd_krylov_warns_on_stderr(tmp_path, capsys):

