@@ -34,7 +34,7 @@ from .krylov import build_krylov_matrices, eigen_table_csv, solve_generalized, s
 from .models import build_dense, to_qubits
 from .moments import MomentSet, moments_exact, moments_fdm, moments_fourier, spectral_peaks
 from .noise import calibrate_reference, mitigate_readout, mitigate_series, noisy_sample
-from .statevector import SimulationError, derive_seed
+from .statevector import SimulationError
 from .texpand import PadeRejection, extrapolate_ground_energy, imaginary_time_oracle, selection_report
 
 
@@ -192,7 +192,7 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     per_member = cfg.shots // members
     estimates = np.zeros((2, cfg.t_grid.size))  # Re and Im, summed over the members in order
     for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
-        seeds = [tuple(derive_seed(cfg.seed, k, quad, m_idx) for quad in (0, 1)) for k in range(cfg.t_grid.size)]
+        seeds = [(cfg.seed, m_idx, quad) for quad in (0, 1)]  # gf_series's streams
         biases = noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=cfg.trotter_policy, noise=cfg.noise)
         estimates += weight * biases
     total = per_member * members

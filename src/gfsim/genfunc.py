@@ -12,10 +12,12 @@ the bias into Im F(t).  Both biases are read off the state before the closing
 gates: its ancilla halves are psi_0 = psi/sqrt(2) and psi_1 = U psi/sqrt(2), so
 F(t) = <psi|U|psi> = 2 <psi_0|psi_1>, and the closing Hadamard would measure 0
 with probability (1 + Re F)/2 (the Re circuit) or (1 + Im F)/2 (the Im
-circuit).  The sampled route draws each circuit's shots from that
-probability, and `sample_ancilla` returns the sample's bias.  `gf_series` is
-the one Hadamard-test loop: time points outside, mixture members inside, one
-controlled evolution per nonzero point and member.  Mixtures are averaged
+circuit).  `gf_series` is the one Hadamard-test loop: time points outside,
+mixture members inside, one controlled evolution per nonzero point and
+member, which gives every member's exact biases over the grid.  The sampled
+route then draws each circuit's shots from that probability, one
+`sample_ancilla` call per member and quadrature for the whole grid on its own
+stream, SeedSequence([seed, member, quadrature]).  Mixtures are averaged
 member by member with the shot budget split evenly.
 
 Every CSV the package writes or reads is one table format, written by
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import DenseHamiltonian, InitialState
-from .statevector import SimulationError, StateVector, derive_seed, hadamard, phase_gate, sample_ancilla
+from .statevector import SimulationError, StateVector, hadamard, phase_gate, sample_ancilla
 from .trotter import Circuit, controlled_evolve, steps_for, trotter_step
 
 ROUTES = ("exact", "statevector", "sampled", "noisy", "mitigated")
@@ -193,15 +195,17 @@ def gf_series(
 ) -> GfSeries:
     """Hadamard-test estimates of F(t) over a monotone grid starting at 0.
 
-    shots = 0 uses the exact ancilla biases (no sampling); otherwise each
-    quadrature of each mixture member at point k is sampled with
-    shots // len(mixture) measurements (the actual total is recorded) on the
-    sub-seed derive_seed(derive_seed(seed, k), member, quadrature).
+    The exact biases of every point and member come first.  shots = 0 keeps
+    them (no sampling); otherwise each quadrature of each mixture member is
+    sampled with shots // len(mixture) measurements per point (the actual
+    total is recorded), its whole series in one draw on the stream of
+    SeedSequence([seed, member, quadrature]).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) < 0):
         raise SimulationError("t_grid must be monotone and start at 0")
-    if not 0 <= seed <= 2**32 - 1:  # derive_seed keeps 32 bits of it: a wider seed aliases another
+    # the schema's range: SeedSequence reads a seed as 32-bit words, so (2**32, 0, 0) would draw on (0, 1, 0)'s stream
+    if not 0 <= seed <= 2**32 - 1:
         raise SimulationError(f"seed must lie in [0, 2**32 - 1], got {seed}")
     if not 0 <= shots <= 2**63 - 1:  # Generator.binomial takes the shot count as a C long
         raise SimulationError(f"shots must lie in [0, 2**63 - 1], got {shots}")
@@ -210,21 +214,23 @@ def gf_series(
     if shots and per_member == 0:
         raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
-    estimates = np.zeros((2, t.size))  # Re and Im, summed over the members in order
+    biases = np.zeros((members, 2, t.size))  # each member's exact Re and Im bias at each point
     for k, tk in enumerate(t):
         n_steps = steps_for(model, tk, n_steps_policy)
-        point_seed = derive_seed(seed, k) if shots else 0
-        for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
+        for m_idx, member in enumerate(init.members):
             # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
             state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)
             if tk != 0:
                 state = controlled_evolve(state, model, float(tk), n_steps)
             halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
             f = 2.0 * np.vdot(halves[0], halves[1])
-            for quad, bias in enumerate((f.real, f.imag)):
-                if shots:
-                    bias = sample_ancilla((1.0 + bias) / 2.0, per_member, derive_seed(point_seed, m_idx, quad))
-                estimates[quad, k] += weight * bias
+            biases[m_idx, :, k] = f.real, f.imag
+    estimates = np.zeros((2, t.size))  # Re and Im, summed over the members in order
+    for m_idx, weight in enumerate(init.weights):
+        for quad, bias in enumerate(biases[m_idx]):
+            if shots:
+                bias = sample_ancilla((1.0 + bias) / 2.0, per_member, (seed, m_idx, quad))
+            estimates[quad] += weight * bias
 
     total = per_member * members
     errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total) if shots else np.zeros_like(estimates)

@@ -20,7 +20,10 @@ row and column share a sector evolve among themselves; they hold tr X.  Gates
 and slots alike act on those entries as coefficient tables, which
 `trotter._gate_action` gathers.  One pass over the gate sequence evolves a
 member's blocks on those entries at every nonzero time point together, as the
-rows of one stack (`_coherence_p0`), and `noisy_sample` draws all their shots.
+rows of one stack (`_coherence_p0`), and `noisy_sample` draws all their shots,
+one binomial call per quadrature's series on the seed it is given; `gfsim
+noise` gives member m's series the streams SeedSequence([seed, m, quadrature])
+that `genfunc.gf_series` draws on.
 `_run_with_errors` (one fixed error pattern on a pure state) is the
 reference the channel is tested against.
 
@@ -103,8 +106,11 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     table on the bit pair (n + q, q) of the flat index, which `_gate_action`
     gathers on the C entries themselves.  The P nonzero times
     evolve together as the rows of one (P, C) stack, on the tables at all P
-    step sizes; a t = 0 test controls no gates.  The stack holds P C complex
-    numbers (16 P C bytes), and a step's G gathers G C int64 indices.
+    step sizes; a t = 0 test controls no gates.  Each gate and slot updates
+    the stack in place through two more (P, C) buffers, its gathered
+    partners and its gathered coefficients, so the pass holds 3 P C complex
+    numbers (48 P C bytes) and allocates none per gate; a step's G gathers
+    G C int64 indices.
     """
     n = member.n_qubits
     if n != model.n_qubits:
@@ -129,11 +135,19 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     slots = list(zip(*_gate_action(slot_diag, slot_off, slot_pairs, flat)))
     start = damp / 2.0 * (member.amplitudes[rows] * member.amplitudes[cols].conj())
     block = np.tile(start, (np.count_nonzero(moving), 1))
+    taken, coef = np.empty_like(block), np.empty_like(block)  # reused by every gate and slot
     for _ in range(n_steps if moving.any() else 0):  # an empty stack has nothing to evolve
         for g, (a, b) in enumerate(pairs.tolist()):
-            block = diag[:, g, cols] * block + off[:, g, cols] * block[:, gather[g]]
+            # block = diag[:, g, cols] * block + off[:, g, cols] * block[:, gather[g]], in place
+            np.take(block, gather[g], axis=1, out=taken)
+            np.multiply(np.take(off[:, g], cols, axis=1, out=coef), taken, out=taken)
+            np.multiply(np.take(diag[:, g], cols, axis=1, out=coef), block, out=block)
+            block += taken
             for own, other, partner_q in (slots[a],) if a == b else (slots[a], slots[b]):
-                block = own * block + other * block[:, partner_q]
+                # block = own * block + other * block[:, partner_q]
+                np.multiply(other, np.take(block, partner_q, axis=1, out=taken), out=taken)
+                np.multiply(own, block, out=block)
+                block += taken
     on_diagonal = rows == cols
     traces = np.full(times.size, start[on_diagonal].sum())
     traces[moving] = damp ** (len(pairs) * n_steps) * block[:, on_diagonal].sum(axis=1)  # each gate's ancilla slot
@@ -143,24 +157,20 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
 def noisy_sample(
     member: StateVector, model, times, shots: int, seeds, *, n_steps: int, noise: NoiseModel
 ) -> np.ndarray:
-    """Noisy Re and Im Hadamard tests of one member at each time with confused readout: one binomial draw each.
+    """Noisy Re and Im Hadamard tests of one member at each time with confused readout: one draw per quadrature.
 
-    seeds holds one (Re, Im) seed pair per time; the result's two rows are the
-    Re and the Im bias (n0 - n1) / shots over the times.  Each shot reports 0
-    with probability (1 - p01) p0 + p10 (1 - p0), p0 the circuit's exact
-    ancilla-0 probability.  With no flips and p_dep = 0 each draw is
-    sample_ancilla's on the clean circuit's p0.
+    seeds holds the (Re, Im) pair of seeds, each of which draws its
+    quadrature's whole series (`sample_ancilla`); the result's two rows are
+    the Re and the Im bias (n0 - n1) / shots over the times.  Each shot
+    reports 0 with probability (1 - p01) p0 + p10 (1 - p0), p0 the circuit's
+    exact ancilla-0 probability.  With no flips and p_dep = 0 each series is
+    sample_ancilla's on the clean circuits' p0.
     """
     if shots < 1:  # before the block evolution, not after it
         raise SimulationError(f"shots must be >= 1, got {shots}")
     c00, c01 = 1.0 - noise.p01, noise.p10
-    p0_re, p0_im = _coherence_p0(member, model, times, n_steps, noise.p_dep)
-    q_re, q_im = (c00 * p0 + c01 * (1.0 - p0) for p0 in (p0_re, p0_im))
-    biases = [
-        (sample_ancilla(re, shots, seed_re), sample_ancilla(im, shots, seed_im))
-        for re, im, (seed_re, seed_im) in zip(q_re, q_im, seeds, strict=True)
-    ]
-    return np.array(biases, dtype=float).reshape(-1, 2).T
+    p0 = _coherence_p0(member, model, times, n_steps, noise.p_dep)
+    return np.array([sample_ancilla(c00 * p + c01 * (1.0 - p), shots, seed) for p, seed in zip(p0, seeds, strict=True)])
 
 
 # Mitigation -------------------------------------------------------------------

@@ -17,8 +17,11 @@ Conventions (frozen for the whole package):
 
 All operations are pure: they take a state in and return a new state.  RNG is
 numpy's PCG64 (``default_rng``); `sample_ancilla` is the one place that draws
-shots: from an outcome probability and an explicit seed, it returns the
-sample's bias (n0 - n1) / shots.
+shots: from a series of outcome probabilities and one seed, it returns each
+sample's bias (n0 - n1) / shots.  Both sampled routes draw one series per
+mixture member and quadrature over the whole time grid, on the generator
+seeded by ``SeedSequence([seed, member, quadrature])``, so no two series share
+a stream.
 """
 
 from __future__ import annotations
@@ -147,18 +150,16 @@ def ancilla_probability(state: StateVector, ancilla: int) -> float:
     return float((total - p1) / total)
 
 
-def sample_ancilla(p0: float, shots: int, seed: int) -> float:
-    """(n0 - n1) / shots, the estimate of p0 - p1, from Binomial(shots, p0) with p0 clipped to [0, 1]; one per seed."""
+def sample_ancilla(p0, shots: int, seed) -> np.ndarray:
+    """(n0 - n1) / shots, the estimate of p0 - p1, at each p0 of a series, n0 ~ Binomial(shots, p0 clipped to [0, 1]).
+
+    The whole series is one `binomial` call of the generator `default_rng(seed)`;
+    seed is anything `SeedSequence` takes, such as (seed, member, quadrature).
+    """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    n0 = int(np.random.default_rng(seed).binomial(shots, min(1.0, max(0.0, p0))))
+    n0 = np.random.default_rng(seed).binomial(shots, np.clip(p0, 0.0, 1.0))
     return (n0 - (shots - n0)) / shots
-
-
-def derive_seed(*path: int) -> int:
-    """Deterministic child seed from a master seed and index path (PCG64 SeedSequence)."""
-    ss = np.random.SeedSequence(np.array([int(p) & 0xFFFFFFFF for p in path], dtype=np.uint32))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 # Common gate constructors -------------------------------------------------

@@ -10,11 +10,21 @@ import pytest
 import gfsim
 from gfsim.cli import main
 from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
-from gfsim.genfunc import GfSeries, gf_series
+from gfsim.genfunc import GfSeries
 from gfsim.models import build_dense, to_qubits
-from gfsim.moments import MomentSet, moments_exact, moments_fourier, spectral_peaks
+from gfsim.moments import MomentSet, moments_exact
 from gfsim.noise import NoiseModel
 from gfsim.texpand import imaginary_time_oracle
+from sampled_gates import (
+    CLIP_SEEDS,
+    EXACT_MOMENTS,
+    FOURIER_CONFIG,
+    FOURIER_SEEDS,
+    clip_config,
+    clip_flags,
+    fourier_error,
+    fourier_problems,
+)
 
 
 def base_config(**overrides):
@@ -293,33 +303,31 @@ def test_cmd_moments_fourier_from_series_file(tmp_path):
 
 def test_cmd_moments_fourier_from_sampled_series(tmp_path):
     # shot noise on the trace must not be fitted as tones (weights summing above 1 exit 1).
-    # The K<=4 error is a claim over shot-noise draws, so it is gated as a median over
-    # seeds 3-11: the CLI runs seed 3, library gf_series and spectral_peaks (the calls
-    # the CLI makes) run the rest.  Measured over seeds 3-102 at 10^4 shots per point on
-    # the 51-point baseband grid: median 4.4e-3 (quartiles 2.6e-3 and 6.2e-3), max 2.0e-2;
-    # seed 3 reads 9.4e-3.  Seeds 3-11 read a median of 3.1e-3, but 15 of the 92 nine-seed
-    # windows in 3-102 read 5e-3 or more, so a change of sampling stream can fail this gate
-    # with the error distribution unchanged.  gap_target 0.1 gives 51 points, 0.02-0.04 s
-    # per trace on 2 vCPU (the default auto grid, 251 points, 0.1-0.2 s)
-    cfg = base_config(time_grid={"auto": True, "gap_target": 0.1}, shots=10000, seed=3)
-    cfg["moments"] = {"route": "fourier", "order": 4}
-    del cfg["trotter"]
+    # Seed 3 runs through the CLI, seeds 4-53 through library gf_series and spectral_peaks
+    # (the calls the CLI makes), 10^4 shots per point on the 51-point baseband grid.  A fit
+    # fails where it raises, fits noise as a tone (rank other than 2) or does not renormalize;
+    # at most 2 of the 51 may fail, and the median K <= 4 error (inf for a failed fit) must
+    # stay under 7e-3.  The CLI run must exit 0 and write its header.  Over 4,000 seeds
+    # (tools/stochastic_rates.py) no fit fails and 24.9% of errors reach 7e-3, so the gate fails
+    # working code with rate 5.7e-5, at most 8.9e-4 at the shares' 95% upper bounds.  The old
+    # gate, the median over seeds 3-11 below 5e-3 with only seed 3's rank checked, failed at
+    # rate 0.27.  Power against the rank floor halved: 1.0 (old gate 0.75); against p0 read
+    # 0.003 high by the sampler: 1.0 (old gate 0.88)
+    cfg = dict(FOURIER_CONFIG)
     cfg_path = write_config(tmp_path, cfg)
     assert main(["gf", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     series = str(tmp_path / "gf.csv")
     assert main(["moments", "--config", cfg_path, "--series", series, "--out-dir", str(tmp_path)]) == 0
     header = (tmp_path / "moments.csv").read_text()
-    assert "# rank=2\n" in header and "# renormalized=True\n" in header and "# weight_sum=" in header
+    assert "# rank=" in header and "# renormalized=" in header and "# weight_sum=" in header
     assert "# center=3.0\n" in header and "# cols=26\n" in header
-    exact = np.array([1.0, 2.0, 5.0, 16.0, 61.0])  # <H^K> of the 2x2 sector matrix [[2, -1], [-1, 4]]
-    errors = [np.abs(MomentSet.from_csv(tmp_path / "moments.csv").values / exact - 1.0).max()]
+    fitted = "# rank=2\n" in header and "# renormalized=True\n" in header
+    cli_error = np.abs(MomentSet.from_csv(tmp_path / "moments.csv").values / EXACT_MOMENTS - 1.0).max()
+    errors = [cli_error if fitted else np.inf]
     run = RunConfig.from_file(cfg_path)
-    center, radius = to_qubits(run.model).spectral_window
-    for seed in range(4, 12):
-        sampled = gf_series(run.model, run.init, run.t_grid, run.trotter_policy, shots=run.shots, seed=seed)
-        spec = spectral_peaks(sampled, energy_bound=radius, center=center)  # raises where the CLI exits 1
-        errors.append(np.abs(moments_fourier(spec, 4).values / exact - 1.0).max())
-    assert np.median(errors) < 5e-3
+    errors += [fourier_error(run, seed) for seed in FOURIER_SEEDS if seed != cfg["seed"]]
+    assert len(errors) == len(FOURIER_SEEDS)
+    assert fourier_problems(errors) == []
 
 
 def test_cmd_moments_fdm_route(tmp_path):
@@ -418,17 +426,19 @@ def test_cmd_noise_builtin_preset_smoke(tmp_path):
 
 
 def test_cmd_noise_records_calibration_clipping(tmp_path):
-    # the builtin preset calibrates inside the simplex; without depolarizing
-    # noise the t = 0 readout inversion of Re F sits at p0 = 1, and shot noise
-    # pushes it past 1 at this seed, so the inversion clips
+    # the builtin preset calibrates inside the simplex; without depolarizing noise the t = 0
+    # readout inversion of Re F sits at p0 = 1, and shot noise pushes it past 1 on about half
+    # the seeds.  Over seeds 3-22 the manifest's flag must equal the inversion of the written
+    # raw biases, and both outcomes must occur: a false-failure rate of 2e-6 at the clipping
+    # share 0.49 (tools/stochastic_rates.py).  The old gate, seed 3 alone must clip, failed
+    # half the streams.  Power against the flag dropped: 1.0 (old gate 0.49)
     assert main(["noise", "--out-dir", str(tmp_path / "preset")]) == 0
     manifest = json.loads((tmp_path / "preset" / "noise_manifest.json").read_text())
     assert manifest["calibration_clipped"] is False
-    cfg = json.loads(json.dumps(NOISE_PRESET))
-    cfg.update(shots=20000, seed=3, time_grid={"t_max": 0.1, "dt": 0.05})
-    cfg["noise"]["p_dep"] = 0.0
-    assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "noise_manifest.json").read_text())["calibration_clipped"] is True
+    path = write_config(tmp_path, clip_config())
+    flags = [clip_flags(path, tmp_path / str(seed), seed) for seed in CLIP_SEEDS]
+    assert all(flag == expected for flag, expected in flags)
+    assert {flag for flag, _ in flags} == {False, True}
 
 
 @pytest.mark.parametrize("trotter", [{"policy": "reference"}, None])
@@ -483,7 +493,8 @@ def test_cmd_noise_off_equals_sampled(tmp_path):
 @pytest.mark.parametrize("flips", [{"p01": 0.0, "p10": 0.1}, {"p01": 0.1, "p10": 0.0}], ids=["p10", "p01"])
 def test_cmd_noise_calibrates_when_one_flip_is_set(tmp_path, flips):
     # either flip alone is noise to mitigate: the reference calibrated on the t = 0 biases
-    # maps the observed Im bias to exactly 0, which the uncalibrated map would not
+    # maps the observed Im bias to exactly 0, which the uncalibrated map would not.  The raw
+    # Im bias is 0 only if exactly 2,500 of 5,000 shots read 0 at p = 0.55 or 0.45: 1.4e-13
     cfg = json.loads(json.dumps(NOISE_PRESET))
     cfg.update(shots=5000, time_grid={"t_max": 0.1, "dt": 0.05}, noise={"readout": flips, "p_dep": 0.0})
     assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)]) == 0

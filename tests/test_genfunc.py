@@ -11,8 +11,9 @@ from gfsim.models import (
     initial_state,
     pairing_to_qubits,
 )
-from gfsim.statevector import SimulationError, StateVector, ancilla_probability, derive_seed, sample_ancilla
+from gfsim.statevector import SimulationError, StateVector, ancilla_probability
 from gfsim.trotter import trotter_step
+from sampled_gates import GOF_P_MIN, SCATTER_SEEDS, SCATTER_TOL, binomial_fit, chi2_sf, scatter_draws
 
 SQRT2 = np.sqrt(2.0)
 
@@ -132,25 +133,21 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
     assert sum(n * len(trotter_step(model, t / n).gates) for _, t, n in calls) == gates
 
 
-def gate_level_hadamard(model, init, t, n_steps, shots, seed):
-    """Both Hadamard-test circuits applied gate by gate, read through ancilla_probability.
+def gate_level_p0(model, init, grid, n_steps):
+    """Each member's ancilla-0 probability of the Re and Im circuits at each time, applied gate by gate.
 
-    Returns the mixture's (Re, Im) estimate and the sampled bias per sub-seed.
+    Shape (members, 2, points), read through ancilla_probability.
     """
     ancilla = model.n_qubits
-    per_member = shots // len(init)
-    estimates, drawn = np.zeros(2), {}
-    for m_idx, (weight, member) in enumerate(zip(init.weights, init.members)):
-        for quad, name in enumerate(("re", "im")):
-            final = hadamard_test_circuit(model, t, n_steps, name).apply(member.tensor_with_ancilla())
-            p0 = ancilla_probability(final, ancilla)
-            if shots == 0:
-                estimates[quad] += weight * (2.0 * p0 - 1.0)
-            else:
-                sub_seed = derive_seed(seed, m_idx, quad)
-                drawn[sub_seed] = sample_ancilla(p0, per_member, sub_seed)
-                estimates[quad] += weight * drawn[sub_seed]
-    return estimates, drawn
+    return np.array(
+        [
+            [
+                [ancilla_probability(hadamard_test_circuit(model, t, n_steps, quad).apply(start), ancilla) for t in grid]
+                for quad in ("re", "im")
+            ]
+            for start in (member.tensor_with_ancilla() for member in init.members)
+        ]
+    )
 
 
 @pytest.mark.parametrize(
@@ -159,7 +156,9 @@ def gate_level_hadamard(model, init, t, n_steps, shots, seed):
     ids=["hubbard-3", "pairing-4"],
 )
 def test_hadamard_matches_gate_level_circuits(monkeypatch, model, members):
-    # F = 2<psi_0|psi_1> read off the ancilla halves against the full circuits, H, R(-pi/2) and H included
+    # F = 2<psi_0|psi_1> read off the ancilla halves against the full circuits, H, R(-pi/2) and H included.
+    # Stream-exact: it pins the streams SeedSequence([11, member, quadrature]), one binomial call of
+    # default_rng on each, over the whole grid
     init = initial_state(model)
     assert len(init) == members
     drawn = {}
@@ -170,22 +169,29 @@ def test_hadamard_matches_gate_level_circuits(monkeypatch, model, members):
         return drawn[seed]
 
     monkeypatch.setattr(genfunc, "sample_ancilla", recorded)
-    for grid, n_steps in (([0.0], 1), ([0.0, 0.7], 5), ([0.0, 1.9], 3)):
+    for grid, n_steps in (([0.0], 1), ([0.0, 0.7], 5), ([0.0, 0.7, 1.9], 3)):
+        p0 = gate_level_p0(model, init, grid, n_steps)
         est = gf_series(model, init, grid, n_steps_policy=n_steps)
-        for k, t in enumerate(grid):
-            oracle, _ = gate_level_hadamard(model, init, t, n_steps, 0, 0)
-            assert abs(est.re[k] - oracle[0]) < 1e-12 and abs(est.im[k] - oracle[1]) < 1e-12
+        exact = sum(weight * (2.0 * member_p0 - 1.0) for weight, member_p0 in zip(init.weights, p0))
+        assert np.abs(est.re - exact[0]).max() < 1e-12 and np.abs(est.im - exact[1]).max() < 1e-12
         drawn.clear()
         est = gf_series(model, init, grid, n_steps_policy=n_steps, shots=3000, seed=11)
-        expected = {}
-        for k, t in enumerate(grid):  # point k draws on the sub-seeds of derive_seed(seed, k)
-            oracle, point_drawn = gate_level_hadamard(model, init, t, n_steps, 3000, derive_seed(11, k))
-            expected.update(point_drawn)
-            assert (est.re[k], est.im[k]) == (oracle[0], oracle[1])
-        assert drawn == expected and len(expected) == 2 * len(init) * len(grid)
+        per_member = 3000 // members
+        expected = {
+            (11, m, quad): np.random.default_rng(np.random.SeedSequence([11, m, quad])).binomial(per_member, p0[m, quad])
+            for m in range(members)
+            for quad in (0, 1)
+        }
+        assert drawn.keys() == expected.keys()  # one call per member and quadrature
+        for seed, n0 in expected.items():
+            assert np.array_equal(drawn[seed], (n0 - (per_member - n0)) / per_member)
+        mixture = sum(weight * np.array([drawn[(11, m, quad)] for quad in (0, 1)]) for m, weight in enumerate(init.weights))
+        assert np.array_equal(est.re, mixture[0]) and np.array_equal(est.im, mixture[1])
 
 
 def test_hadamard_sampled_within_error_bars():
+    # 5 standard errors on each quadrature: a false-failure rate of 2.7e-7 over 400 seeds
+    # (tools/stochastic_rates.py).  Power against p0 read 0.01 high by the sampler: 0.03
     model, dense, init = two_level()
     t = 0.7
     exact = gf_exact(dense, init, [t]).values[0]
@@ -196,16 +202,42 @@ def test_hadamard_sampled_within_error_bars():
 
 
 def test_sampled_error_bar_matches_empirical_scatter():
-    # repeated seeds: reported standard error within 20% of the observed one
-    model, dense, init = two_level()
-    t, shots = 0.9, 2000
-    estimates, bars = [], []
-    for seed in range(100):
-        est = gf_series(model, init, [0.0, t], n_steps_policy=200, shots=shots, seed=seed)
-        estimates.append(est.re[1])
-        bars.append(est.re_err[1])
+    # repeated seeds: reported standard error within 20% of the observed one, over 400 seeds.
+    # The scatter's chi-square tails give a false-failure rate of 4.7e-7 (tools/stochastic_rates.py,
+    # 20,000 seeds); over the old 100 seeds it was 8.4e-3.  Power against error bars 25% large:
+    # 0.87 (old gate 0.72)
+    estimates, bars = scatter_draws(SCATTER_SEEDS)
     scatter = np.std(estimates, ddof=1)
-    assert np.mean(bars) == pytest.approx(scatter, rel=0.2)
+    assert np.mean(bars) == pytest.approx(scatter, rel=SCATTER_TOL)
+
+
+def test_sampled_counts_are_binomial_over_seeds():
+    # each point's shots reading 0 over seeds 0-399 against Binomial(100, p0), p0 from the
+    # statevector route, for every point and quadrature of a one-member trace.  The gate is the
+    # chi-square tail at 1e-4, its false-failure rate; over 30 blocks of 400 seeds the p-values
+    # average 0.60 (tools/stochastic_rates.py).  Power against p0 read 0.01 high: 1.0
+    chi2, dof = binomial_fit()
+    assert chi2_sf(chi2, dof) > GOF_P_MIN, f"chi2 {chi2:.1f} on {dof} degrees of freedom"
+
+
+def test_no_two_series_share_a_stream(monkeypatch):
+    # a 3-member mixture draws six series, one per member and quadrature, each on its own
+    # SeedSequence([seed, member, quadrature]): six distinct generator states and draws
+    model = HubbardModel(sites=3, hopping=1.0, onsite=1.3)
+    init = initial_state(model)
+    seeds, draws = [], []
+    real = genfunc.sample_ancilla
+
+    def recorded(p0, shots, seed):
+        seeds.append(seed)
+        draws.append(real(np.full(64, 0.5), 1, seed))  # 64 fair coins on the series' stream
+        return real(p0, shots, seed)
+
+    monkeypatch.setattr(genfunc, "sample_ancilla", recorded)
+    gf_series(model, init, [0.0, 0.1], n_steps_policy=1, shots=3000, seed=8)
+    assert seeds == [(8, m, quad) for m in range(3) for quad in (0, 1)]
+    assert len({tuple(np.random.SeedSequence(list(seed)).generate_state(4)) for seed in seeds}) == 6
+    assert len({tuple(d) for d in draws}) == 6
 
 
 def test_mixture_budget_split_and_rounding():
@@ -258,7 +290,10 @@ def test_gf_series_requires_grid_from_zero():
 
 @pytest.mark.parametrize("seed", [-1, 2**32])
 def test_gf_series_rejects_seed_outside_32_bits(seed):
-    # derive_seed keeps 32 bits of the seed, so 2**32 would sample as 0 and -1 as 2**32 - 1
+    # the config schema's range.  SeedSequence takes a seed past 32 bits as two words, so
+    # seed 2**32's member-0 Re series would draw on seed 0's member-1 Re stream
+    alias, other = (np.random.SeedSequence(words).generate_state(4) for words in ([2**32, 0, 0], [0, 1, 0]))
+    assert np.array_equal(alias, other)
     model, _, init = two_level()
     with pytest.raises(SimulationError, match="seed must lie in"):
         gf_series(model, init, [0.0, 0.5], shots=1000, seed=seed)

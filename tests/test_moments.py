@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gfsim.genfunc import GfSeries, gf_exact, gf_series, read_table
+from gfsim.genfunc import GfSeries, gf_exact, read_table
 from gfsim.krylov import build_krylov_matrices
 from gfsim.models import PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits
 from gfsim.moments import (
@@ -24,6 +24,7 @@ from gfsim.moments import (
 )
 from gfsim.statevector import SimulationError
 from conftest import _solve_fractions
+from sampled_gates import FDM_NOISY, FDM_SEEDS, fdm_problems, fdm_series
 
 
 def two_level():
@@ -146,16 +147,20 @@ def test_fdm_degrades_at_high_order():
     assert mom.errors[14] > mom.errors[6]
 
 
-@pytest.mark.parametrize("shots, noisy", [(10**4, list(range(2, 9))), (0, [])], ids=["sampled", "statevector"])
-def test_fdm_flags_the_orders_shot_noise_overwhelms(tmp_path, shots, noisy):
-    # an order is noisy when its error estimate passes a tenth of max(|moment|, E_rms^K)
-    model = PairingModel.uniform(2, 1, 1.0, 1.0)
-    series = gf_series(model, initial_state(model), 0.005 * np.arange(101), shots=shots, seed=3)
-    mom = moments_fdm(series, 8)
-    assert mom.diagnostics["noisy_orders"] == noisy
+@pytest.mark.parametrize("shots, seeds, noisy", [(10**4, FDM_SEEDS, FDM_NOISY), (0, [3], [])], ids=["sampled", "statevector"])
+def test_fdm_flags_the_orders_shot_noise_overwhelms(tmp_path, shots, seeds, noisy):
+    # an order is noisy when its error estimate passes a tenth of max(|moment|, E_rms^K).  At
+    # 10^4 shots orders 1 and 2 sit 2.8 standard deviations from that line, so one run flags a
+    # wrong list at rate 1.3e-2 (normal tails of the log margins over 2,000 seeds,
+    # tools/stochastic_rates.py); the sampled case asks each order's flag to match on 8 of the
+    # 10 seeds 3-12 instead, at rate 1.2e-5.  Power against the noise floor read 100 times small
+    # or large: 1.0, as was the one-seed gate's
+    runs = [moments_fdm(fdm_series(seed, shots), 8) for seed in seeds]
+    assert fdm_problems([mom.diagnostics["noisy_orders"] for mom in runs], noisy) == []
+    mom = runs[0]
     mom.to_csv(tmp_path / "moments.csv")
     meta, _, _ = read_table(tmp_path / "moments.csv")
-    assert meta["noisy_orders"] == str(noisy)
+    assert meta["noisy_orders"] == str(mom.diagnostics["noisy_orders"])
 
 
 def test_fourier_grid_rule():

@@ -8,7 +8,6 @@ from gfsim.statevector import (
     ancilla_probability,
     apply_gate,
     controlled_matrix,
-    derive_seed,
     hadamard,
     pauli_x,
     phase_gate,
@@ -174,10 +173,11 @@ def test_sampling_converges_to_expectation():
     assert abs(bias - exact) < 5.0 / np.sqrt(shots)
 
 
-@pytest.mark.parametrize("path", [(0,), (2**32 - 1, 0, 1), (7, 2**40 + 3, 2**64 + 5)], ids=["zero", "top", "wide"])
-def test_derive_seed_equals_the_masked_int_list(path):
-    # a uint32 array and the list of masked Python ints are the same SeedSequence entropy,
-    # each int below 2^32 one word, so every sub-seed stays what it was
-    entropy = [p & 0xFFFFFFFF for p in path]
-    expected = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-    assert derive_seed(*path) == expected
+def test_sampling_a_series_is_one_binomial_call():
+    # stream-exact: the whole series is one binomial call of default_rng(seed), here the stream of
+    # SeedSequence([5, 1, 0]); p0 is clipped to [0, 1] first, so a p0 rounded past either end draws a certain outcome
+    p0 = np.array([-1e-17, 0.0, 0.3, 0.5, 0.9, 1.0, 1.0 + 1e-16])
+    biases = sample_ancilla(p0, 1000, (5, 1, 0))
+    n0 = np.random.default_rng(np.random.SeedSequence([5, 1, 0])).binomial(1000, np.clip(p0, 0.0, 1.0))
+    assert np.array_equal(biases, (n0 - (1000 - n0)) / 1000)
+    assert biases[0] == biases[1] == -1.0 and biases[-2] == biases[-1] == 1.0
