@@ -414,7 +414,7 @@ def test_readout_recovery_improves_with_shots():
     # shot-level recovery error shrinks like 1/sqrt(shots): the ratio of the rms errors at
     # 10^5 and 10^3 shots reads 0.10 on average.  Below 0.25 over 60 seeds, the false-failure
     # rate is 4.8e-6 (the normal tail of the log ratio over 200 blocks, tools/stochastic_rates.py);
-    # the old gate, below 1/3 over 20 seeds, failed 1 of 600 blocks, 3.3e-3 over 3,000 before.
+    # the old gate, below 1/3 over 20 seeds, failed 1 of 600 blocks (10 of 3,000 in a scratch count).
     # Power against the sampler capping shots at 10^4: 0.88 (old gate 0.53)
     assert recovery_ratio() < RECOVERY_RATIO_MAX
 
