@@ -157,6 +157,15 @@ def chi2_sf(x: float, dof: int) -> float:
     return scale * fraction
 
 
+def binomial_pmf(n: int, q: float) -> np.ndarray:
+    """P(Binomial(n, q) = j) for j = 0..n."""
+    j = np.arange(n + 1)
+    if q <= 0.0 or q >= 1.0:
+        return (j == (n if q >= 1.0 else 0)).astype(float)
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+    return np.exp(log_factorial[n] - log_factorial[j] - log_factorial[n - j] + j * math.log(q) + (n - j) * math.log1p(-q))
+
+
 def binomial_fit(seeds=GOF_SEEDS) -> tuple[float, int]:
     """(chi2, dof) of the shots reading 0 over seeds against Binomial(GOF_SHOTS, p0), per point and quadrature.
 
@@ -170,16 +179,10 @@ def binomial_fit(seeds=GOF_SEEDS) -> tuple[float, int]:
     sampled = [genfunc.gf_series(model, init, GOF_GRID, n_steps_policy=8, shots=GOF_SHOTS, seed=s) for s in seeds]
     counts = np.rint((1.0 + np.array([[s.re, s.im] for s in sampled])) * GOF_SHOTS / 2.0).astype(int)
     chi2, dof = 0.0, 0
-    k = np.arange(GOF_SHOTS + 1)
-    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, GOF_SHOTS + 1)))])
     for quad in (0, 1):
         for point in range(GOF_GRID.size):
-            p = p0[quad, point]
-            if not 0.0 < p < 1.0:  # a certain outcome: one bin, nothing to fit
-                continue
-            log_comb = log_factorial[-1] - log_factorial[k] - log_factorial[GOF_SHOTS - k]
-            pmf = np.exp(log_comb + k * np.log(p) + (GOF_SHOTS - k) * np.log1p(-p))
-            observed = np.bincount(counts[:, quad, point], minlength=k.size)
+            pmf = binomial_pmf(GOF_SHOTS, p0[quad, point])  # a certain outcome makes one bin, nothing to fit
+            observed = np.bincount(counts[:, quad, point], minlength=GOF_SHOTS + 1)
             bins, expected, seen = [], 0.0, 0
             for e, o in zip(len(sampled) * pmf, observed):
                 expected, seen = expected + e, seen + o

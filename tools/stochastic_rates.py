@@ -42,18 +42,11 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def binom_pmf(n: int, q: float) -> np.ndarray:
-    """P(Binomial(n, q) = j) for j = 0..n."""
-    j = np.arange(n + 1)
-    if q <= 0.0 or q >= 1.0:
-        return (j == (n if q >= 1.0 else 0)).astype(float)
-    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
-    return np.exp(log_factorial[n] - log_factorial[j] - log_factorial[n - j] + j * math.log(q) + (n - j) * math.log1p(-q))
-
-
 def binom_sf(k: int, n: int, q: float) -> float:
     """P(Binomial(n, q) >= k)."""
-    return float(binom_pmf(n, q)[max(k, 0) :].sum())
+    from sampled_gates import binomial_pmf  # importable once main has put ROOT/tests on the path
+
+    return float(binomial_pmf(n, q)[max(k, 0) :].sum())
 
 
 def upper95(count: int, total: int) -> float:
@@ -61,7 +54,7 @@ def upper95(count: int, total: int) -> float:
     lo, hi = count / total, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        below = float(binom_pmf(total, mid)[: count + 1].sum())  # P(at most count)
+        below = 1.0 - binom_sf(count + 1, total, mid)  # P(at most count)
         lo, hi = (mid, hi) if below > 0.05 else (lo, mid)
     return hi
 
@@ -571,7 +564,7 @@ def exact_lines(sg):
     """Gates whose rate follows from the binomial alone."""
 
     # tests/test_config_cli.py::test_cmd_noise_calibrates_when_one_flip_is_set: raw Im bias at t = 0 exactly 0
-    worst = max(binom_pmf(5000, q)[2500] for q in (0.55, 0.45))
+    worst = max(sg.binomial_pmf(5000, q)[2500] for q in (0.55, 0.45))
     report(
         "tests/test_config_cli.py::test_cmd_noise_calibrates_when_one_flip_is_set",
         "raw Im bias at t = 0 nonzero (5,000 shots; reported 0 with probability 0.55 or 0.45)",
