@@ -110,7 +110,9 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     the stack in place through two more (P, C) buffers, its gathered
     partners and its gathered coefficients, so the pass holds 3 P C complex
     numbers (48 P C bytes) and allocates none per gate; a step's G gathers
-    G C int64 indices.
+    G C int64 indices.  The gathers take mode="clip": every index is in
+    range (the searchsorted check above), and numpy's default "raise" copies
+    `out` through a fresh temporary on each call.
     """
     n = member.n_qubits
     if n != model.n_qubits:
@@ -139,13 +141,13 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     for _ in range(n_steps if moving.any() else 0):  # an empty stack has nothing to evolve
         for g, (a, b) in enumerate(pairs.tolist()):
             # block = diag[:, g, cols] * block + off[:, g, cols] * block[:, gather[g]], in place
-            np.take(block, gather[g], axis=1, out=taken)
-            np.multiply(np.take(off[:, g], cols, axis=1, out=coef), taken, out=taken)
-            np.multiply(np.take(diag[:, g], cols, axis=1, out=coef), block, out=block)
+            np.take(block, gather[g], axis=1, out=taken, mode="clip")
+            np.multiply(np.take(off[:, g], cols, axis=1, out=coef, mode="clip"), taken, out=taken)
+            np.multiply(np.take(diag[:, g], cols, axis=1, out=coef, mode="clip"), block, out=block)
             block += taken
             for own, other, partner_q in (slots[a],) if a == b else (slots[a], slots[b]):
                 # block = own * block + other * block[:, partner_q]
-                np.multiply(other, np.take(block, partner_q, axis=1, out=taken), out=taken)
+                np.multiply(other, np.take(block, partner_q, axis=1, out=taken, mode="clip"), out=taken)
                 np.multiply(own, block, out=block)
                 block += taken
     on_diagonal = rows == cols

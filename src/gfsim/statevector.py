@@ -150,11 +150,12 @@ def ancilla_probability(state: StateVector, ancilla: int) -> float:
     return float((total - p1) / total)
 
 
-def sample_ancilla(p0, shots: int, seed) -> np.ndarray:
+def sample_ancilla(p0, shots: int, seed) -> np.ndarray | float:
     """(n0 - n1) / shots, the estimate of p0 - p1, at each p0 of a series, n0 ~ Binomial(shots, p0 clipped to [0, 1]).
 
     The whole series is one `binomial` call of the generator `default_rng(seed)`;
     seed is anything `SeedSequence` takes, such as (seed, member, quadrature).
+    An array p0 gives an array of the same shape, a scalar p0 a scalar.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")

@@ -12,11 +12,12 @@ Every statistic calls gfsim through its module attributes (`genfunc.gf_series`,
 reaches it.
 """
 
+import functools
 import json
-import math
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import binom, chi2
 
 from gfsim import cli, genfunc, moments, noise
 from gfsim.config import NOISE_PRESET, RunConfig
@@ -61,12 +62,12 @@ def criterion1_pairs(seed_pairing=101, seed_hubbard=202):
     return pairs
 
 
-def sigma_problems(points, misses, chi2, signed) -> list[str]:
+def sigma_problems(points, misses, sum_z2, signed) -> list[str]:
     problems = []
     if (points - misses) / points < SHARE_MIN:
         problems.append(f"{points - misses}/{points} points within {SIGMA_GATE:g} sigma")
-    if chi2 > CHI2_MAX:
-        problems.append(f"chi2 {chi2:.1f} > {CHI2_MAX:g}")
+    if sum_z2 > CHI2_MAX:
+        problems.append(f"chi2 {sum_z2:.1f} > {CHI2_MAX:g}")
     if abs(signed) > SIGNED_MAX:
         problems.append(f"signed z sum {signed:.2f} outside +-{SIGNED_MAX:g}")
     return problems
@@ -124,48 +125,6 @@ GOF_SEEDS = range(400)
 GOF_P_MIN = 1e-4  # the chi-square tail probability below which the fit fails
 
 
-def chi2_sf(x: float, dof: int) -> float:
-    """P(chi2 with dof degrees of freedom > x): the regularized gamma function Q(dof/2, x/2).
-
-    Its lower series below x/2 = dof/2 + 1, the continued fraction of Q above (Lentz's method).
-    """
-    if dof == 0 or x <= 0:
-        return 1.0
-    a, h = dof / 2.0, x / 2.0
-    scale = math.exp(a * math.log(h) - h - math.lgamma(a))
-    if h < a + 1.0:
-        term = total = 1.0 / a
-        n = 0
-        while term > 1e-17 * total:
-            n += 1
-            term *= h / (a + n)
-            total += term
-        return max(0.0, 1.0 - scale * total)
-    tiny = 1e-300
-    b = h + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    fraction = d
-    for i in range(1, 10000):
-        an, b = -i * (i - a), b + 2.0
-        d = an * d + b
-        c = b + an / c
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = c if abs(c) > tiny else tiny
-        fraction *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            break
-    return scale * fraction
-
-
-def binomial_pmf(n: int, q: float) -> np.ndarray:
-    """P(Binomial(n, q) = j) for j = 0..n."""
-    j = np.arange(n + 1)
-    if q <= 0.0 or q >= 1.0:
-        return (j == (n if q >= 1.0 else 0)).astype(float)
-    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
-    return np.exp(log_factorial[n] - log_factorial[j] - log_factorial[n - j] + j * math.log(q) + (n - j) * math.log1p(-q))
-
-
 def binomial_fit(seeds=GOF_SEEDS) -> tuple[float, int]:
     """(chi2, dof) of the shots reading 0 over seeds against Binomial(GOF_SHOTS, p0), per point and quadrature.
 
@@ -178,10 +137,10 @@ def binomial_fit(seeds=GOF_SEEDS) -> tuple[float, int]:
     p0 = (1.0 + np.array([exact.re, exact.im])) / 2.0
     sampled = [genfunc.gf_series(model, init, GOF_GRID, n_steps_policy=8, shots=GOF_SHOTS, seed=s) for s in seeds]
     counts = np.rint((1.0 + np.array([[s.re, s.im] for s in sampled])) * GOF_SHOTS / 2.0).astype(int)
-    chi2, dof = 0.0, 0
+    stat, dof = 0.0, 0
     for quad in (0, 1):
         for point in range(GOF_GRID.size):
-            pmf = binomial_pmf(GOF_SHOTS, p0[quad, point])  # a certain outcome makes one bin, nothing to fit
+            pmf = binom.pmf(np.arange(GOF_SHOTS + 1), GOF_SHOTS, p0[quad, point])  # a certain outcome: one bin
             observed = np.bincount(counts[:, quad, point], minlength=GOF_SHOTS + 1)
             bins, expected, seen = [], 0.0, 0
             for e, o in zip(len(sampled) * pmf, observed):
@@ -192,9 +151,9 @@ def binomial_fit(seeds=GOF_SEEDS) -> tuple[float, int]:
             if bins:
                 bins[-1][0] += expected
                 bins[-1][1] += seen
-            chi2 += sum((o - e) ** 2 / e for e, o in bins)
+            stat += sum((o - e) ** 2 / e for e, o in bins)
             dof += max(len(bins) - 1, 0)
-    return chi2, dof
+    return stat, dof
 
 
 # -- FDM's noisy-order flags on a sampled trace --
@@ -273,6 +232,13 @@ def recovery_ratio(seeds=RECOVERY_SEEDS) -> float:
 MITIGATION_GRID = np.arange(0.0, 0.4001, 0.02)
 
 
+@functools.cache
+def preset_exact() -> genfunc.GfSeries:
+    """The preset's exact series on MITIGATION_GRID (the same for every seed)."""
+    model, init = two_level()
+    return genfunc.gf_exact(build_dense(pairing_to_qubits(model)), init, MITIGATION_GRID)
+
+
 def mitigated_preset(seed, shots=10**5, cfg=PRESET_NOISE):
     """(raw, mitigated, exact) series of the cfg noise on the preset's grid, mitigated as `gfsim noise` does."""
     model, init = two_level()
@@ -284,25 +250,73 @@ def mitigated_preset(seed, shots=10**5, cfg=PRESET_NOISE):
     re0, _ = noise.mitigate_readout(raw.re[0], cfg)
     im0, _ = noise.mitigate_readout(raw.im[0], cfg)
     mitigated = noise.mitigate_series(raw, cfg, noise.calibrate_reference(re0, im0))
-    exact = genfunc.gf_exact(build_dense(pairing_to_qubits(model)), init, MITIGATION_GRID)
-    return raw, mitigated, exact
+    return raw, mitigated, preset_exact()
+
+
+def rms_ratio(raw, mitigated, exact) -> float:
+    def rms(s):
+        return np.sqrt(np.mean(np.concatenate([s.re - exact.re, s.im - exact.im]) ** 2))
+
+    return float(rms(mitigated) / rms(raw))
+
+
+def rms_and_band_problems(raw, mitigated, exact) -> list[str]:
+    """rms ratio <= 0.3 and |F| inside 1 + 3 sigma at every point."""
+    problems = []
+    if rms_ratio(raw, mitigated, exact) > 0.3:
+        problems.append(f"rms ratio {rms_ratio(raw, mitigated, exact):.3f}")
+    mag = np.hypot(mitigated.re, mitigated.im)
+    if np.any(mag > 1.0 + 3.0 * np.maximum(mitigated.re_err, mitigated.im_err) + 1e-12):
+        problems.append(f"|F| up to {mag.max():.5f}")
+    return problems
 
 
 def mitigation_problems(raw, mitigated, exact) -> list[str]:
     """rms ratio <= 0.3, F(0) restored within 3 sigma, |F| inside 1 + 3 sigma at every point."""
-
-    def rms(s):
-        return np.sqrt(np.mean(np.concatenate([s.re - exact.re, s.im - exact.im]) ** 2))
-
-    problems = []
-    if rms(mitigated) > 0.3 * rms(raw):
-        problems.append(f"rms ratio {rms(mitigated) / rms(raw):.3f}")
+    problems = rms_and_band_problems(raw, mitigated, exact)
     bars = [max(err[0], 1e-6) for err in (mitigated.re_err, mitigated.im_err)]
     if abs(mitigated.re[0] - 1.0) > 3 * bars[0] or abs(mitigated.im[0]) > 3 * bars[1]:
         problems.append(f"F(0) = ({mitigated.re[0]:.5f}, {mitigated.im[0]:.5f})")
-    mag = np.hypot(mitigated.re, mitigated.im)
-    if np.any(mag > 1.0 + 3.0 * np.maximum(mitigated.re_err, mitigated.im_err) + 1e-12):
-        problems.append(f"|F| up to {mag.max():.5f}")
+    return problems
+
+
+# -- mitigation where the calibration clips: the flips alone --
+
+CLIPPED_SEEDS = range(20)
+CLIPPED_TAIL = 1e-4  # each tail of the chi-square that the clipped seeds' F(0) z^2 sum must sit inside
+
+
+def clipped_mitigation_rows(seeds=CLIPPED_SEEDS) -> list[tuple[list[str], bool, float]]:
+    """Per seed of the flips alone at 10^5 shots: (problems of its own, whether its calibration clipped, F(0)'s z).
+
+    Re's true t = 0 bias is 1, so its readout inversion clips on about half
+    the seeds.  An unclipped calibration maps F(0) to (1, 0) exactly.  A
+    clipped one takes Re F(0) = 1 for the inversion c > 1, which leaves the
+    mitigated Re F(0) at 1 + (c - 1) / r: its z = (Re F(0) - 1) / bar is the
+    positive half of a standard normal.  Im F(0) is 0 exactly either way.
+    """
+    rows = []
+    for seed in seeds:
+        raw, mitigated, exact = mitigated_preset(seed, cfg=READOUT)
+        problems = rms_and_band_problems(raw, mitigated, exact)
+        clipped = noise.mitigate_readout(raw.re[0], READOUT)[1]
+        z = (mitigated.re[0] - 1.0) / mitigated.re_err[0]
+        if abs(mitigated.im[0]) > 1e-12 or (not clipped and abs(mitigated.re[0] - 1.0) > 1e-12):
+            problems.append(f"F(0) = ({mitigated.re[0]:.5f}, {mitigated.im[0]:.5f}), calibration clipped {clipped}")
+        rows.append(([f"seed {seed}: {p}" for p in problems], clipped, z))
+    return rows
+
+
+def clipped_mitigation_problems(rows) -> list[str]:
+    """Each seed's own problems; both outcomes of the clip; the clipped seeds' sum of z^2 inside
+    both CLIPPED_TAIL tails of the chi-square on as many degrees of freedom."""
+    problems = [p for own, _, _ in rows for p in own]
+    z = np.array([z for _, clipped, z in rows if clipped])
+    if z.size in (0, len(rows)):
+        return problems + [f"the calibration clipped on {z.size} of {len(rows)} seeds"]
+    total = float(np.sum(z**2))
+    if min(chi2.sf(total, z.size), chi2.cdf(total, z.size)) < CLIPPED_TAIL:
+        problems.append(f"clipped seeds' F(0) z^2 sum {total:.2f} on {z.size} dof")
     return problems
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gfsim import genfunc
 from gfsim.genfunc import GfSeries, gf_exact, gf_series, hadamard_test_circuit
@@ -13,7 +14,7 @@ from gfsim.models import (
 )
 from gfsim.statevector import SimulationError, StateVector, ancilla_probability
 from gfsim.trotter import trotter_step
-from sampled_gates import GOF_P_MIN, SCATTER_SEEDS, SCATTER_TOL, binomial_fit, chi2_sf, scatter_draws
+from sampled_gates import GOF_P_MIN, SCATTER_SEEDS, SCATTER_TOL, binomial_fit, scatter_draws
 
 SQRT2 = np.sqrt(2.0)
 
@@ -212,12 +213,12 @@ def test_sampled_error_bar_matches_empirical_scatter():
 
 
 def test_sampled_counts_are_binomial_over_seeds():
-    # each point's shots reading 0 over seeds 0-399 against Binomial(100, p0), p0 from the
+    # each point's shots reading 0 over seeds 0-399 against Binomial(10^4, p0), p0 from the
     # statevector route, for every point and quadrature of a one-member trace.  The gate is the
     # chi-square tail at 1e-4, its false-failure rate; over 30 blocks of 400 seeds the p-values
     # average 0.60 (tools/stochastic_rates.py).  Power against p0 read 0.01 high: 1.0
-    chi2, dof = binomial_fit()
-    assert chi2_sf(chi2, dof) > GOF_P_MIN, f"chi2 {chi2:.1f} on {dof} degrees of freedom"
+    stat, dof = binomial_fit()
+    assert chi2.sf(stat, dof) > GOF_P_MIN, f"chi2 {stat:.1f} on {dof} degrees of freedom"
 
 
 def test_no_two_series_share_a_stream(monkeypatch):

@@ -28,7 +28,15 @@ from gfsim.statevector import (
     ancilla_probability,
     sample_ancilla,
 )
-from sampled_gates import RECOVERY_RATIO_MAX, mitigated_preset, mitigation_problems, preset_biases, recovery_ratio
+from sampled_gates import (
+    RECOVERY_RATIO_MAX,
+    clipped_mitigation_problems,
+    clipped_mitigation_rows,
+    mitigated_preset,
+    mitigation_problems,
+    preset_biases,
+    recovery_ratio,
+)
 
 CONFUSION = np.array([[0.95, 0.10], [0.05, 0.90]])
 READOUT = NoiseModel(p01=0.05, p10=0.10)  # CONFUSION's flips: C[1,0] = p01, C[0,1] = p10
@@ -466,11 +474,24 @@ def test_mitigated_series_beats_raw_on_preset():
     # the preset's noise (its flips and p_dep = 0.002) at 10^5 shots: rms ratio <= 0.3, F(0)
     # restored within 3 sigma, and |F| inside 1 + 3 sigma.  No seed of 4,000 fails
     # (tools/stochastic_rates.py).  The old test ran the flips alone, where the t = 0 readout
-    # inversion clips on half the seeds and F(0) then fails its 3 sigma on 4 of 4,000.  Power
-    # against the reference correction skipped: 0.58 (old 0.002, as the flips' inversion alone
-    # already restores F(0))
+    # inversion clips on half the seeds and F(0) then fails its 3 sigma on 4 of 4,000; that case
+    # is the next test's.  Power against the reference correction skipped: 0.58 (old 0.002, as
+    # the flips' inversion alone already restores F(0))
     raw, mitigated, exact = mitigated_preset(seed=2)
     assert mitigation_problems(raw, mitigated, exact) == []
+
+
+def test_mitigation_where_the_calibration_clips():
+    # the flips alone at 10^5 shots over seeds 0-19: Re's t = 0 readout inversion clips on about
+    # half of them.  Each seed: rms ratio <= 0.3, |F| inside 1 + 3 sigma, and F(0) = (1, 0) exactly
+    # where the clip did not act.  Over the seeds: the clip acts on some and not on all, and the
+    # clipped seeds' F(0) z^2, half-normal z each, sums inside both 1e-4 tails of the chi-square.
+    # False-failure rate at most 8e-4 (2e-4 of chi-square tails, 2e-6 for all seeds alike, and
+    # 6e-4 from 0 of 10^5 seeds failing a check of their own); 2 of 5,000 blocks of 20 seeds fail
+    # (tools/stochastic_rates.py).  The old test, the flips alone at seed 2 with F(0) within
+    # 3 sigma, failed on 1.3e-3 of seeds.  Power against mitigate_readout's clip dropped: 1.0
+    # (old 0); against the reference correction skipped: 1.0 (old 0.008)
+    assert clipped_mitigation_problems(clipped_mitigation_rows()) == []
 
 
 def test_error_bars_scaled_by_inverse_maps():
