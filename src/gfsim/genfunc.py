@@ -135,12 +135,20 @@ class GfSeries:
         self.validate()
 
     def validate(self):
-        mag = np.hypot(self.re, self.im)
-        slack = 3.0 * np.maximum(self.re_err, self.im_err)
-        bad = np.nonzero(mag > 1.0 + slack + 1e-12)[0]
-        if bad.size:
-            k = bad[0]
-            raise SimulationError(f"|F| = {mag[k]:.6f} exceeds 1 beyond error bars at t = {self.t[k]:g}")
+        """Refuse what the route cannot give.
+
+        An exact or statevector F is <psi|U|psi>, so |F| <= 1.  A sampled or
+        noisy quadrature is a shot-weighted mixture of ancilla biases
+        (n0 - n1) / shots, each in [-1, 1], so its |F| may reach sqrt(2).  A
+        mitigated point may leave [-1, 1] (`noise.mitigate_series`).
+        """
+        bounded = {"exact": ("|F|",), "statevector": ("|F|",), "sampled": ("|re|", "|im|"), "noisy": ("|re|", "|im|")}
+        sizes = {"|F|": np.hypot(self.re, self.im), "|re|": np.abs(self.re), "|im|": np.abs(self.im)}
+        for name in bounded.get(self.route, ()):
+            bad = np.nonzero(sizes[name] > 1.0 + 1e-12)[0]
+            if bad.size:
+                k = bad[0]
+                raise SimulationError(f"{name} = {sizes[name][k]:.6f} exceeds 1 at t = {self.t[k]:g}")
         if self.route == "exact" and self.t.size and self.t[0] == 0.0:
             if abs(self.re[0] - 1.0) > 1e-12 or abs(self.im[0]) > 1e-12:
                 raise SimulationError("exact route must have F(0) = 1")

@@ -31,15 +31,17 @@ gate of both factorizations is diagonal or acts only inside {|01>, |10>}, so
 the amplitudes outside those sectors are zero and stay exactly zero;
 Hubbard-4's mixture, for one, evolves on the 36 states of its (2, 2) sector,
 not the 70 of weight 4.  The step matrix is built on the sectors alone,
-starting from their identity: a gate scales each sector state by its diagonal
-entry and mixes in the one partner state that differs on the two targets.  A
-gate that couples a sector state to a partner outside the sectors raises
+starting from the product of the leading gates that couple nothing (pairing's
+level phases): a gate scales each sector state by its diagonal entry and mixes
+in the one partner state that differs on the two targets, in place.  A gate
+that couples a sector state to a partner outside the sectors raises
 `SimulationError` instead of leaking amplitude.
 
 The propagator is memoized for one (model, t, n_steps, occupied sectors) key
 by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
-one time point share one build.  A `PairingModel` is keyed by identity (its
-arrays are read-only copies), a `HubbardModel` by value.
+one time point share one build, and the sector basis for a few (model,
+sectors) keys.  A `PairingModel` is keyed by identity (its arrays are
+read-only copies), a `HubbardModel` by value.
 
 The gate-level `Circuit`, a tuple of `GateMatrix` that `controlled` turns into
 gates on (ancilla, *targets), is the oracle the sector step is tested against.
@@ -203,12 +205,36 @@ def _sector_step(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
     basis is a sorted union of whole conserved sectors (`models.sector_labels`);
-    `_gate_action` gives each gate's action on it.
+    `_gate_action` gives each gate's action on it.  The leading tables that
+    couple no basis state only scale the identity's diagonal, so the matrix
+    starts from their product, diag(prefix).  Each later table updates it in
+    place through one d x d buffer of gathered partners (mode="clip": every
+    index is in range, and the default "raise" copies `out` through a
+    temporary).  The result is bit for bit the product d * cols + o * cols[p]
+    taken table by table from eye(d).
     """
-    cols = np.eye(basis.size, dtype=complex)  # the transpose, so partners are gathered as contiguous rows
-    for d, o, p in zip(*_gate_action(diag, off, pairs, basis)):
-        cols = d[:, None] * cols + o[:, None] * cols[p]
+    diag, off, partner = _gate_action(diag, off, pairs, basis)
+    coupling = np.flatnonzero(np.any(off, axis=1))
+    lead = coupling[0] if coupling.size else len(diag)
+    prefix = np.ones(basis.size, dtype=complex)
+    for d in diag[:lead]:
+        prefix = d * prefix
+    cols = np.diag(prefix)  # the transpose, so partners are gathered as contiguous rows
+    taken = np.empty_like(cols)
+    for d, o, p in zip(diag[lead:], off[lead:], partner[lead:]):
+        np.take(cols, p, axis=0, out=taken, mode="clip")
+        np.multiply(o[:, None], taken, out=taken)
+        np.multiply(d[:, None], cols, out=cols)
+        cols += taken
     return cols.T
+
+
+@functools.lru_cache(maxsize=8)
+def _sector_basis(model, sectors: tuple[int, ...]) -> np.ndarray:
+    """The sorted, read-only basis of the model's given sectors, held per (model, sectors), not built per point."""
+    basis = np.flatnonzero(np.isin(sector_labels(model, np.arange(1 << model.n_qubits)), sectors))
+    basis.setflags(write=False)
+    return basis
 
 
 @functools.lru_cache(maxsize=1)
@@ -219,9 +245,8 @@ def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tupl
     and its id reused while its entry lives; both arrays are read-only, as
     every caller with this key gets the same ones.
     """
-    basis = np.flatnonzero(np.isin(sector_labels(model, np.arange(1 << model.n_qubits)), sectors))
+    basis = _sector_basis(model, sectors)
     power = np.linalg.matrix_power(_sector_step(*_step_gates(model, t / n_steps), basis), n_steps)
-    basis.setflags(write=False)
     power.setflags(write=False)
     return basis, power
 

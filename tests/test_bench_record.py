@@ -24,13 +24,18 @@ def recorder():
     return module
 
 
-def checkouts(tmp_path, recorder, monkeypatch, shas):
-    """Parent and change directories; each perfbench run reports its side's sha from `shas`."""
+def checkouts(tmp_path, recorder, monkeypatch, shas, calls=None):
+    """Parent and change directories; each perfbench run reports its side's sha from `shas`.
+
+    Each run's command and keyword arguments are appended to `calls` if given.
+    """
     for side in shas:
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
 
     def run(cmd, cwd, **kwargs):
+        if calls is not None:
+            calls.append((cmd, kwargs))
         if "pytest" in cmd:
             return subprocess.CompletedProcess(cmd, 0, stdout="3 passed in 0.01s\n", stderr="")
         report = {
@@ -78,3 +83,24 @@ def test_refuses_to_write_without_a_commit_id(tmp_path, recorder, monkeypatch, c
     assert recorder.main([*argv, "--out", str(out)]) == 1
     assert not out.exists()
     assert f"no git_sha in the provenance of {missing}" in capsys.readouterr().err
+
+
+def test_every_run_writes_no_bytecode(tmp_path, recorder, monkeypatch):
+    calls = []
+    argv = checkouts(tmp_path, recorder, monkeypatch, {"parent": "aaa", "change": "bbb"}, calls)
+    assert recorder.main([*argv, "--out", str(tmp_path / "BENCH.json")]) == 0
+    assert len(calls) == 2 * len(recorder.SEEDS) + 2 * recorder.TIER1_PAIRS
+    assert all(kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1" for _, kwargs in calls)
+
+
+@pytest.mark.parametrize("compiled", ["parent", "change"])
+def test_refuses_a_checkout_with_compiled_bytecode(tmp_path, recorder, monkeypatch, capsys, compiled):
+    # a side whose gfsim is already compiled would read a smaller setup_s than the other
+    calls = []
+    argv = checkouts(tmp_path, recorder, monkeypatch, {"parent": "aaa", "change": "bbb"}, calls)
+    cache = tmp_path / compiled / "src" / "gfsim" / "__pycache__"
+    cache.mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    assert recorder.main([*argv, "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    assert str(cache) in capsys.readouterr().err

@@ -312,6 +312,32 @@ def test_series_magnitude_validation():
         )
 
 
+@pytest.mark.parametrize("shots, seed", [(100, 918), (100, 2102), (8, 17)])
+def test_valid_shot_noise_is_a_series(shots, seed):
+    # these draws put |F| above 1 + 3 error bars: 1.20 and 1.22 at t = 0.3 where the
+    # exact |F| is 0.957, and at 8 shots Re = Im = +-1 with zero error bars, |F| = sqrt 2.
+    # Each quadrature is a bias in [-1, 1], so the series is valid
+    model, _, init = two_level()
+    series = gf_series(model, init, [0.0, 0.3, 0.6, 0.9, 1.2], n_steps_policy=8, shots=shots, seed=seed)
+    assert np.hypot(series.re, series.im).max() > 1.2
+    assert np.abs(np.concatenate([series.re, series.im])).max() <= 1.0
+
+
+def test_each_route_refuses_what_it_cannot_give():
+    # |F| = 1.01 with both quadratures in [-1, 1]: a fact broken on the statevector route
+    # only; a quadrature of 1.01 on a sampled or noisy one, however wide its error bars
+    zeros, wide = np.zeros(2), np.full(2, 0.5)
+    t, re, im = [0.0, 1.0], [1.0, 0.606], [0.0, 0.808]
+    with pytest.raises(SimulationError, match=r"\|F\| = 1\.010000 exceeds 1 at t = 1"):
+        GfSeries(t, re, im, zeros, zeros, route="statevector")
+    for route in ("sampled", "noisy"):
+        GfSeries(t, re, im, wide, wide, shots=100, route=route)
+        with pytest.raises(SimulationError, match=r"\|re\| = 1\.010000 exceeds 1 at t = 1"):
+            GfSeries(t, [1.0, 1.01], [0.0, 0.0], wide, wide, shots=100, route=route)
+    # mitigation may leave [-1, 1] (noise.mitigate_series)
+    GfSeries(t, [1.0, 1.5], [0.0, -1.5], wide, wide, shots=100, route="mitigated")
+
+
 def test_csv_round_trip(tmp_path):
     model, dense, init = two_level()
     series = gf_series(model, init, np.linspace(0, 1, 5), n_steps_policy=32, shots=300, seed=2)

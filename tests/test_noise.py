@@ -572,7 +572,7 @@ def test_bias_space_mitigation_matches_the_pair_pipeline(p01, p10, f0_re, f0_im,
     assume(abs(pair_re0 - pair_im0) >= 0.05)
     gain /= abs(pair_re0 - pair_im0)
     re, im = np.array(series).T
-    # error bars wide enough for GfSeries' |F| <= 1 check whatever the maps do
+    # any error bars do: the check below reads how the maps scale them
     raw = GfSeries(np.arange(re.size) * 0.1, re, im, np.full(re.size, 2.0), np.full(re.size, 3.0), route="noisy")
     out = mitigate_series(raw, readout, calibrate_reference(re0, im0))
     reference = _pair_reference(pair_re0, pair_im0)

@@ -17,12 +17,14 @@ from gfsim.models import (
     build_dense,
     initial_state,
     pairing_to_qubits,
+    sector_labels,
     to_qubits,
 )
 from gfsim.noise import _coherence_p0
 from gfsim.statevector import GateMatrix, SimulationError, StateVector
 from gfsim.trotter import (
     Circuit,
+    _gate_action,
     _sector_step,
     _step_gates,
     controlled_evolve,
@@ -389,22 +391,57 @@ def test_non_finite_gate_angles_raise_on_both_routes(model):
         _coherence_p0(member, model, [0.0, 0.4], 2, 0.01)
 
 
+def conserving_gate(targets, couples, rng):
+    """Random phases on the targets' local states; a coupling 2-qubit gate also mixes 01 and 10."""
+    matrix = np.diag(np.exp(1j * rng.normal(size=1 << len(targets))))
+    if couples:
+        matrix[1:3, 1:3], _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return GateMatrix(matrix, targets)
+
+
 def test_sector_step_matches_gate_level_on_general_conserving_gates():
     # the Trotter blocks are symmetric; these are not, so a transposed
-    # coupling or a swapped target order shows up
+    # coupling or a swapped target order shows up.  The three orders: every
+    # table diagonal (the prefix is the whole step), the first gate coupling
+    # (no prefix), and a prefix with diagonal gates between coupling ones
     rng = np.random.default_rng(8)
-    gates = []
-    for targets in ((0, 2), (2, 1), (1,)):
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        if len(targets) == 1:
-            matrix = np.diag(np.exp(1j * rng.normal(size=2)))
-        else:
-            matrix = np.diag(np.exp(1j * rng.normal(size=4)))
-            matrix[1:3, 1:3] = q
-        gates.append(GateMatrix(matrix, targets))
-    circuit = Circuit(tuple(gates), 3)
+    orders = [
+        [((1,), False), ((0, 2), False), ((2,), False)],
+        [((0, 2), True), ((2, 1), True), ((1,), False)],
+        [((2,), False), ((0, 1), False), ((0, 2), True), ((1,), False), ((2, 1), False), ((2, 1), True)],
+    ]
     basis = np.arange(8)
-    assert np.abs(_sector_step(*gate_tables(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
+    for gates in orders:
+        circuit = Circuit(tuple(conserving_gate(targets, couples, rng) for targets, couples in gates), 3)
+        assert np.abs(_sector_step(*gate_tables(circuit), basis) - circuit_matrix(circuit).T).max() < 1e-14
+
+
+def expression_step(diag, off, pairs, basis):
+    """The step from eye(d), one new matrix per table: the product the kernel must equal bit for bit."""
+    cols = np.eye(basis.size, dtype=complex)
+    for d, o, p in zip(*_gate_action(diag, off, pairs, basis)):
+        cols = d[:, None] * cols + o[:, None] * cols[p]
+    return cols.T
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PairingModel.uniform(8, 4, 1.0, 1.0),
+        HubbardModel(sites=4, hopping=1.0, onsite=1.0),
+        PairingModel.uniform(4, 2, 1.0, 1.0),
+    ],
+    ids=["pairing-8", "hubbard-4", "pairing-4"],
+)
+@pytest.mark.parametrize("dt", [2e-3, 0.0625 / 3, 0.5])
+def test_sector_step_equals_the_step_from_the_identity(model, dt):
+    # the trace's and the chain's FDM models on their default sectors: folding the
+    # leading diagonal tables and updating in place must not move a single bit
+    member = initial_state(model).members[0]
+    sectors = tuple(sorted(set(sector_labels(model, np.flatnonzero(member.amplitudes)).tolist())))
+    basis = trotter._sector_basis(model, sectors)
+    tables = _step_gates(model, dt)
+    assert np.array_equal(_sector_step(*tables, basis), expression_step(*tables, basis))
 
 
 def test_step_reuse_follows_the_occupied_sectors():
@@ -563,3 +600,18 @@ def test_default_states_evolve_on_their_conserved_sector(model, size):
     with recorded_bases() as bases:
         gf_series(model, initial_state(model), [0.0, 0.5])
     assert {b.size for b in bases} == {size}
+
+
+def test_sector_sets_of_one_model_get_their_own_bases():
+    # one Hubbard model, inputs on (1, 1), then (2, 1), then (1, 1) again: each sector set
+    # evolves on its own basis, and a repeated set finds the basis built for it
+    model = HubbardModel(sites=3, hopping=1.0, onsite=1.3)
+    sets = [{(1, 1)}, {(2, 1)}, {(1, 1)}]
+    with recorded_bases() as bases:
+        for k, sectors in enumerate(sets):
+            _, basis, state = hubbard_case(model, sectors, k)
+            out = evolve(state, model, 0.4 + k, 2)
+            assert np.array_equal(bases[-1], basis)
+            assert np.abs(out.amplitudes - gate_level(state, model, 0.4 + k, 2).amplitudes).max() < 1e-12
+    assert bases[0] is bases[2] and bases[0] is not bases[1]
+    assert not any(b.flags.writeable for b in bases)

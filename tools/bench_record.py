@@ -34,6 +34,12 @@ out of the counts; the recording goes on.  Runs go one at a time, so the machine
 is the only other contender: `os.getloadavg()` is recorded just before and just
 after every run, perfbench and Tier-1 alike.
 
+Every run, perfbench and Tier-1 alike, has PYTHONDONTWRITEBYTECODE=1, so a
+recording leaves no bytecode behind.  A checkout that already holds compiled
+bytecode in src/gfsim/__pycache__ would skip compiling gfsim inside its
+`setup_s` window while the other compiles it, so the recorder exits 2 before
+the first run, naming the directory, when either side has one.
+
 The file says which commits it compares through each side's `provenance.git_sha`,
 which run.py reads with `git rev-parse` in its checkout.  So both checkouts must be
 git clones, not exported trees: when either side's first successful run has no
@@ -54,6 +60,7 @@ from pathlib import Path
 
 SEEDS = list(range(1, 11))
 TIER1_PAIRS = 2
+NO_BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
@@ -64,6 +71,7 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
         cwd=checkout,
         capture_output=True,
         text=True,
+        env=dict(os.environ, **NO_BYTECODE),
     )
     load["after"] = os.getloadavg()
     if proc.returncode:
@@ -75,7 +83,7 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
 
 def tier1(checkout: Path) -> dict:
     """Wall time, summary line and load averages before and after of one Tier-1 run."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **NO_BYTECODE)
     load = {"before": os.getloadavg()}
     start = time.perf_counter()
     proc = subprocess.run(
@@ -150,6 +158,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    compiled = [side / "src" / "gfsim" / "__pycache__" for side in sides.values()]
+    compiled = [path for path in compiled if path.exists()]
+    if compiled:
+        names = " and ".join(map(str, compiled))
+        print(f"compiled bytecode in {names} would skew setup_s; remove it before recording", file=sys.stderr)
+        return 2
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     end_to_end = spec["end_to_end"]
     seconds = spec["run_seconds"]
