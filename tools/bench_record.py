@@ -159,8 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     compiled = [side / "src" / "gfsim" / "__pycache__" for side in sides.values()]
-    compiled = [path for path in compiled if path.exists()]
-    if compiled:
+    if compiled := [path for path in compiled if path.exists()]:
         names = " and ".join(map(str, compiled))
         print(f"compiled bytecode in {names} would skew setup_s; remove it before recording", file=sys.stderr)
         return 2
