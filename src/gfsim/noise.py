@@ -17,8 +17,9 @@ slot multiply X by i (1 - 4p/3), so one evolution gives both quadratures.  The
 step gates conserve the model's sectors, and a slot on qubit q mixes an entry
 of X only with the one that has q flipped on both sides, so the entries whose
 row and column share a sector evolve among themselves; they hold tr X.  Gates
-and slots alike act on those entries as coefficient tables, which
-`trotter._gate_action` gathers.  One pass over the gate sequence evolves a
+and slots alike act on those entries as coefficient tables, through the
+sector step's own partner search and update (`trotter._gate_action` and
+`trotter._apply_table`).  One pass over the gate sequence evolves a
 member's blocks on those entries at every nonzero time point together, as the
 rows of one stack (`_coherence_p0`), and `noisy_sample` draws all their shots,
 one binomial call per quadrature's series on the seed it is given; `gfsim
@@ -46,7 +47,7 @@ import numpy as np
 from .genfunc import GfSeries
 from .models import sector_labels
 from .statevector import GateMatrix, SimulationError, StateVector, apply_gate, sample_ancilla
-from .trotter import Circuit, _gate_action, _step_gates
+from .trotter import Circuit, _apply_table, _gate_action, _step_gates
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,18 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     X is held on the flat, sorted list of its C entries r 2^n + c whose row
     and column share a sector (`models.sector_labels`): C(2n, n) for pairing
     and C(2M, M)^2 for Hubbard, against 4^n.  X G^H is conj(G) on the column,
-    so each gate is one gather, X -> diag X + off X[:, partner], with
-    `_gate_action` on the conjugated `_step_gates` tables for the 2^n columns.
-    A slot on qubit q, X -> (1 - 4p/3) X + (2p/3) Tr_q X (x) I, keeps 1 - 2p/3
-    of an entry with r_q = c_q and takes 2p/3 of the entry with q flipped on
-    both sides; it damps every other entry by 1 - 4p/3.  That is a coefficient
-    table on the bit pair (n + q, q) of the flat index, which `_gate_action`
-    gathers on the C entries themselves.  The P nonzero times
+    the flat index's low n bits, so a gate is its conjugated `_step_gates`
+    table on its targets.  A slot on qubit q, X -> (1 - 4p/3) X + (2p/3)
+    Tr_q X (x) I, keeps 1 - 2p/3 of an entry with r_q = c_q and takes 2p/3 of
+    the entry with q flipped on both sides; it damps every other entry by
+    1 - 4p/3: a table on the bit pair (n + q, q).  `trotter._gate_action`
+    finds both kinds' partners among the C entries, refusing any outside
+    them, and `trotter._apply_table` applies each.  The P nonzero times
     evolve together as the rows of one (P, C) stack, on the tables at all P
-    step sizes; a t = 0 test controls no gates.  Each gate and slot updates
-    the stack in place through two more (P, C) buffers, its gathered
-    partners and its gathered coefficients, so the pass holds 3 P C complex
-    numbers (48 P C bytes) and allocates none per gate; a step's G gathers
-    G C int64 indices.  The gathers take mode="clip": every index is in
-    range (the searchsorted check above), and numpy's default "raise" copies
-    `out` through a fresh temporary on each call.
+    step sizes; a t = 0 test controls no gates.  Each gate gathers its
+    coefficients by its local values into two (P, C) buffers and updates the
+    stack in place through a third, so the pass holds 4 P C complex numbers
+    (64 P C bytes) and allocates none per gate.
     """
     n = member.n_qubits
     if n != model.n_qubits:
@@ -122,34 +120,27 @@ def _coherence_p0(member: StateVector, model, times, n_steps: int, p_dep: float)
     times = np.asarray(times, dtype=float)
     moving = times != 0
     diag, off, pairs = _step_gates(model, times[moving] / n_steps)
+    diag, off = diag.conj(), off.conj()
     labels = sector_labels(model, np.arange(1 << n))
     flat = np.flatnonzero(np.equal.outer(labels, labels))
     rows, cols = flat >> n, flat & ((1 << n) - 1)
-    diag, off, partner = _gate_action(diag.conj(), off.conj(), pairs, np.arange(1 << n))
-    target = (rows << n) | partner[:, cols]
-    gather = np.searchsorted(flat, target)
-    if np.any(flat[np.minimum(gather, flat.size - 1)] != target):
-        raise SimulationError("a step gate couples entries of X that lie in different sectors")
+    local, partner = _gate_action(off, pairs, flat)  # a gate's targets are bits of the column, the index's low n
     keep, damp, mixed = 1.0 - 2.0 * p_dep / 3.0, 1.0 - 4.0 * p_dep / 3.0, 2.0 * p_dep / 3.0
     slot_diag = np.array([[keep, damp, damp, keep]] * n, dtype=complex)
     slot_off = np.array([[mixed, 0.0, 0.0, mixed]] * n, dtype=complex)
     slot_pairs = np.array([(n + q, q) for q in range(n)])  # (r_q, c_q) of the flat index r 2^n + c
-    slots = list(zip(*_gate_action(slot_diag, slot_off, slot_pairs, flat)))
+    slot_local, slot_partner = _gate_action(slot_off, slot_pairs, flat)
+    slots = list(zip(*(np.take_along_axis(t, slot_local, axis=1) for t in (slot_diag, slot_off)), slot_partner))
     start = damp / 2.0 * (member.amplitudes[rows] * member.amplitudes[cols].conj())
     block = np.tile(start, (np.count_nonzero(moving), 1))
-    taken, coef = np.empty_like(block), np.empty_like(block)  # reused by every gate and slot
+    taken, d, o = np.empty_like(block), np.empty_like(block), np.empty_like(block)  # reused by every gate and slot
     for _ in range(n_steps if moving.any() else 0):  # an empty stack has nothing to evolve
         for g, (a, b) in enumerate(pairs.tolist()):
-            # block = diag[:, g, cols] * block + off[:, g, cols] * block[:, gather[g]], in place
-            np.take(block, gather[g], axis=1, out=taken, mode="clip")
-            np.multiply(np.take(off[:, g], cols, axis=1, out=coef, mode="clip"), taken, out=taken)
-            np.multiply(np.take(diag[:, g], cols, axis=1, out=coef, mode="clip"), block, out=block)
-            block += taken
-            for own, other, partner_q in (slots[a],) if a == b else (slots[a], slots[b]):
-                # block = own * block + other * block[:, partner_q]
-                np.multiply(other, np.take(block, partner_q, axis=1, out=taken, mode="clip"), out=taken)
-                np.multiply(own, block, out=block)
-                block += taken
+            diag[:, g].take(local[g], axis=1, out=d, mode="clip")  # the clip as in `_apply_table`
+            off[:, g].take(local[g], axis=1, out=o, mode="clip")
+            _apply_table(block, d, o, partner[g], taken)
+            for slot in (slots[a],) if a == b else (slots[a], slots[b]):
+                _apply_table(block, *slot, taken)
     on_diagonal = rows == cols
     traces = np.full(times.size, start[on_diagonal].sum())
     traces[moving] = damp ** (len(pairs) * n_steps) * block[:, on_diagonal].sum(axis=1)  # each gate's ancilla slot

@@ -15,9 +15,10 @@ their target pairs, for one step size or for an array of them, from cos, sin
 and exp of finite angles, so every gate is unitary and conserves the Hamming
 weight by construction; a non-finite angle raises `SimulationError`.
 `trotter_step` wraps the same tables as a gate-level `Circuit`, whose gates
-each check their own unitarity, and `_gate_action` gathers them into each
-gate's coefficients and partner states for `_sector_step` and the noise route,
-which gathers its depolarizing slots' tables through it too.
+each check their own unitarity.  `_gate_action` (local values, partners, and
+the one check that no partner leaves the basis) and `_apply_table` (the one
+in-place update) apply such tables for `_sector_step` and for the noise
+route's gates and depolarizing slots alike.
 
 `controlled_evolve` serves the one register `genfunc.gf_series` builds, the
 model's qubits plus an ancilla on top, and evolves only its ancilla-|1> half,
@@ -168,27 +169,22 @@ def steps_for(model, t: float, policy="reference") -> int:
     raise SimulationError(f"unknown step policy {policy!r}")
 
 
-def _gate_action(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np.ndarray):
-    """(diag, off, partner) on the basis states b: table g maps psi to diag[g] psi + off[g] psi[partner[g]].
+def _gate_action(off: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(local, partner) of coefficient tables on bit pairs, on the sorted basis indices b.
 
-    diag, off and pairs are coefficient tables on bit pairs: the step gates as
-    `_step_gates` returns them, with any leading step-size axes carried
-    through, or any other (G, 4) tables, such as the noise route's
-    depolarizing slots on the bits of its flat X index.  basis is a sorted
-    array of basis indices.  A table on the bit pair (a, b) acts on a basis
-    state s through its local value v = 2 s_a + s_b: s keeps diag[g, v] of
-    itself and takes off[g, v] of its partner s ^ mask, the state with both
-    bits flipped.  partner[g] holds each state's partner position in the basis
-    (its own where nothing couples it), and a nonzero off[g, v] that reaches a
-    partner outside the basis raises `SimulationError`.
+    off[..., g, :] and pairs[g] = (a, b) are one table: a step gate of
+    `_step_gates` (any leading step-size axes) or, say, a noise slot on the
+    bits of the flat X index.  A state s has the local value local[g] =
+    v = 2 s_a + s_b; it keeps diag[g, v] of itself and takes off[g, v] of its
+    partner s ^ mask, both bits flipped, at the position partner[g] (its own
+    where nothing couples it).  A nonzero off that reaches a partner outside
+    the basis raises `SimulationError`.
     """
     high = (basis >> pairs[:, :1]) & 1
     low = (basis >> pairs[:, 1:]) & 1
     local = 2 * high + low
-    rows = np.arange(len(pairs))[:, None]
-    diag, off = diag[..., rows, local], off[..., rows, local]
-    # only a state the gate does couple needs its partner, and that partner must lie in the basis
-    coupled = np.any(off, axis=tuple(range(off.ndim - 2)))
+    # only a state the table couples at some step size needs its partner, and that partner must lie in the basis
+    coupled = np.take_along_axis(np.any(off, axis=tuple(range(off.ndim - 2))), local, axis=1)
     flipped = basis ^ ((1 << pairs[:, :1]) | (1 << pairs[:, 1:]))
     partner = np.where(coupled, np.searchsorted(basis, flipped), np.arange(basis.size))
     outside = coupled & (basis[np.minimum(partner, basis.size - 1)] != flipped)
@@ -198,35 +194,46 @@ def _gate_action(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np
             f"table {g} on {tuple(pairs[g].tolist())} couples basis state {basis[k]} "
             f"to {flipped[g, k]}, which lies outside the sector basis"
         )
-    return diag, off, partner
+    return local, partner
+
+
+def _apply_table(stack: np.ndarray, d: np.ndarray, o: np.ndarray, partner: np.ndarray, taken: np.ndarray) -> None:
+    """stack = d * stack + o * stack[..., partner] in place, through the buffer taken of stack's shape.
+
+    States sit on the last axis; stack's leading axes (the step matrix's rows,
+    the noise block's times) are carried through.  The gather is
+    `ndarray.take` with mode="clip": `_gate_action` checked every index, and
+    the default "raise" copies `out` through a fresh temporary on each call.
+    Keep the operand order: the outputs were recorded with it.
+    """
+    stack.take(partner, axis=-1, out=taken, mode="clip")
+    np.multiply(o, taken, out=taken)
+    np.multiply(d, stack, out=stack)
+    stack += taken
 
 
 def _sector_step(diag: np.ndarray, off: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row j holds step|b_j> on the basis states b, so a row state evolves as psi @ this.
 
-    basis is a sorted union of whole conserved sectors (`models.sector_labels`);
-    `_gate_action` gives each gate's action on it.  The leading tables that
-    couple no basis state only scale the identity's diagonal, so the matrix
-    starts from their product, diag(prefix).  Each later table updates it in
-    place through one d x d buffer of gathered partners (mode="clip": every
-    index is in range, and the default "raise" copies `out` through a
-    temporary).  The result is bit for bit the product d * cols + o * cols[p]
-    taken table by table from eye(d).
+    basis is a sorted union of whole conserved sectors (`models.sector_labels`).
+    Each gate's entries are gathered once, by `_gate_action`'s local values.
+    The leading tables that couple no basis state only scale the identity's
+    diagonal, so the matrix starts from their product, diag(prefix); each
+    later table updates it in place (`_apply_table`).  The result is bit for
+    bit d * step + o * step[:, p] taken table by table from eye(d).
     """
-    diag, off, partner = _gate_action(diag, off, pairs, basis)
+    local, partner = _gate_action(off, pairs, basis)
+    diag, off = np.take_along_axis(diag, local, axis=1), np.take_along_axis(off, local, axis=1)
     coupling = np.flatnonzero(np.any(off, axis=1))
     lead = coupling[0] if coupling.size else len(diag)
     prefix = np.ones(basis.size, dtype=complex)
     for d in diag[:lead]:
         prefix = d * prefix
-    cols = np.diag(prefix)  # the transpose, so partners are gathered as contiguous rows
-    taken = np.empty_like(cols)
+    step = np.diag(prefix)
+    taken = np.empty_like(step)
     for d, o, p in zip(diag[lead:], off[lead:], partner[lead:]):
-        np.take(cols, p, axis=0, out=taken, mode="clip")
-        np.multiply(o[:, None], taken, out=taken)
-        np.multiply(d[:, None], cols, out=cols)
-        cols += taken
-    return cols.T
+        _apply_table(step, d, o, p, taken)
+    return step
 
 
 @functools.lru_cache(maxsize=8)

@@ -418,8 +418,9 @@ def test_sector_step_matches_gate_level_on_general_conserving_gates():
 
 def expression_step(diag, off, pairs, basis):
     """The step from eye(d), one new matrix per table: the product the kernel must equal bit for bit."""
+    local, partner = _gate_action(off, pairs, basis)
     cols = np.eye(basis.size, dtype=complex)
-    for d, o, p in zip(*_gate_action(diag, off, pairs, basis)):
+    for d, o, p in zip(np.take_along_axis(diag, local, axis=1), np.take_along_axis(off, local, axis=1), partner):
         cols = d[:, None] * cols + o[:, None] * cols[p]
     return cols.T
 

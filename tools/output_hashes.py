@@ -4,7 +4,7 @@
 
 ROOT is a checkout of this repository; gfsim is imported from ROOT/src.  Run
 it on two checkouts and diff the printouts to see whether a change moved an
-output by a single bit.  The 45 outputs are:
+output by a single bit.  The 47 outputs are:
 
 * 12 `gf_series` traces on the criterion-1 grid (t = 0..2 step 0.0625) of
   pairing-8, Hubbard-4 and Hubbard-3: statevector, sampled with 3,001 and
@@ -19,6 +19,11 @@ output by a single bit.  The 45 outputs are:
 * 6 of `gfsim noise --seed 1` on Hubbard-3's 3-member mixture (2 fixed
   steps, p_dep 0.01, flips 0.03 and 0.06): the same three CSVs and three
   manifest values.
+* 2 of the noise route's exact probabilities, the float64 bytes of
+  `noise._coherence_p0`'s Re and Im p0 on that run's grid (t = 0..0.4 step
+  0.05, 2 fixed steps, p_dep 0.01), for pairing-4 (N=2) and Hubbard-3's first
+  member.  A last-ulp change in p0 almost never moves a binomial draw, so
+  the noise CSVs alone cannot see it.
 
 Manifests are not hashed whole, as they carry wall-clock times.
 """
@@ -140,13 +145,28 @@ def noise(work: Path):
             yield f"{label}/{key}", sha(repr(values.get(key)).encode())
 
 
+def noise_p0():
+    from gfsim.models import HubbardModel, PairingModel, initial_state
+    from gfsim.noise import _coherence_p0
+
+    times = NOISE_CONFIG["time_grid"]["dt"] * np.arange(9)
+    models = {
+        "pairing-4": PairingModel.uniform(4, 2, 1.0, 1.0),
+        "hubbard-3": HubbardModel(sites=3, hopping=1.0, onsite=1.3),
+    }
+    for label, model in models.items():
+        member = initial_state(model).members[0]
+        p0 = _coherence_p0(member, model, times, NOISE_CONFIG["trotter"]["n_steps"], NOISE_CONFIG["noise"]["p_dep"])
+        yield f"noise_p0/{label}", sha(np.stack(p0).astype(float).tobytes())
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     import_gfsim(Path(sys.argv[1]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, digest in (*traces(), *chain(work), *noise(work)):
+        for name, digest in (*traces(), *chain(work), *noise(work), *noise_p0()):
             print(name, digest)
 
 
