@@ -13,8 +13,10 @@ gates: its ancilla halves are psi_0 = psi/sqrt(2) and psi_1 = U psi/sqrt(2), so
 F(t) = <psi|U|psi> = 2 <psi_0|psi_1>, and the closing Hadamard would measure 0
 with probability (1 + Re F)/2 (the Re circuit) or (1 + Im F)/2 (the Im
 circuit).  `gf_series` is the one Hadamard-test loop: time points outside,
-mixture members inside, one controlled evolution per nonzero point and
-member, which gives every member's exact biases over the grid.  The sampled
+visited grouped by their Trotter step size t/n so that `trotter` builds each
+size's step matrix once, mixture members inside, one controlled evolution per
+nonzero point and member, which gives every member's exact biases over the
+grid, each at its point's index.  The sampled
 route then draws each circuit's shots from that probability, one
 `sample_ancilla` call per member and quadrature for the whole grid on its own
 stream, SeedSequence([seed, member, quadrature]).  Mixtures are averaged
@@ -223,8 +225,10 @@ def gf_series(
         raise SimulationError(f"shot budget {shots} too small for a {members}-member mixture")
 
     biases = np.zeros((members, 2, t.size))  # each member's exact Re and Im bias at each point
-    for k, tk in enumerate(t):
-        n_steps = steps_for(model, tk, n_steps_policy)
+    steps = [steps_for(model, tk, n_steps_policy) for tk in t]
+    # the points of one step size in a row, so that they share one step build
+    for k in sorted(range(t.size), key=lambda k: (t[k] / steps[k], steps[k])):
+        tk, n_steps = t[k], steps[k]
         for m_idx, member in enumerate(init.members):
             # the ancilla's Hadamard on |0>|psi>: psi/sqrt(2) in both halves
             state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)), copy=False)

@@ -38,11 +38,15 @@ in the one partner state that differs on the two targets, in place.  A gate
 that couples a sector state to a partner outside the sectors raises
 `SimulationError` instead of leaking amplitude.
 
-The propagator is memoized for one (model, t, n_steps, occupied sectors) key
-by `functools.lru_cache(maxsize=1)`, so the members of a mixture evaluated at
-one time point share one build, and the sector basis for a few (model,
-sectors) keys.  A `PairingModel` is keyed by identity (its arrays are
-read-only copies), a `HubbardModel` by value.
+Three memos (`functools.lru_cache`) hold what repeats.  The propagator keeps
+one (model, t, n_steps, occupied sectors) entry, so the members of a mixture
+evaluated at one time point share one power.  It takes its step from a second
+one-entry memo keyed on (model, step size, sectors), so the points of one step
+size share one build when they come one after another, as `gf_series` visits
+them.  The power is taken at each point by `np.linalg.matrix_power`, whose
+multiplication order the recorded outputs follow.  The sector basis is held
+for a few (model, sectors) keys.  A `PairingModel` is keyed by identity (its
+arrays are read-only copies), a `HubbardModel` by value.
 
 The gate-level `Circuit`, a tuple of `GateMatrix` that `controlled` turns into
 gates on (ancilla, *targets), is the oracle the sector step is tested against.
@@ -245,15 +249,29 @@ def _sector_basis(model, sectors: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of the given conserved sectors and U(t) = S^n_steps on it, S the step of size t/n_steps.
+def _step_matrix(model, dt: float, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of the given conserved sectors and the step S of size dt on it, both read-only.
 
     The memo holds the model, so an identity-keyed model cannot be collected
-    and its id reused while its entry lives; both arrays are read-only, as
+    and its id reused while its entry lives; the arrays are read-only, as
     every caller with this key gets the same ones.
     """
     basis = _sector_basis(model, sectors)
-    power = np.linalg.matrix_power(_sector_step(*_step_gates(model, t / n_steps), basis), n_steps)
+    step = _sector_step(*_step_gates(model, dt), basis)
+    step.setflags(write=False)
+    return basis, step
+
+
+@functools.lru_cache(maxsize=1)
+def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of the given conserved sectors and U(t) = S^n_steps on it, S the step of size t/n_steps.
+
+    S comes from `_step_matrix`, so the points that share a step size share
+    its build; the power is formed here, once per key, and is read-only like
+    S (at n_steps = 1 it is S itself).
+    """
+    basis, step = _step_matrix(model, t / n_steps, sectors)
+    power = np.linalg.matrix_power(step, n_steps)
     power.setflags(write=False)
     return basis, power
 

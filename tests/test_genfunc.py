@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from gfsim import genfunc
+from gfsim import genfunc, trotter
 from gfsim.genfunc import GfSeries, gf_exact, gf_series, hadamard_test_circuit
 from gfsim.models import (
     HubbardModel,
@@ -12,8 +12,8 @@ from gfsim.models import (
     initial_state,
     pairing_to_qubits,
 )
-from gfsim.statevector import SimulationError, StateVector, ancilla_probability
-from gfsim.trotter import trotter_step
+from gfsim.statevector import SimulationError, StateVector, ancilla_probability, sample_ancilla
+from gfsim.trotter import controlled_evolve, steps_for, trotter_step
 from sampled_gates import GOF_P_MIN, SCATTER_SEEDS, SCATTER_TOL, binomial_fit, scatter_draws
 
 SQRT2 = np.sqrt(2.0)
@@ -132,6 +132,52 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
     assert {n for n, _, _ in calls} == {model.n_qubits + 1}
     assert sorted({t for _, t, _ in calls}) == list(grid[1:])
     assert sum(n * len(trotter_step(model, t / n).gates) for _, t, n in calls) == gates
+
+
+def point_order_series(model, init, grid, shots, seed):
+    """(re, im, re_err, im_err) of gf_series, each point evolved in index order on empty memos.
+
+    Every point builds its own step and power, as when each point was one
+    memo entry; gf_series visits the points grouped by step size instead.
+    """
+    biases = np.zeros((len(init), 2, grid.size))
+    for k, tk in enumerate(grid):
+        trotter._step_matrix.cache_clear()
+        trotter._propagator.cache_clear()
+        for m, member in enumerate(init.members):
+            state = StateVector(member.n_qubits + 1, np.tile(member.amplitudes, 2) * (1 / np.sqrt(2.0)))
+            if tk != 0:
+                state = controlled_evolve(state, model, float(tk), steps_for(model, tk))
+            halves = state.amplitudes.reshape(2, -1)
+            f = 2.0 * np.vdot(halves[0], halves[1])
+            biases[m, :, k] = f.real, f.imag
+    per_member = shots // len(init)
+    estimates = np.zeros((2, grid.size))
+    for m, weight in enumerate(init.weights):
+        for quad, bias in enumerate(biases[m]):
+            estimates[quad] += weight * (sample_ancilla((1.0 + bias) / 2.0, per_member, (seed, m, quad)) if shots else bias)
+    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / (per_member * len(init))) if shots else np.zeros_like(estimates)
+    return (*estimates, *errs)
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (PairingModel.uniform(8, 4, 1.0, 1.0), np.arange(0, 2.0001, 0.0625)),
+        (HubbardModel(sites=4, hopping=1.0, onsite=1.0), np.arange(0, 2.0001, 0.0625)),
+        (PairingModel.uniform(4, 2, 1.0, 1.0), 0.005 * np.arange(101)),
+    ],
+    ids=["pairing-8", "hubbard-4", "pairing-4-fdm"],
+)
+@pytest.mark.parametrize("shots", [0, 10_000], ids=["statevector", "sampled"])
+def test_step_size_order_gives_the_point_order_bits(model, grid, shots):
+    # gf_series shares one step build among the points of a step size; every output bit is the
+    # point-order loop's. Stream-exact on the sampled route: SeedSequence([21, member, quadrature])
+    init = initial_state(model)
+    series = gf_series(model, init, grid, shots=shots, seed=21)
+    expected = point_order_series(model, init, grid, shots, 21)
+    for name, column in zip(("re", "im", "re_err", "im_err"), expected):
+        assert np.array_equal(getattr(series, name), column), name
 
 
 def gate_level_p0(model, init, grid, n_steps):

@@ -331,19 +331,45 @@ def test_step_reuse_never_crosses_models():
         assert np.abs(out.amplitudes - gate_level(state, model, 0.9, 3).amplitudes).max() < 1e-12
 
 
-def test_mixture_members_share_one_step_build(monkeypatch):
-    # Hubbard models are value-equal, so an earlier test may have left this key in the memo
+CRITERION_1_GRID = np.arange(0.0, 2.0001, 0.0625)
+FDM_GRID = 0.005 * np.arange(101)  # t <= 0.5 step 0.005, as config.build_time_grid makes it
+
+
+def count_step_builds(monkeypatch, model, init, grid, policy="reference"):
+    """The series gf_series gives and the number of sector steps it builds, from empty memos."""
+    # the memos hold one entry and Hubbard models are value-equal, so an earlier test may have left this key
+    trotter._step_matrix.cache_clear()
     trotter._propagator.cache_clear()
-    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
-    init = initial_state(model)
-    grid = np.arange(0.0, 2.0001, 0.0625)
     builds = []
     monkeypatch.setattr(trotter, "_sector_step", lambda *args: builds.append(1) or _sector_step(*args))
-    mixture = gf_series(model, init, grid)
-    assert len(builds) == grid.size - 1  # one per non-zero point, not one per member
+    return gf_series(model, init, grid, policy), len(builds)
+
+
+def test_mixture_members_share_one_step_build(monkeypatch):
+    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
+    init = initial_state(model)
+    grid = CRITERION_1_GRID
+    mixture, builds = count_step_builds(monkeypatch, model, init, grid)
+    # one per distinct step size t/n of the 32 non-zero points, not one per point or per member
+    assert builds == len({t / steps_for(model, t) for t in grid[1:]}) == 21
     members = [gf_series(model, InitialState([m]), grid) for m in init.members]
     expected = sum(w * s.values for w, s in zip(init.weights, members))
     assert np.abs(mixture.values - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "model, grid, policy, sizes",
+    [
+        (PairingModel.uniform(8, 4, 1.0, 1.0), CRITERION_1_GRID, "reference", 19),
+        (PairingModel.uniform(4, 2, 1.0, 1.0), FDM_GRID, "reference", 51),
+        (HubbardModel(sites=4, hopping=1.0, onsite=1.0), CRITERION_1_GRID, 7, 32),
+    ],
+    ids=["pairing-8", "pairing-4-fdm", "hubbard-4-fixed"],
+)
+def test_one_step_build_per_step_size(monkeypatch, model, grid, policy, sizes):
+    # the points of one step size share one build; a fixed step count gives every non-zero point its own size
+    _, builds = count_step_builds(monkeypatch, model, initial_state(model), grid, policy)
+    assert builds == len({t / steps_for(model, t, policy) for t in grid[1:]}) == sizes
 
 
 def test_pairing_model_arrays_are_read_only():
