@@ -13,10 +13,10 @@ gates: its ancilla halves are psi_0 = psi/sqrt(2) and psi_1 = U psi/sqrt(2), so
 F(t) = <psi|U|psi> = 2 <psi_0|psi_1>, and the closing Hadamard would measure 0
 with probability (1 + Re F)/2 (the Re circuit) or (1 + Im F)/2 (the Im
 circuit).  `gf_series` is the one Hadamard-test loop: time points outside,
-visited grouped by their Trotter step size t/n so that `trotter` builds each
-size's step matrix once, mixture members inside, one controlled evolution per
-nonzero point and member, which gives every member's exact biases over the
-grid, each at its point's index.  The sampled
+mixture members inside, one controlled evolution per nonzero point and
+member, which gives every member's exact biases over the grid.  It visits the
+points grouped by their Trotter step size t/n, so that `trotter` builds each
+size's step once, and keeps each bias at its point's index.  The sampled
 route then draws each circuit's shots from that probability, one
 `sample_ancilla` call per member and quadrature for the whole grid on its own
 stream, SeedSequence([seed, member, quadrature]).  Mixtures are averaged

@@ -250,10 +250,10 @@ def _sector_basis(model, sectors: tuple[int, ...]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _step_matrix(model, dt: float, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of the given conserved sectors and the step S of size dt on it, both read-only.
+    """The basis of the given conserved sectors and the step S of size dt on it.
 
     The memo holds the model, so an identity-keyed model cannot be collected
-    and its id reused while its entry lives; the arrays are read-only, as
+    and its id reused while its entry lives; both arrays are read-only, as
     every caller with this key gets the same ones.
     """
     basis = _sector_basis(model, sectors)
@@ -264,11 +264,10 @@ def _step_matrix(model, dt: float, sectors: tuple[int, ...]) -> tuple[np.ndarray
 
 @functools.lru_cache(maxsize=1)
 def _propagator(model, t: float, n_steps: int, sectors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of the given conserved sectors and U(t) = S^n_steps on it, S the step of size t/n_steps.
+    """The basis of the given conserved sectors and U(t) = S^n_steps on it, read-only.
 
-    S comes from `_step_matrix`, so the points that share a step size share
-    its build; the power is formed here, once per key, and is read-only like
-    S (at n_steps = 1 it is S itself).
+    S is `_step_matrix`'s step of size t/n_steps, which the points of one step
+    size share; at n_steps = 1 the power is S itself.
     """
     basis, step = _step_matrix(model, t / n_steps, sectors)
     power = np.linalg.matrix_power(step, n_steps)

@@ -137,8 +137,8 @@ def test_controlled_evolve_calls_on_the_criterion_1_grid(monkeypatch, model, gat
 def point_order_series(model, init, grid, shots, seed):
     """(re, im, re_err, im_err) of gf_series, each point evolved in index order on empty memos.
 
-    Every point builds its own step and power, as when each point was one
-    memo entry; gf_series visits the points grouped by step size instead.
+    Every point builds its own step and power; gf_series, which visits the
+    points grouped by step size and shares a step's build, must match it bit for bit.
     """
     biases = np.zeros((len(init), 2, grid.size))
     for k, tk in enumerate(grid):
