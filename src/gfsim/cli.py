@@ -37,6 +37,11 @@ from .noise import calibrate_reference, mitigate_readout, mitigate_series, noisy
 from .statevector import SimulationError
 from .texpand import PadeRejection, extrapolate_ground_energy, imaginary_time_oracle, selection_report
 
+# how far rounding alone may take a Ritz value below the exact ground energy, relative
+# to |E_gs|: the retained overlap's condition number is at most 1 / DEFAULT_CUTOFF =
+# 1e10, and the moments carry 1e-16 relative rounding
+RITZ_ROUNDING = 1e-6
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -168,7 +173,19 @@ def cmd_krylov(args, cfg: RunConfig, out_dir: Path):
     p_approx = survival_probability(solutions[best], t_grid)
     survival_out = out_dir / "survival.csv"
     survival_csv(survival_out, t_grid, p_approx, p_exact)
-    return [eigen_out, survival_out], None, f"wrote {eigen_out} and {survival_out} (orders {cfg.krylov_orders})"
+
+    # each Ritz value bounds the ground energy from above, so one far below it marks wrong moments
+    e_gs = dense.ground_energy(cfg.init)
+    floor = e_gs - RITZ_ROUNDING * abs(e_gs)
+    below = [f"M={m} at {sol.energies[0]:.8g}" for m, sol in sorted(solutions.items()) if sol.energies[0] < floor]
+    if below:
+        print(
+            f"warning: lowest Ritz value below the exact ground energy {e_gs:.8g} by more than"
+            f" {RITZ_ROUNDING:g} relative: {', '.join(below)}; the moments are too inexact for these orders",
+            file=sys.stderr,
+        )
+    extra = {"oracle_ground_energy": e_gs}
+    return [eigen_out, survival_out], extra, f"wrote {eigen_out} and {survival_out} (orders {cfg.krylov_orders})"
 
 
 def _noise_rms(series: GfSeries, exact: GfSeries) -> float:

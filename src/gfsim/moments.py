@@ -12,9 +12,12 @@ Hankel matrix of its samples has the number of tones as its rank (ESPRIT,
 Hua & Sarkar 1990; Roy & Kailath 1989).  The right singular vectors of that
 matrix are shift-invariant: one small eigenproblem gives the energies, and one
 linear least-squares solve gives the weights.  Shot noise sets the rank
-through the singular values it can reach.  The singular vectors come from
-the Hankel matrix's triangular factor R, folded together from the QRs of
-leaves of FOLD_LEAF * cols rows, so that memory stays at a few leaves.
+through the singular values it can reach.  A noiseless trace (zero error
+bars) is fit on its first NOISELESS_ROWS * cols Hankel rows only: the columns
+set the resolution, and more rows average no noise.  The singular vectors come
+from the Hankel matrix's triangular factor R, folded together from the QRs of
+leaves of FOLD_LEAF * cols rows, so that memory stays at a few leaves; a
+noiseless Hankel fits in one leaf, so only long sampled traces fold.
 The trace is demodulated by the Hamiltonian's identity coefficient first, so
 its tones lie in a band of half-width B' about zero and the grid need only
 sample that band.  Moments to any order then follow from
@@ -43,12 +46,23 @@ ROUTES = ("exact", "fdm", "fourier")
 # rank falls to 41 of 43 tones
 HANKEL_COLS = 300
 # rows of each Hankel leaf that _hankel_r factors on its own, in multiples of
-# the columns.  On pairing-8's 3,702 x 300 Hankel, leaves of 6 * cols take the
-# fold from 13 QRs (11 of 600 x 300) to 5 (two leaves of 1,800 x 300 and two
-# merges), about 40% less time, for 4.5 MB (7%) more peak memory in the
-# benchmark's CLI chain.  Folding R into blocks of 2 * cols rows cost 2 MB but
-# saved only 30%; measured peaks do not follow the leaf size (4 * cols cost 5 MB)
+# the columns.  Measured when the chain's noiseless trace still folded all of
+# pairing-8's 3,702 x 300 Hankel: leaves of 6 * cols took the fold from 13 QRs
+# (11 of 600 x 300) to 5 (two leaves of 1,800 x 300 and two merges), about 40%
+# less time, for 4.5 MB (7%) more peak memory in the benchmark's CLI chain.
+# Folding R into blocks of 2 * cols rows cost 2 MB but saved only 30%; measured
+# peaks do not follow the leaf size (4 * cols cost 5 MB).  A noiseless Hankel
+# (NOISELESS_ROWS * cols rows) is one leaf, so only sampled traces fold now
 FOLD_LEAF = 6
+# Hankel rows of a noiseless trace, in multiples of the columns: with zero error
+# bars extra rows average no noise, and the columns hold the resolution.  On
+# pairing-8's exact trace (auto grid) the K <= 21 moments are within 2.9e-8,
+# 7.0e-11 and 1.7e-8 at g/de = 0.5, 1 and 2 (3.2e-8, 4.0e-10 and 1.9e-9 on all
+# rows), at rank 43 throughout; 3 * cols drops g/de = 2 to rank 42.  The fit of
+# the chain's trace takes about 0.4 of the time of all 3,702 rows.  Pairing-10
+# at g/de = 1 is beyond the route either way: K <= 21 is off by 0.15 on all
+# rows and by 0.86 here, while K <= 4 goes from 7.7e-3 to 3.0e-3
+NOISELESS_ROWS = 4
 RANK_TOL = 1e-13  # singular values below RANK_TOL * s_0 are roundoff on a noiseless trace
 RENORMALIZE_WINDOW = (0.98, 1.02)  # spectral_peaks rescales weight sums inside to 1 and raises above
 
@@ -205,7 +219,8 @@ def fourier_grid(energy_bound: float, gap_target: float = 0.02) -> np.ndarray:
     tone lies within +-B' of zero.  dt = pi / (1.25 B') samples that band
     without aliasing, with a 25% margin; t_max = pi / gap_target sets the
     trace length, and with it the energy separation below which two tones stop
-    being distinguishable.
+    being distinguishable.  spectral_peaks reads a noiseless trace only up to
+    its NOISELESS_ROWS cap, so there the columns set that separation.
     """
     if energy_bound <= 0:
         raise SimulationError("energy bound must be positive")
@@ -237,11 +252,13 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
     at E - center; the energies returned have center added back.  The rank is
     the number of singular values above the larger of RANK_TOL * s_0 and the
     spectral norm 2 sigma (sqrt(rows) + sqrt(cols)) that the trace's own shot
-    noise would reach; a rank at the column ceiling raises.  Passing a bound
-    on |E - center| (B' of QubitHamiltonian.spectral_window, with c_I as the
-    center) enables the anti-aliasing check dt < pi / bound.  Negative fitted
-    weights are clipped to 0; a weight sum inside RENORMALIZE_WINDOW is
-    rescaled to 1, and one above it raises.
+    noise would reach; a rank at the column ceiling raises.  A trace with zero
+    error bars is read only through its first NOISELESS_ROWS * cols Hankel
+    rows, for the fit and its residual alike.  Passing a bound on |E - center|
+    (B' of QubitHamiltonian.spectral_window, with c_I as the center) enables
+    the anti-aliasing check dt < pi / bound.  Negative fitted weights are
+    clipped to 0; a weight sum inside RENORMALIZE_WINDOW is rescaled to 1, and
+    one above it raises.
     """
     dt = series.dt()
     if energy_bound is not None and dt >= np.pi / energy_bound:
@@ -249,11 +266,12 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
             f"grid step {dt:g} aliases energies {energy_bound:g} from the center {center:g}"
             f" (need dt < {np.pi / energy_bound:g})"
         )
-    data = series.values * np.exp(1j * center * series.t)
-    cols = min(HANKEL_COLS, (data.size + 1) // 2)
+    sigma = float(np.sqrt(np.mean(series.re_err**2 + series.im_err**2)))
+    cols = min(HANKEL_COLS, (series.t.size + 1) // 2)
+    t = series.t if sigma else series.t[: NOISELESS_ROWS * cols + cols - 1]
+    data = series.values[: t.size] * np.exp(1j * center * t)
     rows = data.size - cols + 1
     _, sing, vh = np.linalg.svd(_hankel_r(data, cols))
-    sigma = float(np.sqrt(np.mean(series.re_err**2 + series.im_err**2)))
     floor = max(RANK_TOL * sing[0], 2.0 * sigma * (np.sqrt(rows) + np.sqrt(cols)))
     rank = int(np.count_nonzero(sing > floor))
     if rank == 0:
@@ -265,7 +283,7 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
     basis = vh[:rank].T
     phi = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
     offsets = np.sort(-np.angle(np.linalg.eigvals(phi)) / dt)
-    tones = np.exp(-1j * np.outer(series.t, offsets))
+    tones = np.exp(-1j * np.outer(t, offsets))
     weights = np.linalg.lstsq(
         np.vstack([tones.real, tones.imag]), np.concatenate([data.real, data.imag]), rcond=None
     )[0]
@@ -289,6 +307,7 @@ def spectral_peaks(series: GfSeries, energy_bound: float | None = None, center: 
             "renormalized": renormalized,
             "center": float(center),
             "cols": cols,
+            "rows": rows,
         },
     )
 

@@ -320,7 +320,7 @@ def test_cmd_moments_fourier_from_sampled_series(tmp_path):
     assert main(["moments", "--config", cfg_path, "--series", series, "--out-dir", str(tmp_path)]) == 0
     header = (tmp_path / "moments.csv").read_text()
     assert "# rank=" in header and "# renormalized=" in header and "# weight_sum=" in header
-    assert "# center=3.0\n" in header and "# cols=26\n" in header
+    assert "# center=3.0\n" in header and "# cols=26\n" in header and "# rows=26\n" in header
     fitted = "# rank=2\n" in header and "# renormalized=True\n" in header
     cli_error = np.abs(MomentSet.from_csv(tmp_path / "moments.csv").values / EXACT_MOMENTS - 1.0).max()
     errors = [cli_error if fitted else np.inf]
@@ -406,6 +406,52 @@ def test_cmd_krylov_warns_on_stderr(tmp_path, capsys):
     assert "finite-difference moments exceed 1e-6 relative error" in captured.err
     assert "finite-difference" not in captured.out
     assert "wrote" in captured.out
+
+
+CHAIN_FOURIER = {
+    "model": {"kind": "pairing", "levels": 8, "pairs": 4, "delta_e": 1.0, "g": 1.0},
+    "time_grid": {"auto": True},
+    "seed": 1,
+    "moments": {"route": "fourier", "order": 21},
+    "krylov": {"orders": [0, 1, 2, 3, 4, 5, 6], "t_max": 8.0, "dt": 0.01},
+}
+CHAIN_FDM = {
+    "model": {"kind": "pairing", "levels": 4, "pairs": 2, "delta_e": 1.0, "g": 1.0},
+    "time_grid": {"t_max": 0.5, "dt": 0.005},
+    "shots": 0,
+    "seed": 1,
+    "moments": {"route": "fdm", "order": 13},
+}
+
+
+def test_cmd_krylov_warns_below_the_ground_energy(tmp_path, capsys):
+    # the chain's FDM moments at orders 0-3 give M=2 E0 = -1.2047 and M=3 E0 = -24.254, far
+    # below E_gs = 4.5103; the chain's Fourier moments keep every order above it.  At orders
+    # 0-6 the FDM solve fails first, at M=4, before any energy is compared
+    fdm = tmp_path / "fdm"
+    fdm_args = ["--config", write_config(tmp_path, {**CHAIN_FDM, "krylov": {"orders": [0, 1, 2, 3]}}, "fdm.json")]
+    fdm_args += ["--out-dir", str(fdm)]
+    assert main(["gf", *fdm_args]) == 0
+    assert main(["moments", *fdm_args, "--series", str(fdm / "gf.csv")]) == 0
+    capsys.readouterr()
+    assert main(["krylov", *fdm_args, "--moments", str(fdm / "moments.csv")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "Ritz" in line]
+    assert len(warnings) == 1
+    assert "M=2 at -1.204667" in warnings[0] and "M=3 at -24.254317" in warnings[0] and "M=1" not in warnings[0]
+    e_gs = json.loads((fdm / "krylov_manifest.json").read_text())["oracle_ground_energy"]
+    assert e_gs == pytest.approx(4.5103478446, abs=1e-9)
+
+    six = write_config(tmp_path, {**CHAIN_FDM, "krylov": {"orders": list(range(7))}}, "fdm6.json")
+    assert main(["krylov", "--config", six, "--moments", str(fdm / "moments.csv"), "--out-dir", str(fdm)]) == 1
+    err = capsys.readouterr().err
+    assert "initial state lost weight under the cutoff: sum q = 1.00027623" in err and "Ritz" not in err
+
+    four = tmp_path / "fourier"
+    assert main(["krylov", "--config", write_config(tmp_path, CHAIN_FOURIER), "--out-dir", str(four)]) == 0
+    assert capsys.readouterr().err == ""
+    e_gs = json.loads((four / "krylov_manifest.json").read_text())["oracle_ground_energy"]
+    table = np.loadtxt(four / "krylov_eigs.csv", delimiter=",", skiprows=1)
+    assert table[:, 2].min() > e_gs
 
 
 def test_cmd_noise_builtin_preset_smoke(tmp_path):

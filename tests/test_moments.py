@@ -9,10 +9,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gfsim.genfunc import GfSeries, gf_exact, read_table
 from gfsim.krylov import build_krylov_matrices
-from gfsim.models import PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits
+from gfsim.models import HubbardModel, PairingModel, Spectrum, build_dense, initial_state, pairing_to_qubits, to_qubits
 from gfsim.moments import (
     FOLD_LEAF,
     HANKEL_COLS,
+    NOISELESS_ROWS,
     MomentSet,
     _hankel_r,
     central_difference_coefficients,
@@ -33,8 +34,8 @@ def two_level():
     return model, dense, initial_state(model)
 
 
-def benchmark():
-    model = PairingModel.uniform(8, 4, 1.0, 1.0)
+def benchmark(g=1.0):
+    model = PairingModel.uniform(8, 4, 1.0, g)
     dense = build_dense(pairing_to_qubits(model))
     return model, dense, initial_state(model)
 
@@ -197,16 +198,27 @@ def test_spectral_peaks_two_level():
 
 def baseband_peaks(model, series):
     """spectral_peaks as the CLI runs it: demodulated by c_I, aliasing checked against B'."""
-    center, radius = pairing_to_qubits(model).spectral_window
+    center, radius = to_qubits(model).spectral_window
     return spectral_peaks(series, energy_bound=radius, center=center)
 
 
+def auto_grid_trace(model, dense, init):
+    """The model's exact trace on the CLI's auto grid."""
+    _, radius = to_qubits(model).spectral_window
+    return gf_exact(dense, init, fourier_grid(radius))
+
+
 @pytest.fixture(scope="module")
-def benchmark_peaks():
-    """The benchmark's noiseless trace on its auto grid (4,001 points) and the baseband Spectrum of it."""
+def benchmark_series():
+    """The benchmark's noiseless trace on its auto grid (4,001 points)."""
     model, dense, init = benchmark()
-    _, radius = pairing_to_qubits(model).spectral_window
-    series = gf_exact(dense, init, fourier_grid(radius))
+    return model, dense, init, auto_grid_trace(model, dense, init)
+
+
+@pytest.fixture(scope="module")
+def benchmark_peaks(benchmark_series):
+    """The baseband Spectrum of the benchmark's noiseless trace."""
+    model, dense, init, series = benchmark_series
     return dense, init, baseband_peaks(model, series)
 
 
@@ -218,14 +230,66 @@ def test_spectral_peaks_benchmark_weight_capture(benchmark_peaks):
 
 
 def test_spectral_peaks_benchmark_moments_through_k21(benchmark_peaks):
-    # measured 4.2e-10 (4.3e-10 folding blocks of cols rows, 3.8e-10 to 4.5e-10 over
-    # the fold layouts tried); 2e-9 sees a fold that loses a digit, which the 1e-5
-    # gate of criterion 3 cannot
+    # measured 7.0e-11 on the first NOISELESS_ROWS * cols rows (4.2e-10 on all 3,702, folded
+    # in leaves); 2e-9 sees a fit that loses a digit, which the 1e-5 gate of criterion 3 cannot
     dense, init, spec = benchmark_peaks
     oracle = moments_exact(dense, init, 21)
     rel = np.abs(moments_fourier(spec, 21).values - oracle.values) / np.abs(oracle.values)
     assert spec.diagnostics["rank"] == 43
     assert rel.max() < 2e-9
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+def test_noiseless_fit_on_capped_rows_keeps_every_tone(g):
+    # pairing-8's exact trace on the auto grid (3,126, 4,001 and 5,751 points), fit on its
+    # first 4 * cols rows: measured 2.9e-8, 7.0e-11 and 1.7e-8 (3.2e-8, 4.0e-10 and 1.9e-9 on
+    # all rows); at 3 * cols the rank at g/de = 2 falls to 42
+    model, dense, init = benchmark(g)
+    series = auto_grid_trace(model, dense, init)
+    spec = baseband_peaks(model, series)
+    oracle = moments_exact(dense, init, 21)
+    rel = np.abs(moments_fourier(spec, 21).values - oracle.values) / np.abs(oracle.values)
+    assert series.t.size > 5 * HANKEL_COLS
+    assert spec.diagnostics["rows"] == NOISELESS_ROWS * spec.diagnostics["cols"] == 4 * HANKEL_COLS
+    assert spec.diagnostics["rank"] == 43
+    assert rel.max() < 1e-7
+
+
+def cut_series(series, n, tail=None):
+    """The first n points of a series; with `tail`, the whole series with the rest replaced by it."""
+    columns = (series.t, series.re, series.im, series.re_err, series.im_err)
+    if tail is None:
+        return GfSeries(*(c[:n] for c in columns), route=series.route)
+    keep = np.arange(series.t.size) < n
+    t, re, im, re_err, im_err = columns
+    return GfSeries(t, np.where(keep, re, tail), np.where(keep, im, tail), re_err, im_err, route=series.route)
+
+
+def test_noiseless_fit_never_reads_past_the_cap(benchmark_series):
+    # bit for bit the fit of the trace cut to its cap, and of the trace with a zeroed tail
+    model, _, _, series = benchmark_series
+    n = (NOISELESS_ROWS + 1) * HANKEL_COLS - 1
+    full = baseband_peaks(model, series)
+    for other in (cut_series(series, n), cut_series(series, n, tail=0.0)):
+        spec = baseband_peaks(model, other)
+        assert np.array_equal(spec.energies, full.energies) and np.array_equal(spec.weights, full.weights)
+        assert spec.diagnostics == full.diagnostics
+
+
+def test_hubbard4_fit_is_under_the_cap(monkeypatch):
+    # Hubbard-4's auto grid (564 points) already sits under the cap: every row is read and
+    # the fit is bit for bit the one without a cap
+    model = HubbardModel(sites=4, hopping=1.0, onsite=1.0)
+    dense = build_dense(to_qubits(model))
+    init = initial_state(model)
+    series = auto_grid_trace(model, dense, init)
+    spec = baseband_peaks(model, series)
+    monkeypatch.setattr("gfsim.moments.NOISELESS_ROWS", 10**6)
+    uncapped = baseband_peaks(model, series)
+    assert spec.diagnostics["rows"] == series.t.size - spec.diagnostics["cols"] + 1
+    assert np.array_equal(spec.energies, uncapped.energies) and np.array_equal(spec.weights, uncapped.weights)
+    oracle = moments_exact(dense, init, 21)
+    assert (np.abs(moments_fourier(spec, 21).values - oracle.values) / np.abs(oracle.values)).max() < 1e-7
 
 
 def tone_series(t, energies, weights):
@@ -265,15 +329,18 @@ def test_spectral_peaks_recovers_drawn_tones(tones):
 
 
 def test_spectral_peaks_leaves_its_input_intact():
-    # 2,100 points: a 1,801 x 300 Hankel, so the last leaf has one row, a
-    # contiguous slice of the trace that its QR must not overwrite
+    # 2,100 points with error bars, so every row is read: a 1,801 x 300 Hankel whose
+    # last leaf has one row, a contiguous slice of the trace that its QR must not overwrite
     t = 0.1 * np.arange(2100)
     energies, weights = np.array([-1.3, 0.4, 2.1]), np.array([0.5, 0.3, 0.2])
-    series = tone_series(t, energies, weights)
+    exact = tone_series(t, energies, weights)
+    err = np.full(t.size, 1e-9)
+    series = GfSeries(t, exact.re, exact.im, err, err, route="sampled")
     before = [a.copy() for a in (series.t, series.re, series.im, series.re_err, series.im_err)]
     spec = spectral_peaks(series)
     after = (series.t, series.re, series.im, series.re_err, series.im_err)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert spec.diagnostics["rows"] == 1801 == FOLD_LEAF * HANKEL_COLS + 1
     assert np.allclose(spec.energies, energies, rtol=0, atol=1e-8)
     assert np.allclose(spec.weights, weights, rtol=0, atol=1e-8)
 
@@ -358,6 +425,7 @@ def test_spectral_peaks_shot_noise_sets_rank():
     rel = np.abs(moments_fourier(spec, 4).values - oracle.values) / np.abs(oracle.values)
     assert spec.diagnostics["rank"] <= 15
     assert rel.max() < 0.1
+    assert spec.diagnostics["rows"] == exact.t.size - HANKEL_COLS + 1  # a sampled trace reads every row
 
 
 def test_spectral_peaks_rejects_nonuniform_grid():

@@ -4,7 +4,7 @@
 
 ROOT is a checkout of this repository; gfsim is imported from ROOT/src.  Run
 it on two checkouts and diff the printouts to see whether a change moved an
-output by a single bit.  The 47 outputs are:
+output by a single bit.  The 48 outputs are:
 
 * 12 `gf_series` traces on the criterion-1 grid (t = 0..2 step 0.0625) of
   pairing-8, Hubbard-4 and Hubbard-3: statevector, sampled with 3,001 and
@@ -14,6 +14,11 @@ output by a single bit.  The 47 outputs are:
   moments, energy curve, Pade report, Krylov table and survival curve, and
   the FDM branch's gf, moments, energy curve and Pade report (its Krylov
   step fails by design and writes nothing).
+* 1 of Fourier moments from a sampled trace: `gfsim gf` on the Fourier
+  branch's config with 10^4 shots, then `gfsim moments --series`.  Its fit
+  reads all 3,702 Hankel rows, where the noiseless branch's reads 1,200.  The
+  hash covers the table's rows, not its `#` header, so a diagnostic added to
+  the header does not move it.
 * 18 of `gfsim noise --seed 1..3`: the three CSVs of each seed, and its
   manifest's `rms_raw`, `rms_mitigated` and `calibration_clipped`.
 * 6 of `gfsim noise --seed 1` on Hubbard-3's 3-member mixture (2 fixed
@@ -57,6 +62,7 @@ FDM_CONFIG = {
     "seed": 1,
     "moments": {"route": "fdm", "order": 13},
 }
+SAMPLED_CONFIG = {**FOURIER_CONFIG, "shots": 10**4}
 NOISE_CONFIG = {
     "model": {"kind": "hubbard", "sites": 3, "hopping": 1.0, "onsite": 1.3},
     "time_grid": {"t_max": 0.4, "dt": 0.05},
@@ -128,6 +134,21 @@ def chain(work: Path):
             yield f"chain/{branch}/{name}", sha(file.read_bytes()) if file.is_file() else "missing"
 
 
+def sampled_fourier(work: Path):
+    out = work / "sampled-fourier"
+    path = work / "sampled-fourier.json"
+    path.write_text(json.dumps(SAMPLED_CONFIG))
+    common = ["--config", str(path), "--out-dir", str(out)]
+    cli_run(["gf", *common])
+    cli_run(["moments", *common, "--series", str(out / "gf.csv")])
+    file = out / "moments.csv"
+    if not file.is_file():
+        yield "sampled_fourier/moments.csv", "missing"
+        return
+    rows = (line for line in file.read_bytes().splitlines(keepends=True) if not line.startswith(b"#"))
+    yield "sampled_fourier/moments.csv", sha(b"".join(rows))
+
+
 def noise(work: Path):
     path = work / "noise-hubbard-3.json"
     path.write_text(json.dumps(NOISE_CONFIG))
@@ -166,7 +187,7 @@ def main():
     import_gfsim(Path(sys.argv[1]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, digest in (*traces(), *chain(work), *noise(work), *noise_p0()):
+        for name, digest in (*traces(), *chain(work), *sampled_fourier(work), *noise(work), *noise_p0()):
             print(name, digest)
 
 
