@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import NOISE_PRESET, ConfigError, RunConfig
-from .genfunc import GfSeries, gf_exact, gf_series
+from .genfunc import GfSeries, gf_exact, gf_series, mixture_series
 from .genfunc import hadamard_test_circuit  # noqa: F401  perfbench wraps this name until ROADMAP item 1
 from .krylov import build_krylov_matrices, eigen_table_csv, solve_generalized, survival_csv, survival_probability
 from .models import build_dense, to_qubits
@@ -136,7 +136,7 @@ def cmd_texpand(args, cfg: RunConfig, out_dir: Path):
         fh.write(f"asymptote_grid_end {curve.asymptote_grid_end!r}\n")
     dense = build_dense(to_qubits(cfg.model))
     oracle = imaginary_time_oracle(dense, cfg.init, curve.tau)
-    e_gs = dense.ground_energy(cfg.init)
+    e_gs = oracle.asymptote  # the lowest level the initial state reaches
     extra = {
         "oracle_ground_energy": e_gs,
         "asymptote_abs_error": abs(curve.asymptote - e_gs),
@@ -168,14 +168,15 @@ def cmd_krylov(args, cfg: RunConfig, out_dir: Path):
 
     t_grid = cfg.krylov_dt * np.arange(int(round(cfg.krylov_t_max / cfg.krylov_dt)) + 1)
     dense = build_dense(to_qubits(cfg.model))
-    p_exact = survival_probability(dense.spectrum(cfg.init), t_grid)
+    spectrum = dense.spectrum(cfg.init)
+    p_exact = survival_probability(spectrum, t_grid)
     best = max(cfg.krylov_orders)
     p_approx = survival_probability(solutions[best], t_grid)
     survival_out = out_dir / "survival.csv"
     survival_csv(survival_out, t_grid, p_approx, p_exact)
 
     # each Ritz value bounds the ground energy from above, so one far below it marks wrong moments
-    e_gs = dense.ground_energy(cfg.init)
+    e_gs = float(spectrum.reachable().energies[0])
     floor = e_gs - RITZ_ROUNDING * abs(e_gs)
     below = [f"M={m} at {sol.energies[0]:.8g}" for m, sol in sorted(solutions.items()) if sol.energies[0] < floor]
     if below:
@@ -201,22 +202,17 @@ def cmd_noise(args, cfg: RunConfig, out_dir: Path):
     if cfg.shots == 0:
         raise ConfigError("noise command samples every circuit and needs config.shots > 0, got 0")
 
-    model = cfg.model
+    model, noise = cfg.model, cfg.noise
     dense = build_dense(to_qubits(model))
     exact = gf_exact(dense, cfg.init, cfg.t_grid, model=model.fingerprint())
 
-    members = len(cfg.init)
-    per_member = cfg.shots // members
-    estimates = np.zeros((2, cfg.t_grid.size))  # Re and Im, summed over the members in order
-    for m_idx, (weight, member) in enumerate(zip(cfg.init.weights, cfg.init.members)):
+    per_member = cfg.shots // len(cfg.init)
+    biases = []  # each member's Re and Im biases
+    for m_idx, member in enumerate(cfg.init.members):
         seeds = [(cfg.seed, m_idx, quad) for quad in (0, 1)]  # gf_series's streams
-        biases = noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=cfg.trotter_policy, noise=cfg.noise)
-        estimates += weight * biases
-    total = per_member * members
-    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total)
-    raw = GfSeries(cfg.t_grid, *estimates, *errs, shots=total, route="noisy", model=model.fingerprint(), seed=cfg.seed)
+        biases.append(noisy_sample(member, model, cfg.t_grid, per_member, seeds, n_steps=cfg.trotter_policy, noise=noise))
+    raw = mixture_series(cfg.t_grid, biases, cfg.init, per_member, "noisy", model, cfg.seed)
 
-    noise = cfg.noise
     if noise.p_dep == 0.0 and max(noise.p01, noise.p10) <= 1e-15:
         # nothing left to calibrate once the (identity) readout is inverted;
         # a measured calibration would only inject shot noise

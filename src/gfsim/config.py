@@ -1,7 +1,8 @@
 """Run-configuration schema: JSON in, validated objects out.
 
-Unknown keys are rejected and every numeric field is range-checked, so a
-typo'd config fails before any compute starts.  The run manifest records
+Unknown keys are rejected, every block must be a JSON object (null reads as
+absent), and every numeric field is range-checked, so a typo'd config fails
+before any compute starts.  The run manifest records
 `RunConfig.resolved()`: the top-level defaults filled in, and the model,
 time-grid, trotter and noise blocks copied as given, so the defaults inside
 them (delta_e, g, gap_target, p_dep) stay implicit.  Feeding a manifest back
@@ -30,6 +31,14 @@ def _require_keys(block: dict, allowed: set[str], context: str):
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(allowed)}")
+
+
+def _block(config: dict, name: str) -> dict | None:
+    """The config's `name` block, None where it is absent or null; anything but a JSON object is refused."""
+    block = config.get(name)
+    if not (block is None or isinstance(block, dict)):
+        raise ConfigError(f"config.{name} must be a JSON object, got {block!r}")
+    return block
 
 
 def _number(block: dict, key: str, context: str, default=None, minimum=None, maximum=None, integer=False):
@@ -155,13 +164,14 @@ class RunConfig:
         if not isinstance(self.raw, dict):
             raise ConfigError("config must be a JSON object")
         _require_keys(self.raw, _TOP_KEYS, "config")
-        if "model" not in self.raw:
+        model = _block(self.raw, "model")
+        if model is None:
             raise ConfigError("config needs a model block")
         try:
-            self.model = build_model(self.raw["model"])
+            self.model = build_model(model)
             spec = self.raw.get("initial_state")
             self.init = initial_state(self.model, "default" if spec is None else spec)
-            self.t_grid = build_time_grid(self.raw.get("time_grid"), self.model)
+            self.t_grid = build_time_grid(_block(self.raw, "time_grid"), self.model)
         except ConfigError:
             raise
         except SimulationError as exc:  # a model, state or grid the config cannot build is a config error
@@ -172,10 +182,10 @@ class RunConfig:
         if 0 < self.shots < members:  # sampled routes split the shots evenly over the mixture members
             raise ConfigError(f"config.shots = {self.shots} leaves a member of the {members}-member mixture no shot")
         self.seed = _number(self.raw, "seed", "config", default=0, minimum=0, maximum=2**32 - 1, integer=True)
-        self.trotter_policy = build_trotter_policy(self.raw.get("trotter"))
+        self.trotter_policy = build_trotter_policy(_block(self.raw, "trotter"))
         self.overlay_exact = _flag(self.raw, "overlay_exact", "config")
 
-        mom = self.raw.get("moments", {})
+        mom = _block(self.raw, "moments") or {}
         _require_keys(mom, {"route", "order", "accuracy"}, "moments")
         self.moment_route = mom.get("route", "exact")
         if self.moment_route not in ("exact", "fdm", "fourier"):
@@ -187,11 +197,11 @@ class RunConfig:
         if self.fdm_accuracy % 2:
             raise ConfigError(f"moments.accuracy must be even, as central stencils are, got {self.fdm_accuracy}")
 
-        tex = self.raw.get("texpansion", {})
+        tex = _block(self.raw, "texpansion") or {}
         _require_keys(tex, {"order"}, "texpansion")
         self.texpansion_order = _number(tex, "order", "texpansion", default=10, minimum=2, integer=True)
 
-        kry = self.raw.get("krylov", {})
+        kry = _block(self.raw, "krylov") or {}
         _require_keys(kry, {"orders", "t_max", "dt"}, "krylov")
         orders = kry.get("orders", [0, 1, 2, 3, 4, 5, 6])
         if not (isinstance(orders, list) and orders and all(type(m) is int and m >= 0 for m in orders)):
@@ -200,9 +210,8 @@ class RunConfig:
         self.krylov_t_max = _number(kry, "t_max", "krylov", default=8.0, minimum=0.0)
         self.krylov_dt = _number(kry, "dt", "krylov", default=0.01, minimum=1e-9)
 
-        self.noise = None
-        if "noise" in self.raw:
-            self.noise = build_noise(self.raw["noise"])
+        noise = _block(self.raw, "noise")
+        self.noise = None if noise is None else build_noise(noise)
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
@@ -236,7 +245,7 @@ class RunConfig:
         }
         if self.moment_route == "fdm":
             out["moments"]["accuracy"] = self.fdm_accuracy
-        if "noise" in self.raw:
+        if self.noise is not None:
             out["noise"] = dict(self.raw["noise"])
         return out
 

@@ -19,8 +19,9 @@ points grouped by their Trotter step size t/n, so that `trotter` builds each
 size's step once, and keeps each bias at its point's index.  The sampled
 route then draws each circuit's shots from that probability, one
 `sample_ancilla` call per member and quadrature for the whole grid on its own
-stream, SeedSequence([seed, member, quadrature]).  Mixtures are averaged
-member by member with the shot budget split evenly.
+stream, SeedSequence([seed, member, quadrature]).  `mixture_series` averages
+the members' biases, its own or `cli.cmd_noise`'s noisy ones, with the shot
+budget split evenly: the one assembly of a GfSeries from Hadamard tests.
 
 Every CSV the package writes or reads is one table format, written by
 `write_table` and read by `read_table` here: `# key=value` header lines, one
@@ -237,24 +238,20 @@ def gf_series(
             halves = state.amplitudes.reshape(2, -1)  # the ancilla is the top qubit
             f = 2.0 * np.vdot(halves[0], halves[1])
             biases[m_idx, :, k] = f.real, f.imag
-    estimates = np.zeros((2, t.size))  # Re and Im, summed over the members in order
-    for m_idx, weight in enumerate(init.weights):
-        for quad, bias in enumerate(biases[m_idx]):
-            if shots:
-                bias = sample_ancilla((1.0 + bias) / 2.0, per_member, (seed, m_idx, quad))
-            estimates[quad] += weight * bias
+    if shots:
+        for m_idx, quad in np.ndindex(members, 2):
+            biases[m_idx, quad] = sample_ancilla((1.0 + biases[m_idx, quad]) / 2.0, per_member, (seed, m_idx, quad))
+    return mixture_series(t, biases, init, per_member, "sampled" if shots else "statevector", model, seed)
 
-    total = per_member * members
-    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total) if shots else np.zeros_like(estimates)
-    return GfSeries(
-        t,
-        *estimates,
-        *errs,
-        shots=total,
-        route="sampled" if shots else "statevector",
-        model=model.fingerprint(),
-        seed=int(seed),
-    )
+
+def mixture_series(t, biases, init: InitialState, per_member: int, route: str, model, seed: int) -> GfSeries:
+    """F(t) of a mixture from its (members, 2, points) Re and Im biases, with binomial bars at per_member > 0 shots."""
+    estimates = np.zeros((2, len(t)))  # Re and Im, summed over the members in order
+    for weight, member_biases in zip(init.weights, biases):
+        estimates += weight * member_biases
+    total = per_member * len(init)
+    errs = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / total) if per_member else np.zeros_like(estimates)
+    return GfSeries(t, *estimates, *errs, shots=total, route=route, model=model.fingerprint(), seed=int(seed))
 
 
 def hadamard_test_circuit(model, t: float, n_steps: int, quadrature: str):

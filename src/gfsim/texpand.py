@@ -258,6 +258,7 @@ def integrate_energy(approx: PadeApproximant, h_mean: float, tau_grid) -> Energy
     E(tau) = <H> + T(0) - T(tau) and the asymptote is <H> + T(0).  No pole
     lies on tau >= 0, so tau - z_j stays off the logarithm's branch cut.
     Repeated poles, where these simple-pole residues do not apply, raise.
+    The zero approximant has no tail: E(tau) = <H>, an eigenstate's curve.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size == 0 or tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
@@ -289,13 +290,6 @@ def integrate_energy(approx: PadeApproximant, h_mean: float, tau_grid) -> Energy
     )
 
 
-def constant_energy_curve(h_mean: float, tau_grid) -> EnergyCurve:
-    """Degenerate case kappa_2 = 0 (eigenstate input): E(tau) = <H>."""
-    tau = np.asarray(tau_grid, dtype=float)
-    flat = np.full(tau.size, h_mean)
-    return EnergyCurve(tau, flat, np.zeros(tau.size), asymptote=h_mean, asymptote_grid_end=h_mean)
-
-
 def extrapolate_ground_energy(
     moments: MomentSet, order: int
 ) -> tuple[EnergyCurve, PadeApproximant | None, list[CandidateReport]]:
@@ -305,8 +299,8 @@ def extrapolate_ground_energy(
     kappa_2 = kappa[1] if kappa.size >= 2 else 0.0
     horizon = default_tau_max(kappa_2)
     tau_grid = np.linspace(0.0, horizon, 401)
-    if kappa_2 <= 1e-14 * max(1.0, h_mean**2):
-        return constant_energy_curve(h_mean, tau_grid), None, []
+    if kappa_2 <= 1e-14 * max(1.0, h_mean**2):  # an eigenstate: the zero approximant, no selection
+        return integrate_energy(PadeApproximant([0.0], [1.0]), h_mean, tau_grid), None, []
     coeffs = taylor_dEdtau(kappa, order)
     approx, log = pade_select(coeffs, order, horizon)
     return integrate_energy(approx, h_mean, tau_grid), approx, log

@@ -10,7 +10,7 @@ import pytest
 import gfsim
 from gfsim.cli import main
 from gfsim.config import NOISE_PRESET, ConfigError, RunConfig
-from gfsim.genfunc import GfSeries
+from gfsim.genfunc import GF_COLUMNS, GfSeries, gf_series
 from gfsim.models import build_dense, to_qubits
 from gfsim.moments import MomentSet, moments_exact
 from gfsim.noise import NoiseModel
@@ -225,6 +225,51 @@ def test_invalid_config_exit_code_2(tmp_path):
         assert main(["gf", "--config", path, "--out-dir", str(tmp_path)]) == 2, cfg
 
 
+@pytest.mark.parametrize(
+    "block, value",
+    [
+        ("model", []),
+        ("time_grid", 5),
+        ("trotter", []),
+        ("moments", "fdm"),
+        ("texpansion", 7),
+        ("krylov", []),
+        ("noise", 3),
+    ],
+)
+def test_config_blocks_must_be_json_objects(tmp_path, capsys, block, value):
+    # read as a dict, a list or a number would raise a traceback, and the string "fdm" would be three unknown keys
+    out = tmp_path / "out"
+    assert main(["gf", "--config", write_config(tmp_path, base_config(**{block: value})), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: config.{block} must be a JSON object, got {value!r}" in err
+    assert not list(out.glob("*_manifest.json"))
+
+
+def test_null_config_blocks_read_as_absent():
+    blocks = dict.fromkeys(("time_grid", "trotter", "moments", "texpansion", "krylov", "noise"))
+    cfg = base_config(**blocks)
+    assert RunConfig(cfg).resolved() == RunConfig({"model": cfg["model"], "shots": 200, "seed": 4}).resolved()
+    assert RunConfig(cfg).noise is None
+
+
+def test_config_file_holding_an_array_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([base_config()]))
+    out = tmp_path / "out"
+    assert main(["gf", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "configuration error: config must be a JSON object" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+
+
+def test_boolean_config_number_exit_2(tmp_path, capsys):
+    # json reads true as a Python bool, an int subclass, so a bare isinstance check would take it as 1 shot
+    out = tmp_path / "out"
+    assert main(["gf", "--config", write_config(tmp_path, base_config(shots=True)), "--out-dir", str(out)]) == 2
+    assert "configuration error: config.shots must be a number, got True" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+
+
 @pytest.mark.parametrize("entry", [1, ["1", "0"]], ids=["integer", "list-of-digits"])
 def test_initial_state_entries_must_be_bitstrings(tmp_path, capsys, entry):
     # an integer has no length to check, and a list of digits would pass as the bitstring it spells
@@ -408,6 +453,19 @@ def test_cmd_krylov_warns_on_stderr(tmp_path, capsys):
     assert "wrote" in captured.out
 
 
+def test_cmd_krylov_refuses_moments_short_of_the_orders(tmp_path, capsys):
+    # orders up to 2 need moments 0..5; the file stops at 4
+    cfg = base_config(krylov={"orders": [0, 1, 2], "t_max": 1.0, "dt": 0.1})
+    run = RunConfig(cfg)
+    mom_path = tmp_path / "mom.csv"
+    moments_exact(build_dense(to_qubits(run.model)), run.init, 4).to_csv(mom_path)
+    out = tmp_path / "out"
+    argv = ["krylov", "--config", write_config(tmp_path, cfg), "--moments", str(mom_path), "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "error: need moments through 5 for the requested subspace orders" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+
+
 CHAIN_FOURIER = {
     "model": {"kind": "pairing", "levels": 8, "pairs": 4, "delta_e": 1.0, "g": 1.0},
     "time_grid": {"auto": True},
@@ -487,6 +545,15 @@ def test_cmd_noise_records_calibration_clipping(tmp_path):
     assert {flag for flag, _ in flags} == {False, True}
 
 
+def test_cmd_noise_needs_a_noise_block(tmp_path, capsys):
+    cfg = json.loads(json.dumps(NOISE_PRESET))
+    del cfg["noise"]
+    out = tmp_path / "out"
+    assert main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert "configuration error: noise command needs a noise block in the config" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+
+
 @pytest.mark.parametrize("trotter", [{"policy": "reference"}, None])
 def test_cmd_noise_rejects_reference_step_policy(tmp_path, capsys, trotter):
     # the noise study replays fixed-length circuits; "reference" (also the
@@ -523,17 +590,32 @@ def test_cmd_noise_rejects_too_few_shots(tmp_path, capsys, shots):
     assert not (tmp_path / "noise_manifest.json").exists()
 
 
-def test_cmd_noise_off_equals_sampled(tmp_path):
+HUBBARD_3 = {
+    "model": {"kind": "hubbard", "sites": 3, "hopping": 1.0, "onsite": 1.3},
+    "initial_state": "default",
+    "trotter": {"policy": "fixed", "n_steps": 2},
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, HUBBARD_3], ids=["preset", "hubbard-3-mixture"])
+def test_cmd_noise_off_equals_sampled(tmp_path, overrides):
+    # with no flips and no depolarizing, the noisy route draws gf_series's streams at the
+    # same probabilities, and both go through one assembly: the raw series is gf_series's
     cfg = json.loads(json.dumps(NOISE_PRESET))
-    cfg["shots"] = 5000
-    cfg["time_grid"] = {"t_max": 0.1, "dt": 0.05}
-    cfg["noise"] = {"readout": {"p01": 0.0, "p10": 0.0}, "p_dep": 0.0}
+    off = {"readout": {"p01": 0.0, "p10": 0.0}, "p_dep": 0.0}
+    cfg.update(shots=5000, time_grid={"t_max": 0.1, "dt": 0.05}, noise=off, **overrides)
     rc = main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
     assert rc == 0
     raw = GfSeries.from_csv(tmp_path / "gf_raw.csv")
     mit = GfSeries.from_csv(tmp_path / "gf_mitigated.csv")
     assert np.abs(raw.re - mit.re).max() < 1e-9
     assert np.abs(raw.im - mit.im).max() < 1e-9
+    run = RunConfig(cfg)
+    assert len(run.init) == (3 if overrides else 1)
+    sampled = gf_series(run.model, run.init, run.t_grid, run.trotter_policy, shots=run.shots, seed=run.seed)
+    assert raw.shots == sampled.shots == 5000 // len(run.init) * len(run.init)
+    for name in GF_COLUMNS:
+        assert np.array_equal(getattr(raw, name), getattr(sampled, name)), name
 
 
 @pytest.mark.parametrize("flips", [{"p01": 0.0, "p10": 0.1}, {"p01": 0.1, "p10": 0.0}], ids=["p10", "p01"])

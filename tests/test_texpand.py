@@ -288,6 +288,10 @@ def test_eigenstate_input_short_circuits_to_constant():
     curve, approx, log = extrapolate_ground_energy(mom, 10)
     assert approx is None and log == []
     assert np.allclose(curve.energy, dense.eigenvalues[2])
+    # the zero approximant integrates to <H> itself: no tail, no slope
+    h_mean = mom.values[1]
+    assert np.all(curve.energy == h_mean) and not curve.dEdtau.any()
+    assert curve.asymptote == curve.asymptote_grid_end == h_mean
 
 
 def test_weight_below_tolerance_leaves_the_ground_and_asymptote_reachable():

@@ -12,7 +12,9 @@ imports.  A statement ran if a line of its own ran (its span, less the
 statements nested in it) or, for a compound statement, if a statement of its
 body ran.  It uses the standard library only, as `coverage` is not a
 dependency.  Tracing makes the run about twice as long as plain Tier-1.  The
-script exits 1 if Tier-1 fails or a demo raises.  It is not part of Tier-1.
+script exits 1 if Tier-1 fails, a demo raises, or a never-run statement is
+anything but a `raise` or cli's `sys.exit(main())` line: a new statement that
+nothing runs fails the run, marked `!` in the list.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ def _bodies(node: ast.stmt) -> list[list[ast.stmt]]:
     return [body for body in bodies if body]
 
 
-def never_ran(tree: ast.Module, ran: set[int]) -> list[int]:
-    """Start lines of the counted statements of tree that did not run."""
-    missed: list[int] = []
+def never_ran(tree: ast.Module, ran: set[int]) -> list[ast.stmt]:
+    """The counted statements of tree that did not run, by start line."""
+    missed: list[ast.stmt] = []
 
     def visit(node: ast.stmt) -> bool:
         bodies = _bodies(node)
@@ -80,12 +82,17 @@ def never_ran(tree: ast.Module, ran: set[int]) -> list[int]:
                 own -= set(range(child.lineno, child.end_lineno + 1))
         done = bool(own & ran) or (bool(ran_inside) and any(ran_inside[0]))
         if not done:
-            missed.append(node.lineno)
+            missed.append(node)
         return done
 
     for node in tree.body:
         visit(node)
-    return sorted(missed)
+    return sorted(missed, key=lambda node: node.lineno)
+
+
+def expected(node: ast.stmt, path: Path) -> bool:
+    """A statement no run is expected to reach: a raise, or cli's `sys.exit(main())` under `__main__`."""
+    return isinstance(node, ast.Raise) or (path.name == "cli.py" and ast.unparse(node) == "sys.exit(main())")
 
 
 def main():
@@ -94,16 +101,20 @@ def main():
     root = Path(sys.argv[1]).resolve()
     package = root / "src" / "gfsim"
     executed = run_traced(root, package)
-    total = 0
+    total = unexpected = 0
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
         missed = never_ran(ast.parse(source), executed.get(str(path), set()))
         total += len(missed)
         print(f"{path.relative_to(root)}: {len(missed)} statement(s) never ran")
-        for lineno in missed:
-            print(f"  {lineno:4d}  {lines[lineno - 1].strip()}")
+        for node in missed:
+            mark = " " if expected(node, path) else "!"
+            unexpected += mark == "!"
+            print(f"{mark} {node.lineno:4d}  {lines[node.lineno - 1].strip()}")
     print(f"total: {total} statement(s) never ran")
+    if unexpected:
+        sys.exit(f"line_coverage: {unexpected} never-run statement(s) (marked !) other than a raise or cli's __main__ line")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ Its false-failure rate is the probability, over streams, that it fails on
 working code; its power is the probability that it fails with a named defect
 patched in (pytest's MonkeyPatch).  For each gate the tool recomputes the
 statistic over many seeds, each a fresh set of streams, and prints the gate,
-its rate and its power; where a gate replaced an older one, the old gate's
-rate and power follow, measured on the same kind of draws.
+its rate and its power.
 
 A rate far below one over the number of seeds cannot be counted.  Each line
 says how its rate is reached: counted over the seeds (with the one-sided 95%
@@ -72,10 +71,8 @@ def fails_or_raises(statistic, *args):
         return None
 
 
-def report(test: str, gate: str, rate: str, powers: list[str], old: str | None = None):
+def report(test: str, gate: str, rate: str, powers: list[str]):
     print(f"{test}\n  gate: {gate}\n  false-failure rate: {rate}")
-    if old:
-        print(f"  replaced gate: {old}")
     for line in powers:
         print(f"  power against {line}")
     print()
@@ -220,18 +217,12 @@ def fourier(sg, defects):
     q_c, q_c_up = above / null.size, upper95(above, null.size)
     rate = binom_sf(k_max + 1, n, q_fail) + binom_sf((n + 1) // 2, n, q_c)
     rate_up = q_fail_up + binom_sf(k_max + 1, n, q_fail_up) + binom_sf((n + 1) // 2, n, q_c_up)
-    old_above = int(np.count_nonzero(null >= 5e-3))
-    old_rate = binom_sf(5, 9, old_above / null.size)
     rng = np.random.default_rng(0)
     powers = []
     for name, patch, args in defects:
         with with_defect(patch, *args):
             errs = errors(300, start=20000)
-        new = resampled(errs, n, k_max, c, rng)
-        # the old gate: the CLI seed's rank and renormalization, no library seed raising, median of 9 below 5e-3
-        picks = rng.choice(errs, size=(4000, 9))
-        old = np.mean([not np.isfinite(p[0]) or np.median(p) >= 5e-3 for p in picks])
-        powers.append(f"{name}: {new:.3f} (replaced gate {old:.3f}; {np.mean(~np.isfinite(errs)):.0%} of fits fail)")
+        powers.append(f"{name}: {resampled(errs, n, k_max, c, rng):.3f} ({np.mean(~np.isfinite(errs)):.0%} of fits fail)")
     report(
         "tests/test_config_cli.py::test_cmd_moments_fourier_from_sampled_series",
         f"at most {k_max} of {n} fits fail, median K <= 4 error < {c:g}",
@@ -239,8 +230,6 @@ def fourier(sg, defects):
         f"errors >= {c:g} {q_c:.3f}); with the 95% upper shares, and the CLI seed's own fit raising, "
         f"at most {rate_up:.2g}",
         powers,
-        old=f"median of 9 seeds < 5e-3: {old_rate:.2g} "
-        f"(binomial tail at the share of errors >= 5e-3, {old_above / null.size:.3f})",
     )
 
 
@@ -249,25 +238,15 @@ def criterion1(sg, defects):
         rows = []
         for seed in range(start, start + count):
             pairs = fails_or_raises(sg.criterion1_pairs, seed, seed)
-            if pairs is None:
-                rows.append(None)
-                continue
-            rows.append((sg.sigma_statistics(pairs), old_fails(pairs)))
+            rows.append(None if pairs is None else sg.sigma_statistics(pairs))
         return rows
 
-    def old_fails(pairs):  # every (model, quadrature) group of 33 points at >= 99% within 4 sigma
-        for sampled, exact in pairs:
-            for est, err, ref in ((sampled.re, sampled.re_err, exact.re), (sampled.im, sampled.im_err, exact.im)):
-                if np.mean(np.abs(est - ref) <= 4.0 * err + 1e-15) < 0.99:
-                    return True
-        return False
-
     null = stats(1000)
-    points = null[0][0][0]
-    misses = np.array([s[0][1] for s in null])
-    sums = np.array([s[0][2] for s in null])
-    signed = np.array([s[0][3] for s in null])
-    new_fails = [bool(sg.sigma_problems(*s[0])) for s in null]
+    points = null[0][0]
+    misses = np.array([s[1] for s in null])
+    sums = np.array([s[2] for s in null])
+    signed = np.array([s[3] for s in null])
+    new_fails = [bool(sg.sigma_problems(*s)) for s in null]
     lam = misses.mean()
     share_rate = 1.0 - math.exp(-lam) * (1.0 + lam)
     dof = points - 1  # the t = 0 Re point has a zero bar
@@ -277,9 +256,7 @@ def criterion1(sg, defects):
     for name, patch, args in defects:
         with with_defect(patch, *args):
             rows = stats(300, start=50000)
-        new = np.mean([r is None or bool(sg.sigma_problems(*r[0])) for r in rows])
-        old = np.mean([r is None or r[1] for r in rows])
-        powers.append(f"{name}: {new:.3f} (replaced gate {old:.3f})")
+        powers.append(f"{name}: {np.mean([r is None or bool(sg.sigma_problems(*r)) for r in rows]):.3f}")
     report(
         "tests/test_acceptance.py::test_criterion_01_gf_fidelity",
         f"{sg.SHARE_MIN:.0%} of {points} pooled points within {sg.SIGMA_GATE:g} sigma, chi2 <= {sg.CHI2_MAX:g}, "
@@ -289,7 +266,6 @@ def criterion1(sg, defects):
         f"+ {signed_rate:.2g} (normal tail; measured mean {signed.mean():.3f}, sd {signed.std():.3f}); "
         f"{counted(new_fails)}",
         powers,
-        old=f"every (model, quadrature) group of 33 points at >= 99% within 4 sigma: {counted([s[1] for s in null])}",
     )
 
 
@@ -311,14 +287,13 @@ def scatter(sg, defects):
         with with_defect(patch, *args):
             _, bars_d = sg.scatter_draws(range(2000))
         bar_d = float(np.mean(bars_d))
-        powers.append(f"{name}: {rate(n, tol, bar_d, sigma):.3f} (replaced gate {rate(100, tol, bar_d, sigma):.3f})")
+        powers.append(f"{name}: {rate(n, tol, bar_d, sigma):.3f}")
     report(
         "tests/test_genfunc.py::test_sampled_error_bar_matches_empirical_scatter",
         f"mean error bar within {tol:.0%} of the scatter over {n} seeds",
         f"{rate(n, tol, bar, sigma):.2g} (chi-square tails of the scatter at sigma {sigma:.5f} over {est.size} seeds, "
         f"mean bar {bar:.5f}); {counted(blocks, 'blocks')}",
         powers,
-        old=f"the same over 100 seeds: {rate(100, tol, bar, sigma):.2g}",
     )
 
 
@@ -327,20 +302,19 @@ def recovery(sg, defects):
         return np.array([sg.recovery_ratio(range(start + b * n, start + (b + 1) * n)) for b in range(blocks)])
 
     n, top = len(sg.RECOVERY_SEEDS), sg.RECOVERY_RATIO_MAX
-    new, old = ratios(n, 200), ratios(20, 600, start=10**6)
+    new = ratios(n, 200)
     logs = np.log(new)
     powers = []
     for name, patch, args in defects:
         with with_defect(patch, *args):
-            new_d, old_d = ratios(n, 50, 2 * 10**6), ratios(20, 150, 3 * 10**6)
-        powers.append(f"{name}: {np.mean(new_d >= top):.3f} (replaced gate {np.mean(old_d >= 1 / 3):.3f})")
+            new_d = ratios(n, 50, 2 * 10**6)
+        powers.append(f"{name}: {np.mean(new_d >= top):.3f}")
     report(
         "tests/test_noise.py::test_readout_recovery_improves_with_shots",
         f"rms error ratio, 10^5 over 10^3 shots, below {top:g} over {n} seeds",
         f"{tails(logs, hi=math.log(top)):.2g} (normal tail of log ratio, mean ratio {new.mean():.3f}); "
         f"{counted(new >= top, 'blocks')}",
         powers,
-        old=f"below 1/3 over 20 seeds: {counted(old >= 1 / 3, 'blocks')}",
     )
 
 
@@ -360,14 +334,13 @@ def mitigation(sg, defects):
         return np.array(rows)
 
     seeds = range(4000)
-    new, old = margins(seeds, sg.PRESET_NOISE), margins(seeds, sg.READOUT)
+    new = margins(seeds, sg.PRESET_NOISE)
     model_rate = tails(new[:, 0], hi=0.3) + tails(new[:, 2], hi=3.0) + (tails(new[:, 1], hi=3.0) if np.ptp(new[:, 1]) else 0.0)
     powers = []
     for name, patch, args in defects:
         with with_defect(patch, *args):
-            defect_seeds = range(10**5, 10**5 + 500)
-            d_new, d_old = margins(defect_seeds, sg.PRESET_NOISE), margins(defect_seeds, sg.READOUT)
-        powers.append(f"{name}: {d_new[:, 3].mean():.3f} (replaced gate {d_old[:, 3].mean():.3f})")
+            d_new = margins(range(10**5, 10**5 + 500), sg.PRESET_NOISE)
+        powers.append(f"{name}: {d_new[:, 3].mean():.3f}")
     report(
         "tests/test_noise.py::test_mitigated_series_beats_raw_on_preset",
         "the preset's flips and p_dep = 0.002 at 10^5 shots: rms ratio <= 0.3, F(0) within 3 sigma, |F| <= 1 + 3 sigma",
@@ -375,8 +348,6 @@ def mitigation(sg, defects):
         f"(rms ratio {new[:, 0].mean():.3f} +- {new[:, 0].std():.3f}, largest F(0) z {new[:, 1].max():.2f}, "
         f"largest band z {new[:, 2].max():.2f})",
         powers,
-        old=f"the same with the flips alone (now test_mitigation_where_the_calibration_clips's case): {counted(old[:, 3])} "
-        f"(largest F(0) z {old[:, 1].max():.2f})",
     )
 
 
@@ -398,8 +369,7 @@ def clipped_mitigation(sg, defects):
     for name, patch, args in defects:
         with with_defect(patch, *args):
             _, d_fails = gate_fails(10**6, 300)
-            old = np.mean([bool(sg.mitigation_problems(*sg.mitigated_preset(s, cfg=sg.READOUT))) for s in range(10**6, 10**6 + 2000)])
-        powers.append(f"{name}: {np.mean(d_fails):.3f} (replaced gate {old:.3f})")
+        powers.append(f"{name}: {np.mean(d_fails):.3f}")
     report(
         "tests/test_noise.py::test_mitigation_where_the_calibration_clips",
         f"the flips alone at 10^5 shots over seeds {sg.CLIPPED_SEEDS.start}-{sg.CLIPPED_SEEDS.stop - 1}: each seed's "
@@ -410,9 +380,6 @@ def clipped_mitigation(sg, defects):
         f"share of {sum(own)} of {len(own)} seeds with a problem of their own); mean z^2 of the clipped seeds "
         f"{np.mean(z**2):.3f} (1 expected), largest z {z.max():.2f}; {counted(fails, 'blocks')}",
         powers,
-        # on working code F(0) is exact where the clip did not act, so the old test failed where z > 3 or on a problem of its own
-        old=f"the flips alone at one seed, F(0) within 3 sigma: {q * 2 * norm.sf(3.0):.2g} (the clipping share times "
-        f"the half-normal's tail beyond 3); {counted([bool(p) or (c and z > 3.0) for p, c, z in rows])}",
     )
 
 
@@ -438,7 +405,7 @@ def criterion10(sg, defects):
         for name, patch, args in defects:
             with with_defect(patch, *args):
                 d = stats(range(10**5, 10**5 + 100), Path(tmp))
-            powers.append(f"{name}: {np.mean((d[:, 0] > 0.3) | (d[:, 1] > 3)):.3f} (gate unchanged)")
+            powers.append(f"{name}: {np.mean((d[:, 0] > 0.3) | (d[:, 1] > 3)):.3f}")
     fails = (null[:, 0] > 0.3) | (null[:, 1] > 3)
     report(
         "tests/test_acceptance.py::test_criterion_10_noise_mitigation",
@@ -487,7 +454,6 @@ def single_draws(sg, patches):
             full_bias(10**6),
             (-0.01, 0.01),
             ("p0 read 0.01 high by the sampler", patches.sampler_bias, 0.01),
-            ("|bias| < 0.05 at 4,000 shots", full_bias(4000), (-0.05, 0.05)),
         ),
         (
             "tests/test_noise.py::test_mild_depolarization_damps_towards_zero",
@@ -495,7 +461,6 @@ def single_draws(sg, patches):
             mild,
             (0.7, 0.999),
             ("the depolarizing slots skipped", patches.slots_skipped),
-            None,
         ),
         (
             "tests/test_noise.py::test_readout_only_shifts_reported_probabilities",
@@ -503,21 +468,14 @@ def single_draws(sg, patches):
             readout_share,
             (0.94, 0.96),
             ("p01 and p10 swapped", patches.flips_swapped),
-            None,
         ),
     ]
-    for test, gate, draw, (lo, hi), (defect, patch, *args), old in cases:
+    for test, gate, draw, (lo, hi), (defect, patch, *args) in cases:
         v = values(draw)
         d = values(draw, patch, *args)
         power = f"{defect}: {tails(d, lo, hi) if np.std(d) > 0 else float(not lo < d[0] < hi):.3f}"
-        old_line = None
-        if old:
-            old_gate, old_draw, (old_lo, old_hi) = old
-            v_old, d_old = values(old_draw), values(old_draw, patch, *args)
-            old_line = f"{old_gate}: {tails(v_old, old_lo, old_hi):.2g}"
-            power += f" (replaced gate {tails(d_old, old_lo, old_hi):.3f})"
         rate = f"{tails(v, lo, hi):.2g} (normal tails at mean {v.mean():.4f}, sd {v.std(ddof=1):.2g} over {v.size} seeds)"
-        report(test, gate, rate, [power], old=old_line)
+        report(test, gate, rate, [power])
 
     z = values(hadamard_z)
     d = values(hadamard_z, patches.sampler_bias, 0.01)
@@ -555,8 +513,7 @@ def fdm_orders(sg, patches):
         with with_defect(lambda mp: mp.setattr(moments, "_noise_floor", lambda series: factor * real(series))):
             flags = [run(s)[0] for s in range(10**5, 10**5 + 200)]
         blocks = rng.integers(len(flags), size=(2000, n))
-        new = np.mean([bool(sg.fdm_problems([flags[i] for i in block])) for block in blocks])
-        powers.append(f"{name}: {new:.3f} (replaced gate {np.mean([f != sg.FDM_NOISY for f in flags]):.3f})")
+        powers.append(f"{name}: {np.mean([bool(sg.fdm_problems([flags[i] for i in block])) for block in blocks]):.3f}")
     report(
         "tests/test_moments.py::test_fdm_flags_the_orders_shot_noise_overwhelms[sampled]",
         f"each order's flag matches {sg.FDM_NOISY} on at least {sg.FDM_AGREE_SHARE:.0%} of seeds "
@@ -564,8 +521,6 @@ def fdm_orders(sg, patches):
         f"{sum(binom_sf(allowed + 1, n, p) for p in p_wrong):.2g} (binomial tails at each order's one-run error "
         f"rate, the normal tail of its log margin over {len(rows)} seeds: order 1 {p_wrong[1]:.2g}, order 2 {p_wrong[2]:.2g})",
         powers,
-        old=f"the list matches on seed 3 alone: {1.0 - np.prod(1.0 - np.array(p_wrong)):.2g}; "
-        f"{counted([r[0] != sg.FDM_NOISY for r in rows])}",
     )
 
 
@@ -584,8 +539,7 @@ def clipping(sg, patches):
         f"the manifest's flag matches the raw biases on seeds {sg.CLIP_SEEDS.start}-{sg.CLIP_SEEDS.stop - 1}, "
         "and both outcomes occur",
         f"{q**n + (1 - q) ** n:.2g} (all {n} seeds alike, at the clipping share {q:.3f} over {flags.size} seeds)",
-        [f"the clipping flag dropped: {1 - (1 - q) ** n:.6f} (replaced gate, seed 3 alone: {q:.3f})"],
-        old=f"seed 3 clips: {1 - q:.3f}",
+        [f"the clipping flag dropped: {1 - (1 - q) ** n:.6f}"],
     )
 
 
