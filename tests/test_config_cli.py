@@ -597,25 +597,26 @@ HUBBARD_3 = {
 }
 
 
-@pytest.mark.parametrize("overrides", [{}, HUBBARD_3], ids=["preset", "hubbard-3-mixture"])
-def test_cmd_noise_off_equals_sampled(tmp_path, overrides):
+def test_cmd_noise_off_equals_sampled(tmp_path):
     # with no flips and no depolarizing, the noisy route draws gf_series's streams at the
-    # same probabilities, and both go through one assembly: the raw series is gf_series's
-    cfg = json.loads(json.dumps(NOISE_PRESET))
+    # same probabilities, and both go through one assembly: the raw series is gf_series's,
+    # on the preset's one member and on Hubbard-3's 3-member mixture
     off = {"readout": {"p01": 0.0, "p10": 0.0}, "p_dep": 0.0}
-    cfg.update(shots=5000, time_grid={"t_max": 0.1, "dt": 0.05}, noise=off, **overrides)
-    rc = main(["noise", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
-    assert rc == 0
-    raw = GfSeries.from_csv(tmp_path / "gf_raw.csv")
-    mit = GfSeries.from_csv(tmp_path / "gf_mitigated.csv")
-    assert np.abs(raw.re - mit.re).max() < 1e-9
-    assert np.abs(raw.im - mit.im).max() < 1e-9
-    run = RunConfig(cfg)
-    assert len(run.init) == (3 if overrides else 1)
-    sampled = gf_series(run.model, run.init, run.t_grid, run.trotter_policy, shots=run.shots, seed=run.seed)
-    assert raw.shots == sampled.shots == 5000 // len(run.init) * len(run.init)
-    for name in GF_COLUMNS:
-        assert np.array_equal(getattr(raw, name), getattr(sampled, name)), name
+    for name, overrides, members in (("preset", {}, 1), ("hubbard3", HUBBARD_3, 3)):
+        cfg = json.loads(json.dumps(NOISE_PRESET))
+        cfg.update(shots=5000, time_grid={"t_max": 0.1, "dt": 0.05}, noise=off, **overrides)
+        out = tmp_path / name
+        assert main(["noise", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out-dir", str(out)]) == 0
+        raw = GfSeries.from_csv(out / "gf_raw.csv")
+        mit = GfSeries.from_csv(out / "gf_mitigated.csv")
+        assert np.abs(raw.re - mit.re).max() < 1e-9
+        assert np.abs(raw.im - mit.im).max() < 1e-9
+        run = RunConfig(cfg)
+        assert len(run.init) == members
+        sampled = gf_series(run.model, run.init, run.t_grid, run.trotter_policy, shots=run.shots, seed=run.seed)
+        assert raw.shots == sampled.shots == 5000 // members * members
+        for column in GF_COLUMNS:
+            assert np.array_equal(getattr(raw, column), getattr(sampled, column)), (name, column)
 
 
 @pytest.mark.parametrize("flips", [{"p01": 0.0, "p10": 0.1}, {"p01": 0.1, "p10": 0.0}], ids=["p10", "p01"])
