@@ -16,7 +16,7 @@ says how its rate is reached: counted over the seeds (with the one-sided 95%
 upper bound of the share), or computed from a model fitted to the draws (the
 binomial tail of a median or a count, the chi-square tail of a sum of z^2,
 or the normal tail at the measured mean and spread).  The run takes about
-two and a half minutes on 2 vCPU.
+two minutes on 2 vCPU.
 
 Not part of Tier-1.  Beyond numpy it needs pytest and scipy, both in the
 package's [test] extra.
